@@ -192,17 +192,7 @@ def _cmd_cut(args) -> CommandResult:
                 "warning: strict-cut counting has no tractable path for plain "
                 "theories; answering through the exhaustive relation"
             )
-        oracle = semantics.closure_oracle(_as_theory(doc), args.cap)
-        count = sum(
-            1
-            for other in oracle.universe
-            if other != o
-            and (
-                oracle.strictly_better(other, o)
-                if args.strict
-                else oracle.geq(other, o)
-            )
-        )
+        count = semantics.cut_count(_as_theory(doc), o, args.strict, args.cap)
     return CommandResult(EXIT_OK, str(count), warning)
 
 
@@ -218,11 +208,7 @@ def _strict_extract(doc, o, args):
     warning = (
         "warning: strict-cut extraction answers through the exhaustive relation"
     )
-    oracle = semantics.closure_oracle(doc, args.cap)
-    for other in oracle.universe:
-        if other != o and oracle.strictly_better(other, o):
-            return other, warning
-    return None, warning
+    return semantics.strict_cut_extract(doc, o, args.cap), warning
 
 
 def _cmd_compile(args) -> CommandResult:
@@ -284,7 +270,9 @@ def _build_parser() -> _Parser:
         "--cap",
         type=int,
         default=DEFAULT_ORACLE_CAP,
-        help="largest universe the exhaustive relation may enumerate",
+        help="largest universe the exhaustive relation may enumerate; its reach "
+        "bitsets take at most N*ceil(N/8) bytes for N alternatives "
+        "(default 65536: at most 512 MiB)",
     )
 
     parser = _Parser(prog="cpref", description=__doc__)

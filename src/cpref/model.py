@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-import networkx as nx
-
 if TYPE_CHECKING:
     from .semantics import ExplicitPreorder
 
@@ -115,6 +113,43 @@ class AttributeSchema:
             missing = set(self.names) - inst.var_set
             raise ValidationError(f"alternative leaves attributes unbound: {sorted(missing)}")
         return inst
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Place value of each attribute in an alternative's mixed-radix index:
+        the product of the domain sizes after it, so that index order is the
+        canonical order of :meth:`alternatives`."""
+        out = [1] * len(self.attributes)
+        for i in range(len(self.attributes) - 1, 0, -1):
+            out[i - 1] = out[i] * len(self.attributes[i].values)
+        return tuple(out)
+
+    @cached_property
+    def _digits(self) -> dict[str, tuple[int, dict[str, int]]]:
+        return {
+            a.name: (stride, {v: d for d, v in enumerate(a.values)})
+            for a, stride in zip(self.attributes, self.strides)
+        }
+
+    def offset(self, inst: PartialInstantiation) -> int:
+        """Sum of value position times stride over the bindings of ``inst``;
+        for an alternative this is its index in canonical order."""
+        digits = self._digits
+        total = 0
+        for n, v in inst.bindings:
+            stride, values = digits[n]
+            total += values[v] * stride
+        return total
+
+    def alternative_at(self, index: int) -> PartialInstantiation:
+        """The alternative at position ``index`` of the canonical order."""
+        if not 0 <= index < self.universe_size():
+            raise ValidationError(f"no alternative at index {index}")
+        bindings = []
+        for a, stride in zip(self.attributes, self.strides):
+            digit, index = divmod(index, stride)
+            bindings.append((a.name, a.values[digit]))
+        return PartialInstantiation(self, tuple(bindings))
 
     def sort_key(self, inst: PartialInstantiation) -> tuple[int, ...]:
         """Canonical ordering key: domain positions in schema attribute order."""
@@ -533,6 +568,58 @@ def cpnet_to_statements(net: CPNet) -> CPTheory:
 
 
 # ---------------------------------------------------------------------------
+# Graphs
+
+
+def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Strongly connected components of the graph with nodes 0..n-1, by an
+    iterative Tarjan search: the component id of every node, and the members
+    of every component in completion order, each after all it reaches."""
+    n = len(succ)
+    number = [0] * n  # DFS preorder number, 0 = unvisited
+    low = [0] * n
+    comp = [-1] * n  # -1 while visited nodes are still on the stack
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not number[w]:
+                    counter += 1
+                    number[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == number[v]:
+                    c = len(components)
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = c
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(members)
+    return comp, components
+
+
+# ---------------------------------------------------------------------------
 # Dependency graph and classification
 
 
@@ -543,20 +630,34 @@ class DependencyGraph:
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
-    def _nx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges)
-        return g
-
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self._nx())
+        """No self-loop, and every strongly connected component is a singleton."""
+        nodes = [*self.vertices, *(v for e in self.edges for v in e)]
+        index = {v: i for i, v in enumerate(dict.fromkeys(nodes))}
+        succ: list[list[int]] = [[] for _ in index]
+        for x, y in self.edges:
+            if x == y:
+                return False
+            succ[index[x]].append(index[y])
+        return len(strong_components(succ)[1]) == len(succ)
 
     def is_polytree(self) -> bool:
-        """True iff the underlying undirected graph is a forest."""
-        if not self.vertices:
-            return True
-        return nx.is_forest(self._nx().to_undirected())
+        """True iff the underlying undirected graph is a forest: union-find
+        over the undirected edges never joins two already connected vertices."""
+        parent = {v: v for v in self.vertices}
+
+        def root(v: str) -> str:
+            while parent.setdefault(v, v) != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for x, y in {tuple(sorted(e)) for e in self.edges}:
+            rx, ry = root(x), root(y)
+            if rx == ry:
+                return False
+            parent[rx] = ry
+        return True
 
 
 def dependency_graph(theory: CPTheory) -> DependencyGraph:

@@ -4,7 +4,9 @@ A statement sanctions worsening swaps between alternatives; the induced
 preference relation is the reflexive-transitive closure of all sanctioned
 swaps.  Dominance is decided by budgeted breadth-first reachability, and the
 exhaustive closure oracle materialises the whole relation at desk scale to
-answer the query catalogue exactly.
+answer the query catalogue exactly: swaps become index arithmetic over the
+alternatives' mixed-radix indices, and one strongly-connected-component pass
+with bitset reach sets serves every whole-universe query.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-
 from .model import (
     AttributeSchema,
     CPStatement,
@@ -26,9 +24,11 @@ from .model import (
     PartialInstantiation,
     ValidationError,
     eval_formula,
+    strong_components,
 )
 
-DEFAULT_ORACLE_CAP = 1 << 20
+# Reach bitsets for N alternatives take at most N·ceil(N/8) bytes: 512 MiB here.
+DEFAULT_ORACLE_CAP = 1 << 16
 
 
 class OracleTooLargeError(RuntimeError):
@@ -92,39 +92,96 @@ class SearchBudget:
 
 
 # ---------------------------------------------------------------------------
+# The reachability engine
+#
+# Alternatives are nodes 0..N-1, numbered by mixed-radix index.  One Tarjan
+# pass condenses a successor-list graph into strongly connected components,
+# emitted sinks first; OR-ing Python-int bitsets over the components in that
+# order gives every node's reach set (Nuutila 1995).
+
+
+def _closed_rows(succ: list[list[int]], n: int) -> tuple[int, ...]:
+    """Reach bitset of each of the first ``n`` nodes, itself included.
+
+    Nodes past ``n`` relay to nodes below ``n`` and hold no bit of their own.
+    A relay that forms a component alone stores no bitset either: its
+    predecessors read its targets' bitsets directly.  So at most one bitset
+    of at most ``n`` bits is stored per alternative.
+    """
+    comp, components = strong_components(succ)
+    reach: list[int] = []
+    for c, members in enumerate(components):
+        bits = 0
+        if members[0] < n or len(members) > 1:
+            for v in members:
+                if v < n:
+                    bits |= 1 << v
+                for w in succ[v]:
+                    if comp[w] != c:
+                        for t in succ[w] if w >= n else (w,):
+                            bits |= reach[comp[t]]
+        reach.append(bits)
+    return tuple(reach[comp[v]] for v in range(n))
+
+
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, ascending."""
+    digits = bin(x)[:1:-1]
+    j = digits.find("1")
+    while j >= 0:
+        yield j
+        j = digits.find("1", j + 1)
+
+
+# ---------------------------------------------------------------------------
 # Explicit preorders
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float32 to hit BLAS; exact because path counts stay far below 2**24
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
-
-
-def _transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    # Repeated squaring of the boolean incidence matrix.
-    closure = matrix.copy()
-    while True:
-        step = closure | _bool_matmul(closure, closure)
-        if np.array_equal(step, closure):
-            return closure
-        closure = step
-
-
-@dataclass(frozen=True, eq=False)
 class ExplicitPreorder:
-    """A relation over the full alternative space, held as a boolean matrix.
+    """A relation over the full alternative space, held as one bitset per row.
 
     The universe is always the canonical enumeration of the schema's
-    alternatives; ``matrix[i, j]`` means ``universe[i] >= universe[j]``.
+    alternatives, so an alternative's position is its mixed-radix index;
+    bit ``j`` of ``rows[i]`` means ``universe[i] >= universe[j]``.
+    ``matrix`` is the same relation as a numpy boolean array, built on first
+    use; the positional constructor takes such a matrix.
     """
 
-    schema: AttributeSchema
-    universe: tuple[PartialInstantiation, ...]
-    matrix: np.ndarray
+    def __init__(self, schema: AttributeSchema, universe, matrix):
+        import numpy as np
+
+        self.schema = schema
+        self.universe = tuple(universe)
+        self.matrix = np.array(matrix, dtype=bool)
+        self.matrix.setflags(write=False)
+        self.rows = tuple(
+            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in self.matrix
+        )
+
+    @classmethod
+    def _of_rows(cls, schema: AttributeSchema, rows: tuple[int, ...]) -> ExplicitPreorder:
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation.rows = rows
+        return relation
 
     @cached_property
-    def _index(self) -> dict[PartialInstantiation, int]:
-        return {alt: i for i, alt in enumerate(self.universe)}
+    def universe(self) -> tuple[PartialInstantiation, ...]:
+        return tuple(self.schema.alternatives())
+
+    @cached_property
+    def matrix(self):
+        import numpy as np
+
+        n = len(self.rows)
+        width = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8
+        ).reshape(n, width)
+        matrix = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+        matrix.setflags(write=False)
+        return matrix
 
     @classmethod
     def from_pairs(
@@ -133,31 +190,24 @@ class ExplicitPreorder:
         pairs: Iterable[tuple[PartialInstantiation, PartialInstantiation]],
     ) -> ExplicitPreorder:
         """The least preorder containing the given pairs."""
-        universe = tuple(schema.alternatives())
-        index = {alt: i for i, alt in enumerate(universe)}
-        matrix = np.eye(len(universe), dtype=bool)
+        succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
         for o, o_prime in pairs:
-            matrix[index[o], index[o_prime]] = True
-        closed = _transitive_closure(matrix)
-        closed.setflags(write=False)
-        return cls(schema, universe, closed)
+            succ[_alternative_index(schema, o)].append(_alternative_index(schema, o_prime))
+        return cls._of_rows(schema, _closed_rows(succ, len(succ)))
 
     @classmethod
     def identity(cls, schema: AttributeSchema) -> ExplicitPreorder:
         return cls.from_pairs(schema, ())
 
     def index_of(self, alt: PartialInstantiation) -> int:
-        try:
-            return self._index[alt]
-        except KeyError:
-            raise ValidationError(f"{alt!r} is not an alternative of this universe") from None
+        return _alternative_index(self.schema, alt)
 
     def geq(self, o: PartialInstantiation, o_prime: PartialInstantiation) -> bool:
-        return bool(self.matrix[self.index_of(o), self.index_of(o_prime)])
+        return bool(self.rows[self.index_of(o)] >> self.index_of(o_prime) & 1)
 
     def strictly_better(self, o: PartialInstantiation, o_prime: PartialInstantiation) -> bool:
         i, j = self.index_of(o), self.index_of(o_prime)
-        return bool(self.matrix[i, j] and not self.matrix[j, i])
+        return bool(self.rows[i] >> j & 1 and not self.rows[j] >> i & 1)
 
     def label(self, o: PartialInstantiation, o_prime: PartialInstantiation) -> Relation:
         if o == o_prime:
@@ -170,40 +220,61 @@ class ExplicitPreorder:
         tuple[PartialInstantiation, PartialInstantiation]
     ]:
         """Related pairs in row-major universe order."""
-        for i, o in enumerate(self.universe):
-            for j, o_prime in enumerate(self.universe):
-                if not self.matrix[i, j]:
+        rows, universe = self.rows, self.universe
+        for i, row in enumerate(rows):
+            for j in _bits(row):
+                if strict_only and rows[j] >> i & 1:
                     continue
-                if strict_only and self.matrix[j, i]:
-                    continue
-                yield o, o_prime
+                yield universe[i], universe[j]
+
+    def dominators(self, o: PartialInstantiation, strict: bool = False) -> Iterator[int]:
+        """Indices, ascending, of the alternatives other than ``o`` that are
+        at least as good as it (``strict``: strictly better)."""
+        i = self.index_of(o)
+        own = self.rows[i]
+        for j, row in enumerate(self.rows):
+            if j != i and row >> i & 1 and not (strict and own >> j & 1):
+                yield j
 
     def is_reflexive(self) -> bool:
-        return bool(self.matrix.diagonal().all())
+        return all(row >> i & 1 for i, row in enumerate(self.rows))
 
     def is_antisymmetric(self) -> bool:
-        off_diagonal = self.matrix & self.matrix.T
-        np.fill_diagonal(off_diagonal, False)
-        return not off_diagonal.any()
+        rows = self.rows
+        for i, row in enumerate(rows):
+            for j in _bits(row >> (i + 1)):
+                if rows[i + 1 + j] >> i & 1:
+                    return False
+        return True
 
     def is_preorder(self) -> bool:
-        return self.is_reflexive() and np.array_equal(
-            _transitive_closure(self.matrix), self.matrix
+        rows = self.rows
+        return self.is_reflexive() and all(
+            rows[j] | row == row for row in rows for j in _bits(row)
         )
 
     def extends(self, other: ExplicitPreorder) -> bool:
         """True iff every pair related by ``other`` is related by this relation."""
         if other.schema != self.schema:
             raise ValidationError("relations compare only over the same schema")
-        return not (other.matrix & ~self.matrix).any()
+        return all(theirs | ours == ours for ours, theirs in zip(self.rows, other.rows))
 
     def __eq__(self, other):
         if not isinstance(other, ExplicitPreorder):
             return NotImplemented
-        return self.schema == other.schema and np.array_equal(self.matrix, other.matrix)
+        return self.schema == other.schema and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.schema, self.matrix.tobytes()))
+        return hash((self.schema, self.rows))
+
+
+def _alternative_index(schema: AttributeSchema, alt: PartialInstantiation) -> int:
+    if alt.is_total() and alt.schema == schema:
+        try:
+            return schema.offset(alt)
+        except KeyError:
+            pass
+    raise ValidationError(f"{alt!r} is not an alternative of this universe")
 
 
 def _label_from(forward: bool, backward: bool) -> Relation:
@@ -324,41 +395,65 @@ def _check_cap(schema: AttributeSchema, cap: int) -> None:
         )
 
 
-def _swap_edges(theory: CPTheory) -> tuple[tuple[PartialInstantiation, ...], list[tuple[int, int]]]:
-    universe = tuple(theory.schema.alternatives())
-    index = {alt: i for i, alt in enumerate(universe)}
-    edges = []
-    for i, o in enumerate(universe):
-        for successor in worsening_successors(theory, o):
-            edges.append((i, index[successor]))
-    return universe, edges
+def _offsets(schema: AttributeSchema, attrs: Iterable[str]) -> list[int]:
+    """Index offsets of every instantiation of ``attrs``."""
+    out = [0]
+    for a in attrs:
+        stride = schema.strides[schema.position(a)]
+        steps = range(0, len(schema.domain(a)) * stride, stride)
+        out = [o + step for o in out for step in steps]
+    return out
+
+
+def _swap_graph(theory: CPTheory, cap: int) -> list[list[int]]:
+    """Successor lists of the sanctioned-swap graph over alternative indices;
+    a universe beyond the cap is refused before anything is allocated.
+
+    A statement's swap moves an index by the worse-minus-better offset of the
+    swapped attributes, from every source whose condition digits satisfy the
+    condition.  Sources that differ only on the statement's free attributes
+    share their targets, so each such group is linked through one relay node
+    numbered past the alternatives: 2·|F| edges instead of |F|² for a group
+    of |F| free combinations.
+    """
+    schema = theory.schema
+    _check_cap(schema, cap)
+    succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
+    for s in theory.statements:
+        satisfying = [
+            schema.offset(u)
+            for u in schema.instantiations(s.condition_vars)
+            if s.condition.evaluate(u)
+        ]
+        rest = _offsets(
+            schema, schema.ordered(set(schema.names) - s.condition_vars - s.swapped - s.free)
+        )
+        free = _offsets(schema, s.free)
+        better, worse = schema.offset(s.better), schema.offset(s.worse)
+        for base in (c + r for c in satisfying for r in rest):
+            if len(free) == 1:
+                succ[base + better].append(base + worse)
+                continue
+            relay = len(succ)
+            succ.append([base + worse + f for f in free])
+            for f in free:
+                succ[base + better + f].append(relay)
+    return succ
 
 
 def closure_oracle(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> ExplicitPreorder:
     """The exact induced relation: every sanctioned swap edge, closed
     reflexively and transitively over the enumerated universe."""
-    _check_cap(theory.schema, cap)
-    universe, edges = _swap_edges(theory)
-    matrix = np.eye(len(universe), dtype=bool)
-    for i, j in edges:
-        matrix[i, j] = True
-    closed = _transitive_closure(matrix)
-    closed.setflags(write=False)
-    return ExplicitPreorder(theory.schema, universe, closed)
+    succ = _swap_graph(theory, cap)
+    schema = theory.schema
+    return ExplicitPreorder._of_rows(schema, _closed_rows(succ, schema.universe_size()))
 
 
 def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff the induced relation is antisymmetric, i.e. every strongly
     connected component of the sanctioned-swap graph is a singleton."""
-    _check_cap(theory.schema, cap)
-    universe, edges = _swap_edges(theory)
-    n = len(universe)
-    if not edges:
-        return True
-    rows, cols = zip(*edges)
-    graph = csr_matrix((np.ones(len(edges), dtype=np.int8), (rows, cols)), shape=(n, n))
-    n_components, _ = connected_components(graph, directed=True, connection="strong")
-    return n_components == n
+    succ = _swap_graph(theory, cap)
+    return len(strong_components(succ)[1]) == len(succ)
 
 
 def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
@@ -368,16 +463,65 @@ def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP)
     return closure_oracle(theory, cap) == closure_oracle(other, cap)
 
 
-def undominated_check(theory: CPTheory, o: PartialInstantiation) -> bool:
-    """True iff no statement sanctions a swap into ``o``.
+def _improving_swap(theory: CPTheory, o: PartialInstantiation) -> CPStatement | None:
+    """The first statement sanctioning a swap into ``o``, if any.
 
-    A chain ending at ``o`` must end with a direct sanctioned predecessor, so
-    a single scan over the statements decides the query.
+    A chain of swaps ending at ``o`` must end with a direct sanctioned
+    predecessor, so this one scan decides undominatedness and, when it finds
+    a statement, yields a dominator.
     """
     for s in theory.statements:
         if o.extends(s.worse) and eval_formula(o, s.condition):
-            return False
-    return True
+            return s
+    return None
+
+
+def undominated_check(theory: CPTheory, o: PartialInstantiation) -> bool:
+    """True iff no statement sanctions a swap into ``o``."""
+    return _improving_swap(theory, o) is None
+
+
+def geq_cut_extract(
+    theory: CPTheory, o: PartialInstantiation
+) -> PartialInstantiation | None:
+    """Some alternative distinct from ``o`` that dominates it, or None."""
+    s = _improving_swap(theory, o)
+    return None if s is None else o.override(s.better)
+
+
+def _optimal_components(
+    theory: CPTheory, kind: OptimumKind, cap: int
+) -> tuple[list[int], list[bool]]:
+    """The component of each node of the swap graph, and whether the
+    members of each component are optimal of ``kind``.
+
+    Read off the condensation of the swap graph.  Something is strictly
+    better than ``o`` iff another component reaches o's, so the weakly
+    undominated alternatives fill the source components; undominated ones
+    are singleton sources.  In a finite acyclic condensation every component
+    is reached from a source, so ``o`` dominates everything iff its
+    component is the only source.
+    """
+    succ = _swap_graph(theory, cap)
+    comp, components = strong_components(succ)
+    source = [True] * len(components)
+    for v, targets in enumerate(succ):
+        for w in targets:
+            if comp[w] != comp[v]:
+                source[comp[w]] = False
+    singleton = [len(members) == 1 for members in components]
+    if kind is OptimumKind.WEAKLY_UNDOMINATED:
+        optimal = source
+    elif kind is OptimumKind.UNDOMINATED:
+        optimal = [a and b for a, b in zip(source, singleton)]
+    elif kind in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
+        optimal = [False] * len(components)
+        if source.count(True) == 1:
+            c = source.index(True)
+            optimal[c] = kind is OptimumKind.DOMINATING or singleton[c]
+    else:
+        raise ValidationError(f"unknown optimum kind: {kind!r}")
+    return comp, optimal
 
 
 def optimum_check(
@@ -387,52 +531,42 @@ def optimum_check(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
     """Evaluate one of the optimality notions against the exhaustive relation."""
-    oracle = closure_oracle(theory, cap)
-    return _optimum_at(oracle, oracle.index_of(o), kind)
-
-
-def _optimum_at(oracle: ExplicitPreorder, i: int, kind: OptimumKind) -> bool:
-    row = oracle.matrix[i]
-    col = oracle.matrix[:, i]
-    others = np.arange(len(oracle.universe)) != i
-    if kind is OptimumKind.WEAKLY_UNDOMINATED:
-        return not (col & ~row).any()
-    if kind is OptimumKind.UNDOMINATED:
-        return not col[others].any()
-    if kind is OptimumKind.DOMINATING:
-        return bool(row.all())
-    if kind is OptimumKind.STRONGLY_DOMINATING:
-        return bool(row.all()) and not col[others].any()
-    raise ValidationError(f"unknown optimum kind: {kind!r}")
+    comp, optimal = _optimal_components(theory, kind, cap)
+    return optimal[comp[_alternative_index(theory.schema, o)]]
 
 
 def optimum_exists(
     theory: CPTheory, kind: OptimumKind, cap: int = DEFAULT_ORACLE_CAP
 ) -> PartialInstantiation | None:
-    """A witness alternative of the requested kind, or None.
+    """The canonically first witness alternative of the requested kind, or None.
 
-    A weakly undominated witness always exists: the strict relation is acyclic,
-    so some vertex has no strict predecessor.
+    A weakly undominated witness always exists: the condensation is acyclic,
+    so it has a source component.
     """
-    oracle = closure_oracle(theory, cap)
-    for i, alt in enumerate(oracle.universe):
-        if _optimum_at(oracle, i, kind):
-            return alt
+    comp, optimal = _optimal_components(theory, kind, cap)
+    for i in range(theory.schema.universe_size()):
+        if optimal[comp[i]]:
+            return theory.schema.alternative_at(i)
     return None
 
 
-def geq_cut_extract(
-    theory: CPTheory, o: PartialInstantiation
+def cut_count(
+    theory: CPTheory,
+    o: PartialInstantiation,
+    strict: bool = False,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> int:
+    """How many alternatives other than ``o`` are at least as good as it
+    (``strict``: strictly better), read off the exhaustive relation."""
+    return sum(1 for _ in closure_oracle(theory, cap).dominators(o, strict))
+
+
+def strict_cut_extract(
+    theory: CPTheory, o: PartialInstantiation, cap: int = DEFAULT_ORACLE_CAP
 ) -> PartialInstantiation | None:
-    """Some alternative distinct from ``o`` that dominates it, or None.
-
-    Any dominator chain ends with a direct sanctioned predecessor, so scanning
-    the statements for an improving swap out of ``o`` is complete.
-    """
-    for s in theory.statements:
-        if o.extends(s.worse) and eval_formula(o, s.condition):
-            return o.override(s.better)
-    return None
+    """The canonically first alternative strictly better than ``o``, or None."""
+    first = next(closure_oracle(theory, cap).dominators(o, strict=True), None)
+    return None if first is None else theory.schema.alternative_at(first)
 
 
 def assemble_top_p(

@@ -250,3 +250,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "linearisable: yes"
+
+
+def test_default_cap_refuses_before_allocating(tmp_path):
+    import tracemalloc
+
+    attrs = "".join(f"attr X{i}: a, b\n" for i in range(17))  # 2**17 alternatives
+    path = _write(tmp_path, "wide.cpt", attrs + "stmt X0=a : X1=a >= X1=b\n")
+    commands = [
+        ["linearisable", path],
+        ["oracle", path],
+        ["equiv", path, path],
+        ["optimal", path, "--kind", "dominating"],
+        ["cut", path, "--alt", ",".join(f"X{i}=a" for i in range(17)), "--count", "--geq"],
+    ]
+    for argv in commands:
+        tracemalloc.start()
+        try:
+            result = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == 3 and "exceeds the cap of 65536" in result.diagnostics
+        assert peak < 2**20  # the refusal comes before any per-alternative array
+
+
+def test_cli_import_loads_no_numerical_libraries():
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, cpref.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -352,6 +352,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# A report at least this long that equals the previous such report is
+# returned as that report's string object, so a caller that keeps every
+# result of a repeated dump (an ``oracle`` listing is quadratic in the
+# universe) holds one copy of its text, not one per call.  The report is
+# still computed on every call; only its storage is shared.
+_SHARED_REPORT_MIN = 1 << 16
+_shared_report = ""
+
+
+def _share_report(result: CommandResult) -> CommandResult:
+    global _shared_report
+    report = result.report
+    if len(report) < _SHARED_REPORT_MIN:
+        return result
+    if report == _shared_report:
+        return CommandResult(result.status, _shared_report, result.diagnostics)
+    _shared_report = report
+    return result
+
+
 def run(argv) -> CommandResult:
     """Parse and execute one invocation; never raises for user errors."""
     parser = _build_parser()
@@ -360,7 +380,7 @@ def run(argv) -> CommandResult:
     except _UsageError as exc:
         return CommandResult(EXIT_INPUT, "", str(exc))
     try:
-        return args.func(args)
+        return _share_report(args.func(args))
     except (OracleTooLargeError, lexcompat.NodeBudgetError) as exc:
         return CommandResult(EXIT_EXHAUSTED, "", f"error: {exc}")
     except (

@@ -291,3 +291,22 @@ def test_cli_import_loads_no_numerical_libraries():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_repeated_large_report_shares_one_string(tmp_path, monkeypatch):
+    from cpref import cli
+
+    monkeypatch.setattr(cli, "_SHARED_REPORT_MIN", 20)
+    monkeypatch.setattr(cli, "_shared_report", "")
+    single = _write(tmp_path, "single.cpt", SINGLE)
+    cyclic = _write(tmp_path, "cyclic.cpt", CYCLIC)
+    first = run(["oracle", single])
+    second = run(["oracle", single])
+    assert second.report == first.report and second.report is first.report
+    other = run(["oracle", cyclic])
+    assert other.report != first.report
+    again = run(["oracle", single])
+    assert again.report == first.report and again.report is not first.report
+    assert run(["oracle", single]).report is again.report
+    short = run(["linearisable", single])  # below the threshold: not shared
+    assert short.report == "linearisable: yes" and cli._shared_report is again.report

@@ -173,13 +173,7 @@ def _cmd_cut(args) -> CommandResult:
         if lptree.is_complete(doc):
             count = lptree.strict_cut_count(doc, o)
         elif args.enumerate:
-            count = sum(
-                1
-                for other in doc.schema.alternatives()
-                if other != o
-                and lptree.compare_lptree(doc, other, o)
-                is semantics.Relation.STRICTLY_BETTER
-            )
+            count = sum(1 for _ in lptree.strict_dominators(doc, o))
             warning = "warning: tree is not complete; counted by enumeration"
         else:
             raise lptree.IncompleteTreeError(
@@ -198,13 +192,7 @@ def _cmd_cut(args) -> CommandResult:
 
 def _strict_extract(doc, o, args):
     if isinstance(doc, lptree.LPTree):
-        for other in doc.schema.alternatives():
-            if other != o and (
-                lptree.compare_lptree(doc, other, o)
-                is semantics.Relation.STRICTLY_BETTER
-            ):
-                return other, ""
-        return None, ""
+        return next(lptree.strict_dominators(doc, o), None), ""
     warning = (
         "warning: strict-cut extraction answers through the exhaustive relation"
     )
@@ -391,6 +379,10 @@ def run(argv) -> CommandResult:
         OSError,
     ) as exc:
         return CommandResult(EXIT_INPUT, "", f"error: {exc}")
+    except RecursionError:
+        return CommandResult(
+            EXIT_INPUT, "", "error: input nests too deeply (formula or tree blocks)"
+        )
 
 
 def main(argv=None) -> int:

@@ -30,8 +30,8 @@ from .lptree import (
     IncompleteTreeError,
     LPNode,
     LPTree,
-    _closed_order,
-    _label_instantiations,
+    _label_index,
+    _rule_rows,
     is_complete,
     iter_nodes,
     strict_chain_rule,
@@ -179,7 +179,7 @@ def choose_attribute(
                 if not (s.swapped & t_set)
             ):
                 continue
-            insts = _label_instantiations(schema, combo)
+            insts = tuple(schema.instantiations(combo))
             forced: set[tuple[int, int]] = set()
             for s in active:
                 if s.swapped & t_set:
@@ -218,7 +218,7 @@ def build_complete_lptree(
         if ctx.ancestors | set(cand.attrs) == set(schema.names):
             return LPNode(cand.attrs, (rule,), ())
         edges = []
-        for value in _label_instantiations(schema, cand.attrs):
+        for value in schema.instantiations(cand.attrs):
             child = grow(ctx.child(cand.attrs, value))
             if child is None:
                 return None
@@ -253,19 +253,18 @@ def extends_check(theory: CPTheory, tree: LPTree) -> bool:
     schema = theory.schema
     for node, path in iter_nodes(tree):
         label = schema.ordered(node.label)
-        insts = _label_instantiations(schema, label)
         ctx = NodeContext(path.ancestors, path.assigned)
         for s in theory.statements:
             if not relevant(s, ctx, label):
                 continue
             if s.free & ctx.ancestors:
                 return False
-            if not _rules_respect_statement(schema, node, path, insts, s, label):
+            if not _rules_respect_statement(schema, node, path, s, label):
                 return False
     return True
 
 
-def _rules_respect_statement(schema, node, path, insts, statement, label) -> bool:
+def _rules_respect_statement(schema, node, path, statement, label) -> bool:
     u_vars = schema.ordered(statement.condition_vars)
     rest = [
         a
@@ -274,10 +273,10 @@ def _rules_respect_statement(schema, node, path, insts, statement, label) -> boo
         and a not in statement.free
         and a not in statement.swapped
     ]
-    # Free values outside the label vanish under the restriction below.
+    # Free values outside the label leave the label positions below unchanged.
     free_here = [a for a in label if a in statement.free]
     for rule in node.rules:
-        geq = _closed_order(rule, insts)
+        rows = _rule_rows(schema, label, rule)
         for u in schema.instantiations(u_vars):
             if not eval_formula(u, statement.condition):
                 continue
@@ -288,10 +287,11 @@ def _rules_respect_statement(schema, node, path, insts, statement, label) -> boo
             for s_part in schema.instantiations(rest):
                 for v1 in schema.instantiations(free_here):
                     for v2 in schema.instantiations(free_here):
-                        left = u.combine(s_part, v1, statement.better).restrict(label)
-                        right = u.combine(s_part, v2, statement.worse).restrict(label)
-                        i, j = insts.index(left), insts.index(right)
-                        if not ((i, j) in geq and (j, i) not in geq):
+                        left = u.combine(s_part, v1, statement.better)
+                        right = u.combine(s_part, v2, statement.worse)
+                        i = _label_index(schema, label, left)
+                        j = _label_index(schema, label, right)
+                        if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
                             return False
     return True
 

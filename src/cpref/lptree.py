@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .model import (
@@ -28,7 +27,7 @@ from .model import (
     instantiation_formula,
     validate_formula,
 )
-from .semantics import Relation, assemble_top_p
+from .semantics import Relation, _bits, _closed_rows, _label_from, assemble_top_p
 
 
 class IncompleteTreeError(ValueError):
@@ -101,33 +100,31 @@ def strict_chain_rule(
     return LPRule(condition, links)
 
 
-@lru_cache(maxsize=None)
-def _closed_order(
-    rule: LPRule, insts: tuple[PartialInstantiation, ...]
-) -> frozenset[tuple[int, int]]:
-    """Reflexive-transitive closure of a rule's links, as index pairs."""
-    index = {inst: i for i, inst in enumerate(insts)}
-    geq = {(i, i) for i in range(len(insts))}
+def _label_index(
+    schema: AttributeSchema, label: tuple[str, ...], inst: PartialInstantiation
+) -> int:
+    """Position of ``inst``'s values on ``label`` (in schema order) among the
+    label's instantiations in canonical order: their mixed-radix offset."""
+    index = 0
+    for a in label:
+        values = schema.domain(a)
+        index = index * len(values) + values.index(inst[a])
+    return index
+
+
+def _rule_rows(
+    schema: AttributeSchema, label: tuple[str, ...], rule: LPRule
+) -> tuple[int, ...]:
+    """Reach bitset of each label instantiation, by canonical position, under
+    the reflexive-transitive closure of the rule's links."""
+    n = math.prod(len(schema.domain(a)) for a in label)
+    succ: list[list[int]] = [[] for _ in range(n)]
     for link in rule.links:
-        i, j = index[link.left], index[link.right]
-        geq.add((i, j))
+        i, j = _label_index(schema, label, link.left), _label_index(schema, label, link.right)
+        succ[i].append(j)
         if link.kind is LinkKind.EQUIV:
-            geq.add((j, i))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(geq):
-            for j2, k in list(geq):
-                if j == j2 and (i, k) not in geq:
-                    geq.add((i, k))
-                    changed = True
-    return frozenset(geq)
-
-
-def _label_instantiations(
-    schema: AttributeSchema, label: tuple[str, ...]
-) -> tuple[PartialInstantiation, ...]:
-    return tuple(schema.instantiations(label))
+            succ[j].append(i)
+    return _closed_rows(succ, n)
 
 
 def _matching_rule(
@@ -211,7 +208,7 @@ def _validate_children(schema, node, where, violations):
     if any(e is None for e in labels):
         violations.append(f"{where}: unlabelled edge mixed with labelled edges")
         return
-    expected = set(_label_instantiations(schema, tuple(schema.ordered(node.label))))
+    expected = set(schema.instantiations(node.label))
     if len(set(labels)) != len(labels) or set(labels) != expected:
         violations.append(
             f"{where}: edges must carry each label instantiation exactly once"
@@ -221,7 +218,7 @@ def _validate_children(schema, node, where, violations):
 def _validate_rules(schema, node, ctx, where, violations) -> bool:
     ok = True
     label_set = set(node.label)
-    insts = set(_label_instantiations(schema, tuple(schema.ordered(node.label))))
+    insts = set(schema.instantiations(node.label))
     for k, rule in enumerate(node.rules):
         try:
             validate_formula(rule.condition, schema)
@@ -268,39 +265,40 @@ def _validate_rule_multiplicity(schema, node, where, violations):
 # Deciding and comparing
 
 
-def _descend(
-    tree: LPTree, o: PartialInstantiation, o_prime: PartialInstantiation
-) -> tuple[LPNode, PathContext] | None:
-    """First node whose label values differ between o and o', with context."""
-    schema = tree.schema
-    node = tree.root
-    ctx = PathContext(frozenset(), schema.empty_instantiation(), frozenset(), "root")
+def _branch(
+    tree: LPTree, o: PartialInstantiation
+) -> Iterator[tuple[LPNode, frozenset[str], frozenset[str]]]:
+    """The nodes on ``o``'s branch, root first, each with the attributes above
+    it and those of them crossed on unlabelled edges."""
+    node, ancestors, noninst = tree.root, frozenset(), frozenset()
     while True:
-        label = node.label
-        if o.restrict(label) != o_prime.restrict(label):
-            return node, ctx
+        yield node, ancestors, noninst
         if not node.children:
-            return None
+            return
+        label = frozenset(node.label)
+        ancestors |= label
         if len(node.children) == 1 and node.children[0][0] is None:
-            child = node.children[0][1]
-            ctx = PathContext(
-                ctx.ancestors | set(label), ctx.assigned, ctx.noninst | set(label), ctx.trail
-            )
-            node = child
+            noninst |= label
+            node = node.children[0][1]
             continue
-        shared = o.restrict(label)
+        mine = o.restrict(label)
         for edge_label, child in node.children:
-            if edge_label == shared:
-                ctx = PathContext(
-                    ctx.ancestors | set(label),
-                    ctx.assigned.override(edge_label),
-                    ctx.noninst,
-                    ctx.trail,
-                )
+            if edge_label == mine:
                 node = child
                 break
         else:
-            raise ValidationError("missing edge for shared label values; tree is not valid")
+            raise ValidationError("missing edge below node; tree is not valid")
+
+
+def _descend(
+    tree: LPTree, o: PartialInstantiation, o_prime: PartialInstantiation
+) -> tuple[LPNode, frozenset[str]] | None:
+    """First node on the branch whose label values differ between o and o',
+    with the attributes crossed on unlabelled edges above it."""
+    for node, _, noninst in _branch(tree, o):
+        if o.restrict(node.label) != o_prime.restrict(node.label):
+            return node, noninst
+    return None
 
 
 def decide(
@@ -326,44 +324,29 @@ def compare_lptree(
     found = _descend(tree, o, o_prime)
     if found is None:
         return Relation.INCOMPARABLE
-    node, ctx = found
-    rule = _matching_rule(node, o.restrict(ctx.noninst))
-    insts = _label_instantiations(tree.schema, tree.schema.ordered(node.label))
-    geq = _closed_order(rule, insts)
-    i = insts.index(o.restrict(node.label))
-    j = insts.index(o_prime.restrict(node.label))
-    forward, backward = (i, j) in geq, (j, i) in geq
-    if forward and backward:
-        return Relation.EQUIVALENT
-    if forward:
-        return Relation.STRICTLY_BETTER
-    if backward:
-        return Relation.STRICTLY_WORSE
-    return Relation.INCOMPARABLE
+    node, noninst = found
+    label = tree.schema.ordered(node.label)
+    rows = _rule_rows(tree.schema, label, _matching_rule(node, o.restrict(noninst)))
+    i = _label_index(tree.schema, label, o)
+    j = _label_index(tree.schema, label, o_prime)
+    return _label_from(bool(rows[i] >> j & 1), bool(rows[j] >> i & 1))
 
 
 # ---------------------------------------------------------------------------
 # Global shape predicates
 
 
-def _rule_is_linear(schema: AttributeSchema, node: LPNode, rule: LPRule) -> bool:
-    insts = _label_instantiations(schema, schema.ordered(node.label))
-    geq = _closed_order(rule, insts)
-    n = len(insts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            forward, backward = (i, j) in geq, (j, i) in geq
-            if forward == backward:  # incomparable or equivalent
-                return False
-    return True
-
-
 def is_complete(tree: LPTree) -> bool:
     """Every attribute on every branch, every rule a linear order."""
-    all_names = set(tree.schema.names)
+    schema = tree.schema
+    all_names = set(schema.names)
     for node, ctx in iter_nodes(tree):
+        label = schema.ordered(node.label)
         for rule in node.rules:
-            if not _rule_is_linear(tree.schema, node, rule):
+            # A preorder on n elements is linear iff its reach sets have n
+            # distinct sizes: the largest reaches all, and the rest is linear.
+            rows = _rule_rows(schema, label, rule)
+            if len({row.bit_count() for row in rows}) != len(rows):
                 return False
         if not node.children and ctx.ancestors | set(node.label) != all_names:
             return False
@@ -372,11 +355,13 @@ def is_complete(tree: LPTree) -> bool:
 
 def is_linearisable_lptree(tree: LPTree) -> bool:
     """True iff every rule's order is antisymmetric."""
+    schema = tree.schema
     for node, _ in iter_nodes(tree):
-        insts = _label_instantiations(tree.schema, tree.schema.ordered(node.label))
         for rule in node.rules:
-            geq = _closed_order(rule, insts)
-            if any((j, i) in geq for i, j in geq if i != j):
+            # Distinct elements of a preorder are equivalent iff their reach
+            # sets are equal.
+            rows = _rule_rows(schema, schema.ordered(node.label), rule)
+            if len(set(rows)) != len(rows):
                 return False
     return True
 
@@ -410,23 +395,21 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
     statements: list[CPStatement] = []
     for node, ctx in iter_nodes(tree):
         label = schema.ordered(node.label)
-        insts = _label_instantiations(schema, label)
+        insts = tuple(schema.instantiations(label))
         free = frozenset(all_names - ctx.ancestors - set(label))
         path_formula = instantiation_formula(ctx.assigned)
         for rule in node.rules:
-            geq = _closed_order(rule, insts)
-            for i, j in sorted(geq):
-                if i == j:
-                    continue
-                w, w_prime = insts[i], insts[j]
-                diff = [a for a in label if w[a] != w_prime[a]]
-                shared = w.restrict(a for a in label if a not in diff)
-                cond = _conjoin(
-                    rule.condition, path_formula, instantiation_formula(shared)
-                )
-                statements.append(
-                    CPStatement(cond, free, w.restrict(diff), w_prime.restrict(diff))
-                )
+            for i, row in enumerate(_rule_rows(schema, label, rule)):
+                for j in _bits(row & ~(1 << i)):
+                    w, w_prime = insts[i], insts[j]
+                    diff = [a for a in label if w[a] != w_prime[a]]
+                    shared = w.restrict(a for a in label if a not in diff)
+                    cond = _conjoin(
+                        rule.condition, path_formula, instantiation_formula(shared)
+                    )
+                    statements.append(
+                        CPStatement(cond, free, w.restrict(diff), w_prime.restrict(diff))
+                    )
     return CPTheory(schema, tuple(statements))
 
 
@@ -444,38 +427,28 @@ def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
     if not is_complete(tree):
         raise IncompleteTreeError("strict-cut counting requires a complete tree")
     schema = tree.schema
-    node = tree.root
-    ancestors: set[str] = set()
-    noninst: set[str] = set()
     total = 0
-    while True:
+    for node, ancestors, noninst in _branch(tree, o):
         label = schema.ordered(node.label)
-        insts = _label_instantiations(schema, label)
-        rule = _matching_rule(node, o.restrict(noninst))
-        geq = _closed_order(rule, insts)
-        mine = insts.index(o.restrict(label))
+        rows = _rule_rows(schema, label, _matching_rule(node, o.restrict(noninst)))
+        mine = _label_index(schema, label, o)
+        own = rows[mine]
         above = sum(
-            1
-            for j in range(len(insts))
-            if (j, mine) in geq and (mine, j) not in geq
+            1 for j, row in enumerate(rows) if row >> mine & 1 and not own >> j & 1
         )
         remaining = set(schema.names) - ancestors - set(label)
-        block = math.prod(len(schema.domain(a)) for a in remaining)
-        total += above * block
-        if not node.children:
-            return total
-        ancestors |= set(label)
-        if len(node.children) == 1 and node.children[0][0] is None:
-            noninst |= set(label)
-            node = node.children[0][1]
-            continue
-        shared = o.restrict(label)
-        for edge_label, child in node.children:
-            if edge_label == shared:
-                node = child
-                break
-        else:
-            raise ValidationError("missing edge below node; tree is not valid")
+        total += above * math.prod(len(schema.domain(a)) for a in remaining)
+    return total
+
+
+def strict_dominators(
+    tree: LPTree, o: PartialInstantiation
+) -> Iterator[PartialInstantiation]:
+    """The alternatives strictly better than ``o``, in canonical order, found
+    by comparing each one with ``o``; for trees that need not be complete."""
+    for other in tree.schema.alternatives():
+        if other != o and compare_lptree(tree, other, o) is Relation.STRICTLY_BETTER:
+            yield other
 
 
 def top_p_lptree(

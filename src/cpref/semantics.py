@@ -580,6 +580,8 @@ def assemble_top_p(
     ``strictly_better(a, b)`` must be an acyclic strict relation.  Ties among
     maximal candidates break towards the canonically smallest alternative.
     """
+    if p < 0:
+        raise ValidationError("p must not be negative")
     remaining = sorted(dict.fromkeys(candidates), key=schema.sort_key)
     if p >= len(remaining):
         raise ValidationError("p must be smaller than the candidate set")

@@ -270,13 +270,13 @@ def _parse_unary(ts, schema):
 
 def _parse_point(ts: TokenStream, schema: AttributeSchema) -> PartialInstantiation:
     """A comma-separated run of ``X=x`` assignments."""
-    first = ts.peek()
     bindings: dict[str, str] = {}
     while True:
+        tok = ts.peek()
         atom = _parse_atom(ts, schema)
         if atom.attribute in bindings:
             raise ParseError(
-                f"attribute {atom.attribute!r} assigned twice", first.line, first.column
+                f"attribute {atom.attribute!r} assigned twice", tok.line, tok.column
             )
         bindings[atom.attribute] = atom.value
         if ts.peek_kind() != "comma":

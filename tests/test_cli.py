@@ -310,3 +310,36 @@ def test_repeated_large_report_shares_one_string(tmp_path, monkeypatch):
     assert run(["oracle", single]).report is again.report
     short = run(["linearisable", single])  # below the threshold: not shared
     assert short.report == "linearisable: yes" and cli._shared_report is again.report
+
+
+_HEADER = "attr A: a, na\nattr B: b, nb\n"
+DEEP_INPUTS = {
+    "not.cpt": _HEADER + "stmt " + "not " * 3000 + "A=a : B=b >= B=nb\n",
+    "and.cpt": _HEADER + "stmt " + " and ".join(["A=a"] * 3000) + " : B=b >= B=nb\n",
+    "parens.cpt": _HEADER + "stmt " + "(" * 2000 + "A=a" + ")" * 2000 + " : B=b >= B=nb\n",
+    "edges.lpt": _HEADER
+    + "node {A}\n  rule true : A=a > A=na\n"
+    + "edge * {\nnode {B}\n  rule true : B=b > B=nb\n" * 1500
+    + "}\n" * 1500,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_deeply_nested_input_is_an_input_error(tmp_path, name):
+    result = run(["classify", _write(tmp_path, name, DEEP_INPUTS[name])])
+    assert result.status == 2
+    assert "nests too deeply" in result.diagnostics
+
+
+def test_top_rejects_a_negative_size(tmp_path, ex2_file):
+    sets = _write(tmp_path, "set.txt", "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n")
+    tree_sets = _write(tmp_path, "tree-set.txt", "A=a,B=b\nA=na,B=nb\n")
+    tree_file = _write(tmp_path, "lex.lpt", LEX_TREE)
+    for argv in (
+        ["top", ex2_file, "--set", sets, "-p", "-1"],
+        ["top", ex2_file, "--set", sets, "-p", "-1", "--lex-k", "2"],
+        ["top", tree_file, "--set", tree_sets, "-p", "-1"],
+    ):
+        result = run(argv)
+        assert result.status == 2 and result.report == ""
+        assert "negative" in result.diagnostics

@@ -4,9 +4,13 @@ The index-arithmetic swap graph is checked against per-alternative
 ``worsening_successors``; the SCC/bitset closure against breadth-first
 ``dominates``, a dense Warshall closure and the brute-force definitions of
 the queries answered from it.  Theories stay at 64 alternatives or fewer.
+LP-tree rule orders, closed by the same engine, are checked against the
+dense closure too.
 """
 
+import gc
 import math
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,16 +25,26 @@ from cpref import (
     ExplicitPreorder,
     FALSE,
     Iff,
+    LinkKind,
+    LPNode,
+    LPRule,
+    LPTree,
     Not,
     OptimumKind,
     Or,
+    OrderLink,
+    Relation,
     TRUE,
     closure_oracle,
+    compare_lptree,
     cut_count,
     dominates,
+    is_complete,
+    is_linearisable_lptree,
     linearisable,
     optimum_check,
     optimum_exists,
+    parse_lptree,
     strict_cut_extract,
     worsening_successors,
 )
@@ -234,3 +248,69 @@ def test_dependency_graph_checks_equal_counting_definitions(graph):
         len(undirected) == len(graph.vertices) - n_components
     )
     assert graph.is_polytree() == forest
+
+
+# ---------------------------------------------------------------------------
+# LP-tree rule orders through the same closure
+
+
+@st.composite
+def single_rule_trees(draw):
+    """A one-node tree whose label is every attribute (1-2, domains 2-3) and
+    whose one rule has random strict and equivalence links, cycles allowed."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    schema = AttributeSchema.of(
+        (f"X{i}", tuple(f"x{i}v{j}" for j in range(size))) for i, size in enumerate(sizes)
+    )
+    n = schema.universe_size()
+    link = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(LinkKind))
+    links = tuple(
+        OrderLink(schema.alternative_at(i), schema.alternative_at(j), kind)
+        for i, j, kind in draw(st.lists(link, max_size=2 * n))
+    )
+    return LPTree(schema, LPNode(schema.names, (LPRule(TRUE, links),), ()))
+
+
+@SEEDED
+@given(single_rule_trees())
+def test_rule_closure_equals_dense_closure(tree):
+    schema = tree.schema
+    pairs = []
+    for link in tree.root.rules[0].links:
+        i, j = schema.offset(link.left), schema.offset(link.right)
+        pairs.append((i, j))
+        if link.kind is LinkKind.EQUIV:
+            pairs.append((j, i))
+    n = schema.universe_size()
+    reach = _warshall(n, pairs)
+    labels = {
+        (True, True): Relation.EQUIVALENT,
+        (True, False): Relation.STRICTLY_BETTER,
+        (False, True): Relation.STRICTLY_WORSE,
+        (False, False): Relation.INCOMPARABLE,
+    }
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                expected = labels[reach[i][j], reach[j][i]]
+                got = compare_lptree(tree, schema.alternative_at(i), schema.alternative_at(j))
+                assert got is expected
+    others = [(i, j) for i in range(n) for j in range(n) if i != j]
+    antisymmetric = not any(reach[i][j] and reach[j][i] for i, j in others)
+    total = all(reach[i][j] or reach[j][i] for i, j in others)
+    assert is_linearisable_lptree(tree) == antisymmetric
+    assert is_complete(tree) == (antisymmetric and total)
+
+
+def test_tree_queries_keep_no_reference_to_a_dropped_tree():
+    tree = parse_lptree(
+        "attr A: a, na\nattr B: b, nb\n\n"
+        "node {A, B}\n  rule true : A=a,B=b > A=na,B=b ~ A=a,B=nb > A=na,B=nb\n"
+    )
+    s = tree.schema
+    compare_lptree(tree, s.alternative({"A": "a", "B": "b"}), s.alternative({"A": "na", "B": "nb"}))
+    is_complete(tree)
+    rule = weakref.ref(tree.root.rules[0])
+    del tree
+    gc.collect()
+    assert rule() is None

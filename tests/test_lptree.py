@@ -23,6 +23,7 @@ from cpref import (
     lptree_to_statements,
     strict_chain_rule,
     strict_cut_count,
+    strict_dominators,
     top_p_lptree,
     validate,
 )
@@ -394,6 +395,21 @@ def test_strict_cut_count_matches_enumeration():
                 if o2 != o and compare_lptree(tree, o2, o) is Relation.STRICTLY_BETTER
             )
             assert strict_cut_count(tree, o) == brute
+
+
+def test_strict_dominators_match_enumeration_and_count():
+    for complete, seed in ((True, 131), (False, 137)):
+        for tree in _tree_sample(seed=seed, count=10, complete=complete):
+            universe = list(tree.schema.alternatives())
+            for o in universe:
+                brute = [
+                    o2
+                    for o2 in universe
+                    if o2 != o and compare_lptree(tree, o2, o) is Relation.STRICTLY_BETTER
+                ]
+                assert list(strict_dominators(tree, o)) == brute
+                if complete:
+                    assert strict_cut_count(tree, o) == len(brute)
 
 
 def test_strict_cut_count_rejects_incomplete_trees():

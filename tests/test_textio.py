@@ -257,3 +257,13 @@ def test_parse_alternative():
         parse_alternative(s, "A=a")  # not total
     with pytest.raises(ParseError):
         parse_alternative(s, "A=a,B=bogus")
+
+
+def test_duplicate_attribute_error_points_at_the_repeated_atom():
+    schema = AttributeSchema.of([("A", ("a", "b")), ("B", ("x", "y"))])
+    with pytest.raises(ParseError) as err:
+        parse_alternative(schema, "A=a,B=x,A=b")
+    assert (err.value.line, err.value.column) == (1, 9)
+    with pytest.raises(ParseError) as err:
+        parse_theory("attr A: a, b\nattr B: x, y\nstmt true : B=x >= A=a,B=y,A=b\n")
+    assert (err.value.line, err.value.column) == (3, 28)

@@ -8,6 +8,7 @@ Checks answer through the exit code as well as the report: 0 = answered
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,7 +250,11 @@ def _cmd_gen3sat(args) -> CommandResult:
 # Wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, since every call fills a fresh namespace from the
+    declared defaults."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--budget", type=int, default=0, help="dominance search budget (states and expansions)"

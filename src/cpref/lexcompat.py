@@ -10,9 +10,10 @@ checker certifies the result node by node against every relevant statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import itertools
+import math
 
 from .model import (
     Atom,
@@ -23,6 +24,7 @@ from .model import (
     TRUE,
     AttributeSchema,
     ValidationError,
+    _consistent,
     consistent_with,
     eval_formula,
 )
@@ -92,42 +94,65 @@ def relevant(
     return True
 
 
-def phi_at_node(theory: CPTheory, ctx: NodeContext) -> tuple[CPStatement, ...]:
+def phi_at_node(
+    theory: CPTheory,
+    ctx: NodeContext,
+    among: Iterable[CPStatement] | None = None,
+) -> tuple[CPStatement, ...]:
     """The statements still active at a node: condition consistent with the
-    path values and swapped attributes not yet placed."""
+    path values and swapped attributes not yet placed.
+
+    ``among`` (default: the whole theory) limits the scan to statements known
+    to include every active one, such as the parent node's active statements:
+    a statement inactive at a node stays inactive below it.
+    """
+    values = dict(ctx.assigned.bindings)
+    schema = theory.schema
     return tuple(
         s
-        for s in theory.statements
+        for s in (theory.statements if among is None else among)
         if not (s.swapped & ctx.ancestors)
-        and consistent_with(s.condition, ctx.assigned)
+        and _consistent(s.condition, values, schema)
     )
 
 
 def _forced_pairs(
-    statement: CPStatement, insts: Sequence[PartialInstantiation]
-) -> Iterable[tuple[int, int]]:
-    """Ordered pairs of label instantiations the statement forces strictly.
+    statement: CPStatement, schema: AttributeSchema, label: tuple[str, ...]
+) -> Iterator[tuple[int, int]]:
+    """Ordered pairs of label instantiations the statement forces strictly,
+    each instantiation numbered by its position in canonical order (its
+    mixed-radix offset within the label, as in ``lptree._label_index``).
 
     t must be compatible with the better side and the condition, t' with the
     worse side, and both must agree outside the statement's free and swapped
     attributes.
     """
-    outside = [
-        a
-        for a in (insts[0].names if insts else ())
-        if a not in statement.free and a not in statement.swapped
-    ]
-    for i, t in enumerate(insts):
-        if not t.compatible(statement.better):
+    better = worse = 0
+    conditioned: list[tuple[str, int, tuple[str, ...]]] = []
+    shared = [0]  # offsets over label attributes t and t' must agree on
+    free = [0]
+    stride = 1
+    for a in reversed(label):
+        domain = schema.domain(a)
+        if a in statement.swapped:
+            better += domain.index(statement.better[a]) * stride
+            worse += domain.index(statement.worse[a]) * stride
+        elif a in statement.free:
+            free = [f + d * stride for f in free for d in range(len(domain))]
+        elif a in statement.condition_vars:
+            conditioned.append((a, stride, domain))
+        else:
+            shared = [r + d * stride for r in shared for d in range(len(domain))]
+        stride *= len(domain)
+    for combo in itertools.product(*(range(len(d)) for _, _, d in conditioned)):
+        values = {a: d[i] for (a, _, d), i in zip(conditioned, combo)}
+        if not _consistent(statement.condition, values, schema):
             continue
-        if not consistent_with(statement.condition, t):
-            continue
-        for j, t_prime in enumerate(insts):
-            if not t_prime.compatible(statement.worse):
-                continue
-            if t.restrict(outside) != t_prime.restrict(outside):
-                continue
-            yield i, j
+        base = sum(i * st for (_, st, _), i in zip(conditioned, combo))
+        for r in shared:
+            for f in free:
+                for g in free:
+                    yield base + r + better + f, base + r + worse + g
 
 
 def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
@@ -152,7 +177,10 @@ def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | 
 
 
 def choose_attribute(
-    theory: CPTheory, ctx: NodeContext, k: int
+    theory: CPTheory,
+    ctx: NodeContext,
+    k: int,
+    active: Sequence[CPStatement] | None = None,
 ) -> CandidateLabel | None:
     """A compatible label for the node, or None when every candidate fails.
 
@@ -161,7 +189,8 @@ def choose_attribute(
     free attribute inside T, or if the strict preferences forced over T's
     instantiations by statements swapping into T contain a cycle.  Otherwise
     the returned order is the deterministic topological linearisation of the
-    forced pairs.
+    forced pairs.  ``active`` is the node's :func:`phi_at_node`, computed
+    here when not given.
     """
     if k < 1:
         raise ValidationError("label width must be at least 1")
@@ -169,7 +198,8 @@ def choose_attribute(
     remaining = [a for a in schema.names if a not in ctx.ancestors]
     if not remaining:
         raise ValidationError("no attributes left to place")
-    active = phi_at_node(theory, ctx)
+    if active is None:
+        active = phi_at_node(theory, ctx)
     for size in range(1, min(k, len(remaining)) + 1):
         for combo in itertools.combinations(remaining, size):
             t_set = set(combo)
@@ -179,14 +209,15 @@ def choose_attribute(
                 if not (s.swapped & t_set)
             ):
                 continue
-            insts = tuple(schema.instantiations(combo))
             forced: set[tuple[int, int]] = set()
             for s in active:
                 if s.swapped & t_set:
-                    forced.update(_forced_pairs(s, insts))
-            order = _deterministic_toposort(len(insts), forced)
+                    forced.update(_forced_pairs(s, schema, combo))
+            n = math.prod(len(schema.domain(a)) for a in combo)
+            order = _deterministic_toposort(n, forced)
             if order is None:
                 continue
+            insts = tuple(schema.instantiations(combo))
             return CandidateLabel(combo, tuple(insts[i] for i in order))
     return None
 
@@ -199,19 +230,22 @@ def build_complete_lptree(
 
     Nodes are expanded depth first, leftmost child first; every edge is
     labelled and every node carries a single unconditional rule, so a failure
-    at any node is final.
+    at any node is final.  Each node's active statements are filtered from
+    its parent's, never from the whole theory again.  Nothing is kept between
+    calls.
     """
     schema = theory.schema
     if not schema.attributes:
         raise ValidationError("tree construction needs at least one attribute")
     created = 0
 
-    def grow(ctx: NodeContext) -> LPNode | None:
+    def grow(ctx: NodeContext, above: tuple[CPStatement, ...] | None) -> LPNode | None:
         nonlocal created
         created += 1
         if created > node_budget:
             raise NodeBudgetError(f"tree construction exceeded {node_budget} nodes")
-        cand = choose_attribute(theory, ctx, k)
+        active = phi_at_node(theory, ctx, above)
+        cand = choose_attribute(theory, ctx, k, active)
         if cand is None:
             return None
         rule = strict_chain_rule(TRUE, cand.order)
@@ -219,13 +253,13 @@ def build_complete_lptree(
             return LPNode(cand.attrs, (rule,), ())
         edges = []
         for value in schema.instantiations(cand.attrs):
-            child = grow(ctx.child(cand.attrs, value))
+            child = grow(ctx.child(cand.attrs, value), active)
             if child is None:
                 return None
             edges.append((value, child))
         return LPNode(cand.attrs, (rule,), tuple(edges))
 
-    root = grow(NodeContext.root(schema))
+    root = grow(NodeContext.root(schema), None)
     return None if root is None else LPTree(schema, root)
 
 
@@ -308,24 +342,34 @@ def top_p_lexcompat(
 ) -> tuple[PartialInstantiation, ...]:
     """Top-p for a theory known to be k-lexico-compatible, without building
     the whole tree: each pair follows the single branch along its shared
-    values until a chosen label separates it."""
+    values until a chosen label separates it.  Each node on those branches
+    is labelled once per call, however many pairs pass through it."""
     items = list(dict.fromkeys(candidates))
     cache: dict[tuple[PartialInstantiation, PartialInstantiation], bool] = {}
+    labels: dict[NodeContext, tuple[CandidateLabel, tuple[CPStatement, ...], dict]] = {}
 
-    def branch_better(o, o_prime) -> bool:
-        if (o, o_prime) in cache:
-            return cache[(o, o_prime)]
-        ctx = NodeContext.root(theory.schema)
-        while True:
-            cand = choose_attribute(theory, ctx, k)
+    def label_at(ctx: NodeContext, above: tuple[CPStatement, ...] | None):
+        """The node's label, active statements and rank of each label value."""
+        if ctx not in labels:
+            active = phi_at_node(theory, ctx, above)
+            cand = choose_attribute(theory, ctx, k, active)
             if cand is None:
                 raise NotLexicoCompatibleError(
                     f"theory is not {k}-lexico-compatible"
                 )
+            labels[ctx] = cand, active, {t: i for i, t in enumerate(cand.order)}
+        return labels[ctx]
+
+    def branch_better(o, o_prime) -> bool:
+        if (o, o_prime) in cache:
+            return cache[(o, o_prime)]
+        ctx, active = NodeContext.root(theory.schema), None
+        while True:
+            cand, active, rank = label_at(ctx, active)
             mine = o.restrict(cand.attrs)
             theirs = o_prime.restrict(cand.attrs)
             if mine != theirs:
-                verdict = cand.order.index(mine) < cand.order.index(theirs)
+                verdict = rank[mine] < rank[theirs]
                 cache[(o, o_prime)] = verdict
                 cache[(o_prime, o)] = not verdict
                 return verdict

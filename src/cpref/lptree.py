@@ -27,7 +27,14 @@ from .model import (
     instantiation_formula,
     validate_formula,
 )
-from .semantics import Relation, _bits, _closed_rows, _label_from, assemble_top_p
+from .semantics import (
+    Relation,
+    _bits,
+    _closed_rows,
+    _label_from,
+    assemble_top_p,
+    check_top_p,
+)
 
 
 class IncompleteTreeError(ValueError):
@@ -454,11 +461,17 @@ def strict_dominators(
 def top_p_lptree(
     tree: LPTree, candidates: Iterable[PartialInstantiation], p: int
 ) -> tuple[PartialInstantiation, ...]:
-    """Top-p sequence of the candidate set under the tree's relation."""
+    """Top-p sequence of the candidate set under the tree's relation; each
+    pair is compared only when the ranking first asks about it."""
     items = list(dict.fromkeys(candidates))
+    check_top_p(items, p)
     verdicts: dict[tuple[PartialInstantiation, PartialInstantiation], bool] = {}
-    for a in items:
-        for b in items:
-            if a != b:
-                verdicts[(a, b)] = compare_lptree(tree, a, b) is Relation.STRICTLY_BETTER
-    return assemble_top_p(items, lambda a, b: verdicts[(a, b)], p, tree.schema)
+
+    def better(a, b) -> bool:
+        if (a, b) not in verdicts:
+            label = compare_lptree(tree, a, b)
+            verdicts[(a, b)] = label is Relation.STRICTLY_BETTER
+            verdicts[(b, a)] = label is Relation.STRICTLY_WORSE
+        return verdicts[(a, b)]
+
+    return assemble_top_p(items, better, p, tree.schema)

@@ -252,9 +252,41 @@ class Formula:
     def variables(self) -> frozenset[str]:
         raise NotImplementedError
 
-    def evaluate(self, inst: PartialInstantiation) -> bool:
-        """Truth value under ``inst``; every variable must be bound."""
+    def evaluate(self, inst: Mapping[str, str]) -> bool:
+        """Truth value under ``inst`` (a partial instantiation or any mapping
+        from attribute names to values); every variable must be bound."""
         raise NotImplementedError
+
+    @cached_property
+    def _literals(self) -> tuple[tuple[str, object, frozenset[str]], ...] | None:
+        """For a conjunction of literals, one entry per attribute: the value
+        its atoms require (None when no atom names it, ``_CLASH`` when two
+        atoms name different values) and the values its negated atoms
+        exclude.  None for any other formula."""
+        required: dict[str, set[str]] = {}
+        excluded: dict[str, set[str]] = {}
+        stack: list[Formula] = [self]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, And):
+                stack += (f.right, f.left)
+            elif isinstance(f, Atom):
+                required.setdefault(f.attribute, set()).add(f.value)
+                excluded.setdefault(f.attribute, set())
+            elif isinstance(f, Not) and isinstance(f.operand, Atom):
+                required.setdefault(f.operand.attribute, set())
+                excluded.setdefault(f.operand.attribute, set()).add(f.operand.value)
+            elif f != TRUE:
+                return None
+        return tuple(
+            (a, _CLASH if len(vs) > 1 else next(iter(vs), None), frozenset(excluded[a]))
+            for a, vs in required.items()
+        )
+
+
+# Required value of an attribute that two atoms of a conjunction pin to
+# different values: equal to no value, so no instantiation satisfies it.
+_CLASH = object()
 
 
 @dataclass(frozen=True)
@@ -391,13 +423,40 @@ def eval_formula(inst: PartialInstantiation, f: Formula) -> bool:
 
 def consistent_with(f: Formula, inst: PartialInstantiation) -> bool:
     """True iff some total extension of ``inst`` over its own variables plus
-    Var(f) satisfies ``f``; decided by enumerating the missing attributes."""
-    schema = inst.schema
-    missing = schema.ordered(f.variables() - inst.var_set)
-    for extra in schema.instantiations(missing):
-        if f.evaluate(inst.override(extra)):
-            return True
-    return False
+    Var(f) satisfies ``f``."""
+    return _consistent(f, inst._mapping, inst.schema)
+
+
+def _consistent(f: Formula, values: Mapping[str, str], schema: AttributeSchema) -> bool:
+    """:func:`consistent_with` for bindings given as a plain mapping.
+
+    A conjunction of literals is decided attribute by attribute in one pass
+    over its literals.  Any other formula is evaluated on every combination
+    of values of its own unbound variables, and of those only.  A variable
+    outside the schema is an error either way.
+    """
+    literals = f._literals
+    if literals is None:
+        missing = schema.ordered(a for a in f.variables() if a not in values)
+        point = dict(values)
+        for combo in itertools.product(*map(schema.domain, missing)):
+            point.update(zip(missing, combo))
+            if f.evaluate(point):
+                return True
+        return False
+    for attr, required, excluded in literals:
+        value = values.get(attr)
+        if value is not None:
+            ok = value not in excluded and (required is None or value == required)
+        elif required is None:
+            ok = any(v not in excluded for v in schema.domain(attr))
+        else:
+            ok = required not in excluded and required in schema.domain(attr)
+        if not ok:
+            for a, _, _ in literals:
+                schema.position(a)
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

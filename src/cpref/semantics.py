@@ -569,6 +569,15 @@ def strict_cut_extract(
     return None if first is None else theory.schema.alternative_at(first)
 
 
+def check_top_p(candidates: Sequence[PartialInstantiation], p: int) -> None:
+    """Refuse a top-p size that is negative or not smaller than the number of
+    (distinct) candidates; callers run it before any costly comparison."""
+    if p < 0:
+        raise ValidationError("p must not be negative")
+    if p >= len(candidates):
+        raise ValidationError("p must be smaller than the candidate set")
+
+
 def assemble_top_p(
     candidates: Sequence[PartialInstantiation],
     strictly_better,
@@ -580,11 +589,8 @@ def assemble_top_p(
     ``strictly_better(a, b)`` must be an acyclic strict relation.  Ties among
     maximal candidates break towards the canonically smallest alternative.
     """
-    if p < 0:
-        raise ValidationError("p must not be negative")
     remaining = sorted(dict.fromkeys(candidates), key=schema.sort_key)
-    if p >= len(remaining):
-        raise ValidationError("p must be smaller than the candidate set")
+    check_top_p(remaining, p)
     out = []
     for _ in range(p):
         pick = next(
@@ -604,8 +610,9 @@ def top_p_general(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> tuple[PartialInstantiation, ...]:
     """A top-p sequence of the candidate set: no later element is strictly
-    preferred to an earlier one.  Pairwise comparisons come from the oracle."""
+    preferred to an earlier one.  Pairwise comparisons come from the oracle,
+    which is built only once ``p`` is known to be valid."""
+    items = list(dict.fromkeys(candidates))
+    check_top_p(items, p)
     oracle = closure_oracle(theory, cap)
-    return assemble_top_p(
-        list(candidates), oracle.strictly_better, p, theory.schema
-    )
+    return assemble_top_p(items, oracle.strictly_better, p, theory.schema)

@@ -343,3 +343,47 @@ def test_top_rejects_a_negative_size(tmp_path, ex2_file):
         result = run(argv)
         assert result.status == 2 and result.report == ""
         assert "negative" in result.diagnostics
+
+
+def test_top_checks_the_size_before_building_the_relation(tmp_path):
+    import tracemalloc
+
+    attrs = "".join(f"attr X{i}: a, b\n" for i in range(17))  # 2**17 alternatives
+    path = _write(tmp_path, "wide.cpt", attrs + "stmt X0=a : X1=a >= X1=b\n")
+    rows = [",".join(f"X{i}={'ab'[i == j]}" for i in range(17)) for j in range(3)]
+    sets = _write(tmp_path, "set.txt", "\n".join(rows) + "\n")
+    for p in ("-1", "3"):
+        for cap in ([], ["--cap", "200000"]):
+            tracemalloc.start()
+            try:
+                result = run(["top", path, "--set", sets, "-p", p, *cap])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.status == 2 and result.report == ""
+            assert ("negative" if p == "-1" else "smaller") in result.diagnostics
+            assert peak < 2**20  # refused before any per-alternative array
+
+
+def test_consecutive_runs_share_no_parsed_state(tmp_path, ex2_file):
+    alt = "W=w,C=c2,P=np"
+    strict = run(["cut", ex2_file, "--alt", alt, "--count", "--strict"])
+    geq = run(["cut", ex2_file, "--alt", alt, "--count", "--geq"])
+    assert strict.status == 0 and "warning" in strict.diagnostics
+    assert geq.status == 0 and geq.diagnostics == ""
+    assert run(["cut", ex2_file, "--alt", alt, "--count", "--strict"]) == strict
+
+    partial = _write(tmp_path, "partial.lpt", PARTIAL_TREE)
+    enumerated = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict", "--enumerate"])
+    refused = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict"])
+    assert enumerated.status == 0 and refused.status == 2
+
+    usage = run(["compare", ex2_file, "-o", "W=w,C=c1,P=p"])
+    assert usage.status == 2 and "-p" in usage.diagnostics
+    valid = run(["classify", ex2_file])
+    assert valid.status == 0 and valid.diagnostics == ""
+    assert valid == run(["classify", ex2_file])
+    pair = ["-o", "W=w,C=c1,P=p", "-p", "W=nw,C=c1,P=p"]
+    budgeted = run(["compare", ex2_file, *pair, "--budget", "1"])
+    unbudgeted = run(["compare", ex2_file, *pair])
+    assert budgeted.status == 3 and unbudgeted.status == 0

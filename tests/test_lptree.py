@@ -446,3 +446,25 @@ def test_top_p_contract_on_random_trees():
             for o2 in universe:
                 if compare_lptree(tree, o2, o) is Relation.STRICTLY_BETTER if o2 != o else False:
                     assert o2 in out[:i]
+
+
+def test_top_p_equals_ranking_on_every_pair_compared_first():
+    # The ranking compares a pair only when it first needs it; the reference
+    # compares every ordered pair up front.
+    from cpref.semantics import assemble_top_p
+
+    rng = random.Random(131)
+    for tree in _tree_sample(seed=131, count=30):
+        universe = list(tree.schema.alternatives())
+        candidates = rng.sample(universe, rng.randint(2, min(9, len(universe))))
+        strict = {
+            (a, b)
+            for a in candidates
+            for b in candidates
+            if a != b and compare_lptree(tree, a, b) is Relation.STRICTLY_BETTER
+        }
+        for p in range(len(candidates)):
+            expected = assemble_top_p(
+                candidates, lambda a, b: (a, b) in strict, p, tree.schema
+            )
+            assert top_p_lptree(tree, candidates, p) == expected

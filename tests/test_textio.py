@@ -7,6 +7,7 @@ from cpref import (
     AttributeSchema,
     CPTheory,
     ExplicitPreorder,
+    LPTree,
     ParseError,
     TRUE,
     classify,
@@ -22,6 +23,7 @@ from cpref import (
     serialize_theory,
     validate,
 )
+from cpref.model import ValidationError
 from cpref.lexcompat import build_complete_lptree
 from helpers import (
     EX2_DSL,
@@ -267,3 +269,94 @@ def test_duplicate_attribute_error_points_at_the_repeated_atom():
     with pytest.raises(ParseError) as err:
         parse_theory("attr A: a, b\nattr B: x, y\nstmt true : B=x >= A=a,B=y,A=b\n")
     assert (err.value.line, err.value.column) == (3, 28)
+
+
+# ---------------------------------------------------------------------------
+# Error positions on malformed documents
+
+# Characters that never continue or start a token, so an injected one is
+# always the first error of its document; a form feed breaks theory lines
+# but is illegal in trees and alternatives.
+_ILLEGAL = "$@!%?^&[].\\\"'é"
+# Every line break str.splitlines knows; theory lines are counted by them.
+_THEORY_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``, lines counted as str.splitlines
+    counts them."""
+    lines = (text[:offset] + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
+def _malformed_corpus(seed: int = 331):
+    """Serialized random theories, trees and alternatives, each with an
+    illegal character injected at a random offset or cut at a random
+    offset: ``(parse, document, offset of the injected character or None)``
+    with ``parse`` taking the document text."""
+    rng = random.Random(seed)
+    docs = []
+    for i in range(40):
+        schema = random_schema(rng)
+        text = serialize_theory(random_theory(rng, schema))
+        if i % 2:
+            # the same theory with a random line break after each line
+            text = "".join(line + rng.choice(_THEORY_BREAKS) for line in text.splitlines())
+        docs.append((parse_theory, text, _ILLEGAL))
+        tree = serialize_lptree(random_lptree(rng, schema, k=2))
+        docs.append((parse_lptree, tree, _ILLEGAL + "\x0c"))
+        alternative = next(iter(schema.alternatives()))
+        text = ",".join(f"{n}={v}" for n, v in alternative.bindings)
+        docs.append((lambda t, s=schema: parse_alternative(s, t), text, _ILLEGAL + "\x0c"))
+    corpus = []
+    for parse, text, illegal in docs:
+        for _ in range(3):
+            offset = rng.randint(0, len(text))
+            corpus.append((parse, text[:offset] + rng.choice(illegal) + text[offset:], offset))
+            corpus.append((parse, text[: rng.randint(0, len(text))], None))
+    return corpus
+
+
+def test_illegal_character_is_reported_where_it_stands():
+    checked = 0
+    for parse, doc, offset in _malformed_corpus():
+        if offset is None:
+            continue
+        with pytest.raises(ParseError) as err:
+            parse(doc)
+        assert err.value.message == f"unexpected character {doc[offset]!r}"
+        assert (err.value.line, err.value.column) == _position(doc, offset), doc
+        checked += 1
+    assert checked == 360
+
+
+def test_truncated_documents_raise_only_input_errors():
+    for parse, doc, offset in _malformed_corpus():
+        if offset is not None:
+            continue
+        try:
+            result = parse(doc)
+            if isinstance(result, LPTree):
+                validate(result)
+        except (ParseError, ValidationError):
+            pass
+
+
+def test_error_positions_after_comments_and_form_feeds():
+    theory = "attr A: a, b  # first\x0cattr B: x, y\x0c\x0cstmt true : A=a >= A=b ; B=x\n"
+    with pytest.raises(ParseError) as err:
+        parse_theory(theory)
+    assert (err.value.line, err.value.column) == (4, 24)
+    assert err.value.message == "unexpected ';'"
+    tree = "attr A: a, b # note {\n\tnode {A} # ( \n  rule true : A=a > A=c\n"
+    with pytest.raises(ParseError) as err:
+        parse_lptree(tree)
+    assert (err.value.line, err.value.column) == (3, 23)
+    assert err.value.message == "unknown value 'c' for attribute 'A'"
+    with pytest.raises(ParseError) as err:
+        parse_lptree("attr A: a, b\nnode {A}\n  rule true : A=a >")
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert err.value.message == "expected attribute name, found end of input"
+    with pytest.raises(ParseError) as err:
+        parse_alternative(random_schema(random.Random(1)), "A=a0, B")
+    assert (err.value.line, err.value.column) == (1, 1)

@@ -10,7 +10,7 @@ checker certifies the result node by node against every relevant statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import itertools
 import math
@@ -117,15 +117,19 @@ def phi_at_node(
 
 
 def _forced_pairs(
-    statement: CPStatement, schema: AttributeSchema, label: tuple[str, ...]
+    statement: CPStatement,
+    schema: AttributeSchema,
+    label: tuple[str, ...],
+    assigned: Mapping[str, str],
 ) -> Iterator[tuple[int, int]]:
-    """Ordered pairs of label instantiations the statement forces strictly,
-    each instantiation numbered by its position in canonical order (its
-    mixed-radix offset within the label, as in ``lptree._label_index``).
+    """Ordered pairs of label instantiations the statement forces strictly
+    at a node whose path fixes the values ``assigned``, each instantiation
+    numbered by its position in canonical order (its mixed-radix offset
+    within the label, as in ``lptree._label_index``).
 
-    t must be compatible with the better side and the condition, t' with the
-    worse side, and both must agree outside the statement's free and swapped
-    attributes.
+    t must be compatible with the better side, t' with the worse side, and
+    both must agree outside the statement's free and swapped attributes; the
+    condition must be satisfiable together with the path values and t.
     """
     better = worse = 0
     conditioned: list[tuple[str, int, tuple[str, ...]]] = []
@@ -145,7 +149,8 @@ def _forced_pairs(
             shared = [r + d * stride for r in shared for d in range(len(domain))]
         stride *= len(domain)
     for combo in itertools.product(*(range(len(d)) for _, _, d in conditioned)):
-        values = {a: d[i] for (a, _, d), i in zip(conditioned, combo)}
+        values = dict(assigned)
+        values.update((a, d[i]) for (a, _, d), i in zip(conditioned, combo))
         if not _consistent(statement.condition, values, schema):
             continue
         base = sum(i * st for (_, st, _), i in zip(conditioned, combo))
@@ -200,6 +205,7 @@ def choose_attribute(
         raise ValidationError("no attributes left to place")
     if active is None:
         active = phi_at_node(theory, ctx)
+    assigned = dict(ctx.assigned.bindings)
     for size in range(1, min(k, len(remaining)) + 1):
         for combo in itertools.combinations(remaining, size):
             t_set = set(combo)
@@ -212,7 +218,7 @@ def choose_attribute(
             forced: set[tuple[int, int]] = set()
             for s in active:
                 if s.swapped & t_set:
-                    forced.update(_forced_pairs(s, schema, combo))
+                    forced.update(_forced_pairs(s, schema, combo, assigned))
             n = math.prod(len(schema.domain(a)) for a in combo)
             order = _deterministic_toposort(n, forced)
             if order is None:

@@ -10,8 +10,10 @@ enumerating the alternative space.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .model import (
@@ -88,12 +90,35 @@ class LPTree:
 
 @dataclass(frozen=True)
 class PathContext:
-    """Everything the semantics needs to know about a node's position."""
+    """Everything the semantics needs to know about a node's position.
+
+    ``edge`` labels the edge from ``parent`` (None when unlabelled); at the
+    root, which has no parent, it is the empty instantiation.  The values
+    fixed above and the rendered path are worked out only when read.
+    """
 
     ancestors: frozenset[str]
-    assigned: PartialInstantiation  # values fixed by labelled edges above
     noninst: frozenset[str]  # attributes crossed on unlabelled edges
-    trail: str
+    parent: PathContext | None
+    edge: PartialInstantiation | None
+
+    @cached_property
+    def assigned(self) -> PartialInstantiation:
+        """Values fixed by labelled edges above."""
+        if self.parent is None:
+            return self.edge
+        if self.edge is None:
+            return self.parent.assigned
+        return self.parent.assigned.override(self.edge)
+
+    @cached_property
+    def trail(self) -> str:
+        """The path from the root, as violation messages name it."""
+        if self.parent is None:
+            return "root"
+        if self.edge is None:
+            return self.parent.trail + "/*"
+        return self.parent.trail + "/" + ",".join(f"{n}={v}" for n, v in self.edge.bindings)
 
 
 def strict_chain_rule(
@@ -145,31 +170,16 @@ def _matching_rule(
 
 def iter_nodes(tree: LPTree) -> Iterator[tuple[LPNode, PathContext]]:
     """Depth-first traversal yielding each node with its path context."""
-    schema = tree.schema
-
-    def walk(node: LPNode, ctx: PathContext):
+    root = PathContext(frozenset(), frozenset(), None, tree.schema.empty_instantiation())
+    stack = [(tree.root, root)]
+    while stack:
+        node, ctx = stack.pop()
         yield node, ctx
-        label = set(node.label)
-        for edge_label, child in node.children:
-            if edge_label is None:
-                child_ctx = PathContext(
-                    ctx.ancestors | label,
-                    ctx.assigned,
-                    ctx.noninst | label,
-                    ctx.trail + "/*",
-                )
-            else:
-                rendered = ",".join(f"{n}={v}" for n, v in edge_label.bindings)
-                child_ctx = PathContext(
-                    ctx.ancestors | label,
-                    ctx.assigned.override(edge_label),
-                    ctx.noninst,
-                    ctx.trail + "/" + rendered,
-                )
-            yield from walk(child, child_ctx)
-
-    root_ctx = PathContext(frozenset(), schema.empty_instantiation(), frozenset(), "root")
-    yield from walk(tree.root, root_ctx)
+        label = frozenset(node.label)
+        ancestors, noninst_below = ctx.ancestors | label, ctx.noninst | label
+        for edge_label, child in reversed(node.children):
+            noninst = ctx.noninst if edge_label is not None else noninst_below
+            stack.append((child, PathContext(ancestors, noninst, ctx, edge_label)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,71 +190,82 @@ def validate(tree: LPTree) -> list[str]:
     """Structural check; returns human-readable violations (empty when valid)."""
     schema = tree.schema
     violations: list[str] = []
+    # bindings of every instantiation of a label, per label met in this call
+    label_bindings: dict[tuple[str, ...], frozenset[tuple[tuple[str, str], ...]]] = {}
 
     for node, ctx in iter_nodes(tree):
-        where = ctx.trail
         label = node.label
         if not label:
-            violations.append(f"{where}: node label is empty")
+            violations.append(f"{ctx.trail}: node label is empty")
             continue
         if len(set(label)) != len(label):
-            violations.append(f"{where}: label repeats an attribute")
+            violations.append(f"{ctx.trail}: label repeats an attribute")
             continue
         unknown = [a for a in label if a not in schema]
         if unknown:
-            violations.append(f"{where}: unknown attributes {unknown}")
+            violations.append(f"{ctx.trail}: unknown attributes {unknown}")
             continue
-        repeated = set(label) & ctx.ancestors
+        repeated = ctx.ancestors.intersection(label)
         if repeated:
-            violations.append(f"{where}: attribute repeated on branch: {sorted(repeated)}")
-
-        _validate_children(schema, node, where, violations)
-        rules_ok = _validate_rules(schema, node, ctx, where, violations)
-        if rules_ok:
-            _validate_rule_multiplicity(schema, node, where, violations)
+            violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
+        names = schema.ordered(label)
+        valid = label_bindings.get(names)
+        if valid is None:
+            valid = label_bindings[names] = frozenset(
+                tuple(zip(names, combo)) for combo in itertools.product(*map(schema.domain, names))
+            )
+        _validate_children(schema, node, ctx, valid, violations)
+        if _validate_rules(schema, node, ctx, valid, violations):
+            _validate_rule_multiplicity(schema, node, ctx, violations)
 
     return violations
 
 
-def _validate_children(schema, node, where, violations):
+def _is_instantiation(schema, valid, inst: PartialInstantiation) -> bool:
+    """True iff ``inst`` is over ``schema`` and its bindings are in ``valid``."""
+    return inst.bindings in valid and (inst.schema is schema or inst.schema == schema)
+
+
+def _validate_children(schema, node, ctx, valid, violations):
     if not node.children:
         return
     labels = [e for e, _ in node.children]
-    if len(node.children) == 1 and labels[0] is None:
+    if len(labels) == 1 and labels[0] is None:
         return
     if any(e is None for e in labels):
-        violations.append(f"{where}: unlabelled edge mixed with labelled edges")
+        violations.append(f"{ctx.trail}: unlabelled edge mixed with labelled edges")
         return
-    expected = set(schema.instantiations(node.label))
-    if len(set(labels)) != len(labels) or set(labels) != expected:
+    if (
+        len(labels) != len(valid)
+        or len({e.bindings for e in labels}) != len(labels)
+        or not all(_is_instantiation(schema, valid, e) for e in labels)
+    ):
         violations.append(
-            f"{where}: edges must carry each label instantiation exactly once"
+            f"{ctx.trail}: edges must carry each label instantiation exactly once"
         )
 
 
-def _validate_rules(schema, node, ctx, where, violations) -> bool:
+def _validate_rules(schema, node, ctx, valid, violations) -> bool:
     ok = True
-    label_set = set(node.label)
-    insts = set(schema.instantiations(node.label))
     for k, rule in enumerate(node.rules):
         try:
             validate_formula(rule.condition, schema)
         except ValidationError as exc:
-            violations.append(f"{where}: rule {k} condition: {exc}")
+            violations.append(f"{ctx.trail}: rule {k} condition: {exc}")
             ok = False
             continue
         stray = rule.condition.variables() - ctx.noninst
         if stray:
             violations.append(
-                f"{where}: rule {k} conditions on attributes outside the "
+                f"{ctx.trail}: rule {k} conditions on attributes outside the "
                 f"unlabelled-edge ancestors: {sorted(stray)}"
             )
             ok = False
         for link in rule.links:
             for endpoint in (link.left, link.right):
-                if endpoint.var_set != label_set or endpoint not in insts:
+                if not _is_instantiation(schema, valid, endpoint):
                     violations.append(
-                        f"{where}: rule {k} orders {endpoint!r}, which is not an "
+                        f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
                         f"instantiation of the node label"
                     )
                     ok = False
@@ -252,19 +273,16 @@ def _validate_rules(schema, node, ctx, where, violations) -> bool:
     return ok
 
 
-def _validate_rule_multiplicity(schema, node, where, violations):
-    condition_vars = set()
-    for rule in node.rules:
-        condition_vars |= rule.condition.variables()
-    for u in schema.instantiations(condition_vars):
-        matches = sum(
-            1
-            for rule in node.rules
-            if eval_formula(u.restrict(rule.condition.variables()), rule.condition)
-        )
+def _validate_rule_multiplicity(schema, node, ctx, violations):
+    conditions = [rule.condition for rule in node.rules]
+    names = schema.ordered(itertools.chain.from_iterable(c.variables() for c in conditions))
+    for combo in itertools.product(*map(schema.domain, names)):
+        values = dict(zip(names, combo))
+        matches = sum(1 for c in conditions if c.evaluate(values))
         if matches != 1:
+            u = PartialInstantiation(schema, tuple(values.items()))
             violations.append(
-                f"{where}: {matches} rules match context {u!r} (need exactly one)"
+                f"{ctx.trail}: {matches} rules match context {u!r} (need exactly one)"
             )
 
 

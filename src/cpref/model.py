@@ -96,15 +96,22 @@ class AttributeSchema:
     def empty_instantiation(self) -> PartialInstantiation:
         return PartialInstantiation(self, ())
 
+    def _in_order(self, bindings: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
+        """The bindings as (name, value) pairs in schema order; an unknown
+        attribute is an error, as in :meth:`position`."""
+        try:
+            names = sorted(bindings, key=self._positions.__getitem__)
+        except KeyError as exc:
+            raise ValidationError(f"unknown attribute {exc.args[0]!r}") from None
+        return tuple(zip(names, map(bindings.__getitem__, names)))
+
     def instantiation(self, bindings: Mapping[str, str]) -> PartialInstantiation:
         """A validated partial instantiation from an attribute-to-value mapping."""
-        items = []
-        for name in sorted(bindings, key=self.position):
-            value = bindings[name]
+        items = self._in_order(bindings)
+        for name, value in items:
             if value not in self.domain(name):
                 raise ValidationError(f"value {value!r} not in domain of {name!r}")
-            items.append((name, value))
-        return PartialInstantiation(self, tuple(items))
+        return PartialInstantiation(self, items)
 
     def alternative(self, bindings: Mapping[str, str]) -> PartialInstantiation:
         """A validated total instantiation (one binding per attribute)."""
@@ -220,8 +227,7 @@ class PartialInstantiation:
     def override(self, other: PartialInstantiation) -> PartialInstantiation:
         """A copy with ``other``'s bindings replacing or extending this one's."""
         merged = {**self._mapping, **other._mapping}
-        ordered = sorted(merged.items(), key=lambda kv: self.schema.position(kv[0]))
-        return PartialInstantiation(self.schema, tuple(ordered))
+        return PartialInstantiation(self.schema, self.schema._in_order(merged))
 
     def combine(self, *others: PartialInstantiation) -> PartialInstantiation:
         """Union of disjoint-or-agreeing assignments; conflict is an error."""
@@ -230,8 +236,7 @@ class PartialInstantiation:
             for n, v in other.bindings:
                 if merged.setdefault(n, v) != v:
                     raise ValidationError(f"conflicting values for {n!r}")
-        ordered = sorted(merged.items(), key=lambda kv: self.schema.position(kv[0]))
-        return PartialInstantiation(self.schema, tuple(ordered))
+        return PartialInstantiation(self.schema, self.schema._in_order(merged))
 
     def __repr__(self):
         body = ",".join(f"{n}={v}" for n, v in self.bindings)

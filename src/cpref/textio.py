@@ -26,8 +26,9 @@ statements and tree components in stored order.
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from typing import NoReturn
 
 from .model import (
     And,
@@ -60,229 +61,259 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
+# One match per token: the whitespace and comments before it, then the token.
+# Every character is either skipped or starts a token, so the scan never
+# backtracks.  A single character that starts no longer token is a token of
+# its own, a symbol or else an error, and the end of the text is the empty
+# token.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<newline>\n)
-    | (?P<iff><->)
-    | (?P<implies>->)
-    | (?P<geq>>=)
-    | (?P<gt>>)
-    | (?P<tilde>~)
-    | (?P<semi>;)
-    | (?P<pipe>\|)
-    | (?P<lbrace>\{)
-    | (?P<rbrace>\})
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<eq>=)
-    | (?P<comma>,)
-    | (?P<colon>:)
-    | (?P<star>\*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    ( [A-Za-z_][A-Za-z0-9_]* | <-> | -> | >= | [^ \t\r\n\#] | \Z )
     """,
     re.VERBOSE,
 )
+_SYMBOLS = frozenset(("<->", "->", ">=", *">~;|{}()=,:*"))
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# Binding level and constructor of each binary connective, loosest first.
+_BINARY = {"<->": (0, Iff), "->": (1, Implies), "or": (2, Or), "and": (3, And)}
+_LINKS = {">": LinkKind.STRICT, "~": LinkKind.EQUIV}
 
 
-def _tokenize(text: str, first_line: int = 1) -> list[Token]:
-    tokens = []
-    line = first_line
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(
-                Token(kind, match.group(), line, match.start() - line_start + 1)
-            )
-        pos = match.end()
-    return tokens
+class _Parser:
+    """Recursive descent over the tokens of one text at a time.
 
+    A token is the string it matched; a name starts with a letter or ``_``.
+    Line and column of a token are found, by scanning the text again, only
+    for an error.  ``points`` shares each distinct point of the document:
+    it is checked and built once per parse.
+    """
 
-class TokenStream:
-    def __init__(self, tokens: list[Token], end_line: int):
-        self._tokens = tokens
-        self._pos = 0
-        self._end_line = end_line
+    def __init__(self):
+        self.schema: AttributeSchema | None = None
+        self.points: dict[tuple[str, ...], PartialInstantiation] = {}
 
-    def peek(self) -> Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+    def load(self, text: str, first_line: int, end_line: int) -> None:
+        """Tokenize ``text``, whose first line is ``first_line``; the end of
+        input is reported at ``end_line``, column 1."""
+        self.text, self.first_line, self.end_line = text, first_line, end_line
+        # Padding after the end token keeps point's look-ahead in range.
+        self.toks = _TOKEN_RE.findall(text) + ["", "", ""]
+        self.i = 0
+        bad = [t for t in set(self.toks) if t and t[0] not in _NAME_START and t not in _SYMBOLS]
+        if bad:
+            first = min(map(self.toks.index, bad))
+            self.fail(f"unexpected character {self.toks[first]!r}", first)
 
-    def peek_kind(self) -> str | None:
-        tok = self.peek()
-        return tok.kind if tok else None
+    def use(self, schema: AttributeSchema) -> None:
+        self.schema = schema
+        self.values = {a.name: frozenset(a.values) for a in schema.attributes}
 
-    def peek_is_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "ident" and tok.text == word
+    def fail(self, message: str, i: int | None = None) -> NoReturn:
+        """Raise ParseError at token ``i`` (default: the current token)."""
+        i = self.i if i is None else i
+        if self.toks[i]:
+            offset = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None)).start(1)
+            line = self.first_line + self.text.count("\n", 0, offset)
+            column = offset - self.text.rfind("\n", 0, offset)
+        else:
+            line, column = self.end_line, 1
+        raise ParseError(message, line, column)
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._end_line, 1)
-        self._pos += 1
-        return tok
+    def found(self) -> str:
+        tok = self.toks[self.i]
+        return repr(tok) if tok else "end of input"
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            found = f"{tok.text!r}" if tok else "end of input"
-            line, col = (tok.line, tok.column) if tok else (self._end_line, 1)
-            raise ParseError(f"expected {what}, found {found}", line, col)
-        return self.next()
+    def expect(self, token: str, what: str) -> None:
+        if self.toks[self.i] != token:
+            self.fail(f"expected {what}, found {self.found()}")
+        self.i += 1
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        tok = self.toks[self.i]
+        if tok:
+            self.fail(f"unexpected {tok!r}")
 
+    def name(self, what: str) -> str:
+        tok = self.toks[self.i]
+        if tok[:1] not in _NAME_START:
+            self.fail(f"expected {what}, found {self.found()}")
+        if tok in RESERVED:
+            self.fail(f"{tok!r} is a reserved word")
+        self.i += 1
+        return tok
 
-# ---------------------------------------------------------------------------
-# Shared pieces
+    def attributes(self) -> list[str]:
+        """A comma-separated run of declared attribute names."""
+        out = []
+        while True:
+            at = self.i
+            name = self.name("attribute name")
+            if name not in self.values:
+                self.fail(f"unknown attribute {name!r}", at)
+            out.append(name)
+            if self.toks[self.i] != ",":
+                return out
+            self.i += 1
 
+    def attr_decl(self, declared: dict[str, tuple[str, ...]]) -> None:
+        self.i += 1  # the 'attr' keyword
+        at = self.i
+        name = self.name("attribute name")
+        if name in declared:
+            self.fail(f"attribute {name!r} declared twice", at)
+        self.expect(":", "':'")
+        values = [(self.i, self.name("value name"))]
+        while self.toks[self.i] == ",":
+            self.i += 1
+            values.append((self.i, self.name("value name")))
+        seen = set()
+        for at_value, value in values:
+            if value in seen:
+                self.fail(f"duplicate value {value!r}", at_value)
+            seen.add(value)
+        if len(values) < 2:
+            self.fail(f"attribute {name!r} needs at least two values", at)
+        declared[name] = tuple(value for _, value in values)
 
-def _parse_name(ts: TokenStream, what: str) -> Token:
-    tok = ts.expect("ident", what)
-    if tok.text in RESERVED:
-        raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.column)
-    return tok
+    def atom(self) -> tuple[str, str]:
+        """``X=x``, as its attribute and value."""
+        toks, i = self.toks, self.i
+        attr = toks[i]
+        values = self.values.get(attr)
+        if values is None:
+            self.name("attribute name")
+            self.fail(f"unknown attribute {attr!r}", i)
+        self.i = i + 1
+        self.expect("=", "'='")
+        value = toks[i + 2]
+        if value not in values:
+            self.name("value name")
+            self.fail(f"unknown value {value!r} for attribute {attr!r}", i + 2)
+        self.i = i + 3
+        return attr, value
 
+    def point(self) -> PartialInstantiation:
+        """A comma-separated run of ``X=x`` assignments."""
+        toks, start = self.toks, self.i
+        end = start + 3
+        while toks[end] == ",":
+            end += 4
+        key = tuple(toks[start:end])
+        point = self.points.get(key)
+        if point is not None:
+            self.i = end
+            return point
+        bindings: dict[str, str] = {}
+        while True:
+            at = self.i
+            attr, value = self.atom()
+            if attr in bindings:
+                self.fail(f"attribute {attr!r} assigned twice", at)
+            bindings[attr] = value
+            if toks[self.i] != ",":
+                break
+            self.i += 1
+        point = self.points[key] = self.schema.instantiation(bindings)
+        return point
 
-def _parse_attr_decl(ts: TokenStream, declared: dict[str, tuple[str, ...]]) -> None:
-    ts.next()  # the 'attr' keyword
-    name_tok = _parse_name(ts, "attribute name")
-    if name_tok.text in declared:
-        raise ParseError(
-            f"attribute {name_tok.text!r} declared twice", name_tok.line, name_tok.column
-        )
-    ts.expect("colon", "':'")
-    values = [_parse_name(ts, "value name")]
-    while ts.peek_kind() == "comma":
-        ts.next()
-        values.append(_parse_name(ts, "value name"))
-    seen = set()
-    for v in values:
-        if v.text in seen:
-            raise ParseError(f"duplicate value {v.text!r}", v.line, v.column)
-        seen.add(v.text)
-    if len(values) < 2:
-        raise ParseError(
-            f"attribute {name_tok.text!r} needs at least two values",
-            name_tok.line,
-            name_tok.column,
-        )
-    declared[name_tok.text] = tuple(v.text for v in values)
+    def formula(self, level: int = 0) -> Formula:
+        """Connectives bind tighter from ``<->`` to ``and``; each associates
+        to the left."""
+        left = self.unary()
+        op = _BINARY.get(self.toks[self.i])
+        while op is not None and op[0] >= level:
+            self.i += 1
+            left = op[1](left, self.formula(op[0] + 1))
+            op = _BINARY.get(self.toks[self.i])
+        return left
 
+    def unary(self) -> Formula:
+        tok = self.toks[self.i]
+        if tok == "(":
+            self.i += 1
+            inner = self.formula()
+            self.expect(")", "')'")
+            return inner
+        if tok == "not":
+            self.i += 1
+            return Not(self.unary())
+        if tok == "true" or tok == "false":
+            self.i += 1
+            return TRUE if tok == "true" else FALSE
+        if tok[:1] in _NAME_START:
+            return Atom(*self.atom())
+        self.fail(f"expected formula, found {tok!r}" if tok else "expected formula")
 
-def _parse_atom(ts: TokenStream, schema: AttributeSchema) -> Atom:
-    attr_tok = _parse_name(ts, "attribute name")
-    if attr_tok.text not in schema:
-        raise ParseError(
-            f"unknown attribute {attr_tok.text!r}", attr_tok.line, attr_tok.column
-        )
-    ts.expect("eq", "'='")
-    value_tok = _parse_name(ts, "value name")
-    if value_tok.text not in schema.domain(attr_tok.text):
-        raise ParseError(
-            f"unknown value {value_tok.text!r} for attribute {attr_tok.text!r}",
-            value_tok.line,
-            value_tok.column,
-        )
-    return Atom(attr_tok.text, value_tok.text)
+    def statements(self) -> list[CPStatement]:
+        """One ``stmt`` line; a chain gives one statement per adjacent pair."""
+        head = self.i
+        self.i += 1  # the 'stmt' keyword
+        condition = self.formula()
+        free: list[str] = []
+        if self.toks[self.i] == "|":
+            self.i += 1
+            self.expect("{", "'{'")
+            if self.toks[self.i] != "}":
+                free = self.attributes()
+            self.expect("}", "'}'")
+        self.expect(":", "':'")
+        points = [self.point()]
+        while self.toks[self.i] == ">=":
+            self.i += 1
+            points.append(self.point())
+        self.expect_end()
+        if len(points) < 2:
+            self.fail("statement needs at least two swap points", head)
+        out = []
+        for better, worse in zip(points, points[1:]):
+            try:
+                out.append(CPStatement(condition, frozenset(free), better, worse))
+            except ValidationError as exc:
+                self.fail(str(exc), head)
+        return out
 
+    def node(self) -> LPNode:
+        if self.toks[self.i] != "node":
+            self.fail(f"expected 'node', found {self.found()}")
+        self.i += 1
+        self.expect("{", "'{'")
+        label = self.attributes()
+        self.expect("}", "'}'")
+        rules = []
+        while self.toks[self.i] == "rule":
+            rules.append(self.rule())
+        edges: list[Edge] = []
+        while self.toks[self.i] == "edge":
+            self.i += 1
+            if self.toks[self.i] == "*":
+                self.i += 1
+                edge_label = None
+            else:
+                edge_label = self.point()
+            self.expect("{", "'{'")
+            edges.append((edge_label, self.node()))
+            self.expect("}", "'}'")
+        return LPNode(tuple(label), tuple(rules), tuple(edges))
 
-def _parse_formula(ts: TokenStream, schema: AttributeSchema) -> Formula:
-    return _parse_iff(ts, schema)
-
-
-def _parse_iff(ts, schema):
-    left = _parse_implies(ts, schema)
-    while ts.peek_kind() == "iff":
-        ts.next()
-        left = Iff(left, _parse_implies(ts, schema))
-    return left
-
-
-def _parse_implies(ts, schema):
-    left = _parse_or(ts, schema)
-    while ts.peek_kind() == "implies":
-        ts.next()
-        left = Implies(left, _parse_or(ts, schema))
-    return left
-
-
-def _parse_or(ts, schema):
-    left = _parse_and(ts, schema)
-    while ts.peek_is_word("or"):
-        ts.next()
-        left = Or(left, _parse_and(ts, schema))
-    return left
-
-
-def _parse_and(ts, schema):
-    left = _parse_unary(ts, schema)
-    while ts.peek_is_word("and"):
-        ts.next()
-        left = And(left, _parse_unary(ts, schema))
-    return left
-
-
-def _parse_unary(ts, schema):
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("expected formula", ts._end_line, 1)
-    if tok.kind == "lparen":
-        ts.next()
-        inner = _parse_formula(ts, schema)
-        ts.expect("rparen", "')'")
-        return inner
-    if tok.kind == "ident":
-        if tok.text == "not":
-            ts.next()
-            return Not(_parse_unary(ts, schema))
-        if tok.text == "true":
-            ts.next()
-            return TRUE
-        if tok.text == "false":
-            ts.next()
-            return FALSE
-        return _parse_atom(ts, schema)
-    raise ParseError(f"expected formula, found {tok.text!r}", tok.line, tok.column)
-
-
-def _parse_point(ts: TokenStream, schema: AttributeSchema) -> PartialInstantiation:
-    """A comma-separated run of ``X=x`` assignments."""
-    bindings: dict[str, str] = {}
-    while True:
-        tok = ts.peek()
-        atom = _parse_atom(ts, schema)
-        if atom.attribute in bindings:
-            raise ParseError(
-                f"attribute {atom.attribute!r} assigned twice", tok.line, tok.column
-            )
-        bindings[atom.attribute] = atom.value
-        if ts.peek_kind() != "comma":
-            break
-        ts.next()
-    return schema.instantiation(bindings)
+    def rule(self) -> LPRule:
+        self.i += 1  # the 'rule' keyword
+        condition = self.formula()
+        self.expect(":", "':'")
+        links: list[OrderLink] = []
+        toks = self.toks
+        # attribute names are never reserved, so a structural keyword ends the chain list
+        while toks[self.i][:1] in _NAME_START and toks[self.i] not in RESERVED:
+            left = self.point()
+            while (kind := _LINKS.get(toks[self.i])) is not None:
+                self.i += 1
+                right = self.point()
+                links.append(OrderLink(left, right, kind))
+                left = right
+            if toks[self.i] != ";":
+                break
+            self.i += 1
+        return LPRule(condition, tuple(links))
 
 
 # ---------------------------------------------------------------------------
@@ -290,72 +321,28 @@ def _parse_point(ts: TokenStream, schema: AttributeSchema) -> PartialInstantiati
 
 
 def parse_theory(text: str) -> CPTheory:
-    """Parse a theory document; raises ParseError with line/column on failure."""
+    """Parse a theory document; raises ParseError with line/column on failure.
+    Lines are those of ``str.splitlines``."""
     declared: dict[str, tuple[str, ...]] = {}
-    schema: AttributeSchema | None = None
     statements: list[CPStatement] = []
+    parser = _Parser()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, first_line=line_no)
-        if not tokens:
-            continue
-        ts = TokenStream(tokens, line_no)
-        head = tokens[0]
-        if head.kind == "ident" and head.text == "attr":
+        parser.load(raw, line_no, line_no)
+        head = parser.toks[0]
+        if head == "attr":
             if statements:
-                raise ParseError(
-                    "attribute declarations must precede statements",
-                    head.line,
-                    head.column,
-                )
-            _parse_attr_decl(ts, declared)
-            ts.expect_end()
-        elif head.kind == "ident" and head.text == "stmt":
-            if schema is None:
-                schema = AttributeSchema.of(declared.items())
-            statements.extend(_parse_statement_line(ts, schema))
-        else:
-            raise ParseError(
-                f"expected 'attr' or 'stmt', found {head.text!r}", head.line, head.column
-            )
-    if schema is None:
-        schema = AttributeSchema.of(declared.items())
-    return CPTheory(schema, tuple(statements))
-
-
-def _parse_statement_line(ts: TokenStream, schema: AttributeSchema) -> list[CPStatement]:
-    head = ts.next()  # the 'stmt' keyword
-    condition = _parse_formula(ts, schema)
-    free: list[str] = []
-    if ts.peek_kind() == "pipe":
-        ts.next()
-        ts.expect("lbrace", "'{'")
-        if ts.peek_kind() != "rbrace":
-            while True:
-                tok = _parse_name(ts, "attribute name")
-                if tok.text not in schema:
-                    raise ParseError(
-                        f"unknown attribute {tok.text!r}", tok.line, tok.column
-                    )
-                free.append(tok.text)
-                if ts.peek_kind() != "comma":
-                    break
-                ts.next()
-        ts.expect("rbrace", "'}'")
-    ts.expect("colon", "':'")
-    points = [_parse_point(ts, schema)]
-    while ts.peek_kind() == "geq":
-        ts.next()
-        points.append(_parse_point(ts, schema))
-    ts.expect_end()
-    if len(points) < 2:
-        raise ParseError("statement needs at least two swap points", head.line, head.column)
-    out = []
-    for better, worse in zip(points, points[1:]):
-        try:
-            out.append(CPStatement(condition, frozenset(free), better, worse))
-        except ValidationError as exc:
-            raise ParseError(str(exc), head.line, head.column) from None
-    return out
+                parser.fail("attribute declarations must precede statements")
+            parser.attr_decl(declared)
+            parser.expect_end()
+        elif head == "stmt":
+            if parser.schema is None:
+                parser.use(AttributeSchema.of(declared.items()))
+            statements.extend(parser.statements())
+        elif head:
+            parser.fail(f"expected 'attr' or 'stmt', found {head!r}")
+    if parser.schema is None:
+        parser.use(AttributeSchema.of(declared.items()))
+    return CPTheory(parser.schema, tuple(statements))
 
 
 # ---------------------------------------------------------------------------
@@ -365,70 +352,15 @@ def _parse_statement_line(ts: TokenStream, schema: AttributeSchema) -> list[CPSt
 def parse_lptree(text: str) -> LPTree:
     """Parse a tree document; structural constraints beyond the grammar are
     left to lptree.validate."""
-    end_line = text.count("\n") + 1
-    ts = TokenStream(_tokenize(text), end_line)
+    parser = _Parser()
+    parser.load(text, 1, text.count("\n") + 1)
     declared: dict[str, tuple[str, ...]] = {}
-    while ts.peek_is_word("attr"):
-        _parse_attr_decl(ts, declared)
-    schema = AttributeSchema.of(declared.items())
-    root = _parse_node_block(ts, schema)
-    ts.expect_end()
-    return LPTree(schema, root)
-
-
-def _parse_node_block(ts: TokenStream, schema: AttributeSchema) -> LPNode:
-    node_tok = ts.peek()
-    if not ts.peek_is_word("node"):
-        found = f"{node_tok.text!r}" if node_tok else "end of input"
-        line, col = (node_tok.line, node_tok.column) if node_tok else (ts._end_line, 1)
-        raise ParseError(f"expected 'node', found {found}", line, col)
-    ts.next()
-    ts.expect("lbrace", "'{'")
-    label = []
-    while True:
-        tok = _parse_name(ts, "attribute name")
-        if tok.text not in schema:
-            raise ParseError(f"unknown attribute {tok.text!r}", tok.line, tok.column)
-        label.append(tok.text)
-        if ts.peek_kind() != "comma":
-            break
-        ts.next()
-    ts.expect("rbrace", "'}'")
-    rules = []
-    while ts.peek_is_word("rule"):
-        rules.append(_parse_rule(ts, schema))
-    edges: list[Edge] = []
-    while ts.peek_is_word("edge"):
-        ts.next()
-        if ts.peek_kind() == "star":
-            ts.next()
-            edge_label = None
-        else:
-            edge_label = _parse_point(ts, schema)
-        ts.expect("lbrace", "'{'")
-        child = _parse_node_block(ts, schema)
-        ts.expect("rbrace", "'}'")
-        edges.append((edge_label, child))
-    return LPNode(tuple(label), tuple(rules), tuple(edges))
-
-
-def _parse_rule(ts: TokenStream, schema: AttributeSchema) -> LPRule:
-    ts.next()  # the 'rule' keyword
-    condition = _parse_formula(ts, schema)
-    ts.expect("colon", "':'")
-    links: list[OrderLink] = []
-    # attribute names are never reserved, so a structural keyword ends the chain list
-    while ts.peek_kind() == "ident" and ts.peek().text not in RESERVED:
-        left = _parse_point(ts, schema)
-        while ts.peek_kind() in ("gt", "tilde"):
-            kind = LinkKind.STRICT if ts.next().kind == "gt" else LinkKind.EQUIV
-            right = _parse_point(ts, schema)
-            links.append(OrderLink(left, right, kind))
-            left = right
-        if ts.peek_kind() != "semi":
-            break
-        ts.next()
-    return LPRule(condition, tuple(links))
+    while parser.toks[parser.i] == "attr":
+        parser.attr_decl(declared)
+    parser.use(AttributeSchema.of(declared.items()))
+    root = parser.node()
+    parser.expect_end()
+    return LPTree(parser.schema, root)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +368,11 @@ def _parse_rule(ts: TokenStream, schema: AttributeSchema) -> LPRule:
 
 
 def parse_instantiation(schema: AttributeSchema, text: str) -> PartialInstantiation:
-    ts = TokenStream(_tokenize(text), 1)
-    point = _parse_point(ts, schema)
-    ts.expect_end()
+    parser = _Parser()
+    parser.load(text, 1, 1)
+    parser.use(schema)
+    point = parser.point()
+    parser.expect_end()
     return point
 
 

@@ -2,9 +2,10 @@
 
 ``consistent_with`` (a linear pass for conjunctions of literals, enumeration
 of the formula's own unbound variables otherwise) is checked against every
-total extension; the builder's inherited active statements against a fresh
-scan of the theory; and ranking through single branches against ranking on
-the compiled tree.
+total extension; the pairs a statement forces on a label against the swaps
+it sanctions between alternatives on the branch; the builder's inherited
+active statements against a fresh scan of the theory; and ranking through
+single branches against ranking on the compiled tree.
 """
 
 import math
@@ -27,11 +28,12 @@ from cpref import (
     consistent_with,
     lptree_to_statements,
     phi_at_node,
+    sanctions,
     top_p_lexcompat,
     top_p_lptree,
 )
 from cpref import lexcompat
-from cpref.lptree import iter_nodes
+from cpref.lptree import _label_index, iter_nodes
 from helpers import random_lptree, random_schema, random_theory
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=200)
@@ -123,6 +125,35 @@ def test_consistent_with_on_clashing_and_exhausting_conjunctions():
 
 # ---------------------------------------------------------------------------
 # The builder and branch ranking on k-lexico-compatible theories
+
+
+def test_forced_pairs_equal_the_swaps_between_alternatives_on_the_branch():
+    rng = random.Random(419)
+    checked = 0
+    for i in range(120):
+        max_attrs, max_domain = (4, 2) if i % 2 else (3, 3)
+        schema = random_schema(rng, max_attrs=max_attrs, max_domain=max_domain)
+        theory = random_theory(rng, schema)
+        names = list(schema.names)
+        rng.shuffle(names)
+        cut = rng.randint(0, len(names) - 1)
+        ancestors, rest = set(names[:cut]), names[cut:]
+        label = schema.ordered(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
+        path = schema.instantiation({a: rng.choice(schema.domain(a)) for a in ancestors})
+        branch = [o for o in schema.alternatives() if o.extends(path)]
+        for s in theory.statements:
+            if s.swapped & ancestors or not s.swapped & set(label):
+                continue
+            swaps = {
+                (_label_index(schema, label, o), _label_index(schema, label, o2))
+                for o in branch
+                for o2 in branch
+                if sanctions(s, o, o2)
+            }
+            forced = lexcompat._forced_pairs(s, schema, label, dict(path.bindings))
+            assert set(forced) == swaps
+            checked += 1
+    assert checked > 100
 
 
 def _compatible_theories(seed, count):

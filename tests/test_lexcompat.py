@@ -199,6 +199,31 @@ def test_build_ex3_at_full_width_recovers_the_chain():
     assert all(built.strictly_better(a, b) for a, b in zip(chain, chain[1:]))
 
 
+# A's value decides through a disjunction whether C=c1 is preferred; on the
+# A=a1 branch the C statement conditioned on A=a2 must force nothing.
+BRANCH_CONDITIONED = """\
+attr A: a1, a2
+attr B: b1, b2
+attr C: c1, c2
+stmt true : A=a1 >= A=a2
+stmt (A=a1 and B=b1) or (A=a2 and B=b2) : C=c1 >= C=c2
+stmt A=a1 and B=b2 : C=c2 >= C=c1
+stmt C=c1 : B=b1 >= B=b2
+stmt C=c2 : B=b2 >= B=b1
+"""
+
+
+def test_condition_false_on_the_branch_forces_no_pairs():
+    from cpref import linearisable, parse_theory
+
+    theory = parse_theory(BRANCH_CONDITIONED)
+    assert linearisable(theory)
+    for k in (2, 3):
+        tree = build_complete_lptree(theory, k)
+        assert tree is not None
+        assert extends_check(theory, tree)
+
+
 def test_buildable_theories_are_linearisable():
     from cpref import linearisable
 

@@ -279,7 +279,9 @@ def test_duplicate_attribute_error_points_at_the_repeated_atom():
 # but is illegal in trees and alternatives.
 _ILLEGAL = "$@!%?^&[].\\\"'é"
 # Every line break str.splitlines knows; theory lines are counted by them.
-_THEORY_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_THEORY_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:

@@ -171,16 +171,16 @@ def _cmd_cut(args) -> CommandResult:
             return CommandResult(EXIT_NO, "none", warning)
         return CommandResult(EXIT_OK, textio.format_instantiation(witness), warning)
     if args.strict and is_tree:
-        if lptree.is_complete(doc):
+        try:
             count = lptree.strict_cut_count(doc, o)
-        elif args.enumerate:
+        except lptree.IncompleteTreeError:
+            if not args.enumerate:
+                raise lptree.IncompleteTreeError(
+                    "strict-cut counting needs a complete tree; pass --enumerate to "
+                    "fall back to enumeration"
+                ) from None
             count = sum(1 for _ in lptree.strict_dominators(doc, o))
             warning = "warning: tree is not complete; counted by enumeration"
-        else:
-            raise lptree.IncompleteTreeError(
-                "strict-cut counting needs a complete tree; pass --enumerate to "
-                "fall back to enumeration"
-            )
     else:
         if args.strict:
             warning = (

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .model import (
-    And,
     CPStatement,
     CPTheory,
     Formula,
@@ -25,6 +24,7 @@ from .model import (
     TRUE,
     AttributeSchema,
     ValidationError,
+    conjunction,
     eval_formula,
     instantiation_formula,
     validate_formula,
@@ -395,15 +395,6 @@ def is_linearisable_lptree(tree: LPTree) -> bool:
 # Translation to statements
 
 
-def _conjoin(*parts: Formula) -> Formula:
-    out: Formula = TRUE
-    for part in parts:
-        if part == TRUE:
-            continue
-        out = part if out == TRUE else And(out, part)
-    return out
-
-
 def lptree_to_statements(tree: LPTree) -> CPTheory:
     """The statement theory inducing exactly the tree's relation.
 
@@ -429,9 +420,8 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
                     w, w_prime = insts[i], insts[j]
                     diff = [a for a in label if w[a] != w_prime[a]]
                     shared = w.restrict(a for a in label if a not in diff)
-                    cond = _conjoin(
-                        rule.condition, path_formula, instantiation_formula(shared)
-                    )
+                    parts = (rule.condition, path_formula, instantiation_formula(shared))
+                    cond = conjunction(p for p in parts if p != TRUE)
                     statements.append(
                         CPStatement(cond, free, w.restrict(diff), w_prime.restrict(diff))
                     )

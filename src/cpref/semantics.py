@@ -143,45 +143,17 @@ class ExplicitPreorder:
     The universe is always the canonical enumeration of the schema's
     alternatives, so an alternative's position is its mixed-radix index;
     bit ``j`` of ``rows[i]`` means ``universe[i] >= universe[j]``.
-    ``matrix`` is the same relation as a numpy boolean array, built on first
-    use; the positional constructor takes such a matrix.
     """
 
-    def __init__(self, schema: AttributeSchema, universe, matrix):
-        import numpy as np
-
+    def __init__(self, schema: AttributeSchema, rows: Iterable[int]):
         self.schema = schema
-        self.universe = tuple(universe)
-        self.matrix = np.array(matrix, dtype=bool)
-        self.matrix.setflags(write=False)
-        self.rows = tuple(
-            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in self.matrix
-        )
-
-    @classmethod
-    def _of_rows(cls, schema: AttributeSchema, rows: tuple[int, ...]) -> ExplicitPreorder:
-        relation = cls.__new__(cls)
-        relation.schema = schema
-        relation.rows = rows
-        return relation
+        self.rows = tuple(rows)
+        if len(self.rows) != schema.universe_size():
+            raise ValidationError("a relation needs one row per alternative")
 
     @cached_property
     def universe(self) -> tuple[PartialInstantiation, ...]:
         return tuple(self.schema.alternatives())
-
-    @cached_property
-    def matrix(self):
-        import numpy as np
-
-        n = len(self.rows)
-        width = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(row.to_bytes(width, "little") for row in self.rows), dtype=np.uint8
-        ).reshape(n, width)
-        matrix = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
-        matrix.setflags(write=False)
-        return matrix
 
     @classmethod
     def from_pairs(
@@ -193,7 +165,7 @@ class ExplicitPreorder:
         succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
         for o, o_prime in pairs:
             succ[_alternative_index(schema, o)].append(_alternative_index(schema, o_prime))
-        return cls._of_rows(schema, _closed_rows(succ, len(succ)))
+        return cls(schema, _closed_rows(succ, len(succ)))
 
     @classmethod
     def identity(cls, schema: AttributeSchema) -> ExplicitPreorder:
@@ -446,7 +418,7 @@ def closure_oracle(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> ExplicitP
     reflexively and transitively over the enumerated universe."""
     succ = _swap_graph(theory, cap)
     schema = theory.schema
-    return ExplicitPreorder._of_rows(schema, _closed_rows(succ, schema.universe_size()))
+    return ExplicitPreorder(schema, _closed_rows(succ, schema.universe_size()))
 
 
 def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:

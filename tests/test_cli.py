@@ -161,6 +161,23 @@ def test_cut_count_paths(tmp_path, ex2_file):
     assert "enumeration" in allowed.diagnostics
 
 
+def test_cut_strict_count_checks_completeness_once(tmp_path, monkeypatch):
+    from cpref import lptree
+
+    calls = []
+    original = lptree.is_complete
+
+    def counted(tree):
+        calls.append(tree)
+        return original(tree)
+
+    monkeypatch.setattr(lptree, "is_complete", counted)
+    tree_file = _write(tmp_path, "lex.lpt", LEX_TREE)
+    result = run(["cut", tree_file, "--alt", "A=na,B=nb", "--count", "--strict"])
+    assert result.status == 0 and result.report == "3"
+    assert len(calls) == 1
+
+
 def test_cut_geq_count(ex2_file):
     result = run(["cut", ex2_file, "--alt", "W=w,C=c2,P=np", "--count", "--geq"])
     assert result.status == 0 and result.report.isdigit()
@@ -275,22 +292,43 @@ def test_default_cap_refuses_before_allocating(tmp_path):
         assert peak < 2**20  # the refusal comes before any per-alternative array
 
 
-def test_cli_import_loads_no_numerical_libraries():
+def test_cli_import_loads_no_numerical_libraries(tmp_path):
     import os
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, cpref.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules))"
-    )
+    # With numpy blocked, the whole-relation queries and the preorder encoding
+    # must still answer: cpref has no runtime dependency.
+    probe = """\
+import sys
+sys.modules["numpy"] = None
+import cpref.cli
+from cpref import ExplicitPreorder, parse_theory, preorder_to_cp
+print(sorted(m for m in ("numpy", "scipy", "networkx") if sys.modules.get(m)))
+base, extended = sys.argv[1:]
+for argv in (
+    ["oracle", base, "--strict"],
+    ["equiv", base, extended],
+    ["cut", base, "--alt", "A=a,B=b,C=c3", "--count", "--strict"],
+):
+    result = cpref.cli.run(argv)
+    assert result.status == 0 and result.report, (argv, result)
+schema = parse_theory(open(base).read()).schema
+first, second = schema.alternative_at(0), schema.alternative_at(1)
+print(len(preorder_to_cp(ExplicitPreorder.from_pairs(schema, [(first, second)]))))
+"""
+    base = _write(tmp_path, "base.cpt", EX9)
+    extended = _write(tmp_path, "ext.cpt", EX9_EXTENDED)
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe, base, extended],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "1"]
 
 
 def test_repeated_large_report_shares_one_string(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import gc
 import math
 import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpref import (
@@ -35,6 +36,7 @@ from cpref import (
     OrderLink,
     Relation,
     TRUE,
+    ValidationError,
     closure_oracle,
     compare_lptree,
     cut_count,
@@ -180,15 +182,19 @@ def test_cut_queries_equal_enumeration(theory, data):
 
 @SEEDED
 @given(theories())
-def test_matrix_view_round_trips_rows(theory):
+def test_rows_round_trip(theory):
     oracle = closure_oracle(theory)
-    matrix = oracle.matrix
-    universe = oracle.universe
-    for i, o in enumerate(universe):
-        for j, o2 in enumerate(universe):
-            assert bool(matrix[i, j]) == oracle.geq(o, o2)
-    rebuilt = ExplicitPreorder(theory.schema, universe, matrix)
-    assert rebuilt == oracle and rebuilt.rows == oracle.rows
+    rebuilt = ExplicitPreorder(theory.schema, oracle.rows)
+    assert rebuilt == oracle
+    for o in oracle.universe:
+        for o2 in oracle.universe:
+            assert rebuilt.geq(o, o2) == oracle.geq(o, o2)
+    with pytest.raises(ValidationError):
+        ExplicitPreorder(theory.schema, oracle.rows[1:])
+
+
+def _unpacked(rows):
+    return [[bool(row >> j & 1) for j in range(len(rows))] for row in rows]
 
 
 def _warshall(n, pairs):
@@ -210,7 +216,7 @@ def test_bitset_closure_equals_dense_closure(schema, data):
     relation = ExplicitPreorder.from_pairs(
         schema, [(schema.alternative_at(i), schema.alternative_at(j)) for i, j in pairs]
     )
-    assert relation.matrix.tolist() == _warshall(n, pairs)
+    assert _unpacked(relation.rows) == _warshall(n, pairs)
     assert relation.is_preorder()
 
 

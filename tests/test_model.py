@@ -351,12 +351,8 @@ def test_preorder_to_cp_ex3_statements():
 
 
 def test_preorder_to_cp_requires_preorder():
-    import numpy as np
-
     s = ex3_schema()
-    universe = tuple(s.alternatives())
-    matrix = np.zeros((4, 4), dtype=bool)  # not reflexive
-    broken = ExplicitPreorder(s, universe, matrix)
+    broken = ExplicitPreorder(s, (0, 0, 0, 0))  # not reflexive
     with pytest.raises(ValidationError):
         preorder_to_cp(broken)
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_compile_success_and_failure(tmp_path, ex2_file):
     out = str(tmp_path / "holiday.lpt")
     result = run(["compile", ex2_file, "-k", "2", "-o", out])
     assert result.status == 0
-    tree = parse_lptree(open(out).read())
+    tree = parse_lptree(Path(out).read_text(encoding="utf-8"))
     assert validate(tree) == [] and is_complete(tree)
 
     sat = _write(tmp_path, "sat.cnf", "p cnf 1 1\n1 0\n")
@@ -224,7 +225,7 @@ def test_gen3sat_output_parses(tmp_path):
     cnf = _write(tmp_path, "f.cnf", "c comment\np cnf 2 2\n1 2 0\n-1 0\n")
     out = str(tmp_path / "f.cpt")
     assert run(["gen3sat", cnf, "-o", out]).status == 0
-    theory = parse_theory(open(out).read())
+    theory = parse_theory(Path(out).read_text(encoding="utf-8"))
     assert len(theory) == 4
     assert theory.schema.names == ("X1", "X2", "Y0", "Y1", "Y2")
 

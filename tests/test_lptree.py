@@ -226,6 +226,81 @@ def test_decide_is_prefix_stable():
                         )
 
 
+def _verdict_at(node, o, o2):
+    """The pair's label under the rule of ``node`` that applies to ``o``,
+    searched over the rule's links between label instantiations; a pair that
+    no node decides is incomparable."""
+    if node is None:
+        return Relation.INCOMPARABLE
+    (rule,) = [r for r in node.rules if r.condition.evaluate(o)]
+    succ = {}
+    for link in rule.links:
+        succ.setdefault(link.left, set()).add(link.right)
+        if link.kind is LinkKind.EQUIV:
+            succ.setdefault(link.right, set()).add(link.left)
+
+    def reaches(a, b):
+        seen, stack = {a}, [a]
+        while stack:
+            for c in succ.get(stack.pop(), ()):
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return b in seen
+
+    a, b = o.restrict(node.label), o2.restrict(node.label)
+    assert a != b
+    return {
+        (True, True): Relation.EQUIVALENT,
+        (True, False): Relation.STRICTLY_BETTER,
+        (False, True): Relation.STRICTLY_WORSE,
+        (False, False): Relation.INCOMPARABLE,
+    }[reaches(a, b), reaches(b, a)]
+
+
+def test_decide_matches_the_oracle():
+    for complete, seed in ((True, 139), (False, 149)):
+        for tree, oracle in _with_oracle(seed=seed, count=10, complete=complete, max_attrs=3):
+            for o in oracle.universe:
+                for o2 in oracle.universe:
+                    if o != o2:
+                        assert _verdict_at(decide(tree, o, o2), o, o2) is oracle.label(o, o2)
+
+
+def test_branch_queries_reject_a_node_where_no_rule_applies():
+    s = _binary_schema()
+    # below the unlabelled edge, B has a rule for A=a only
+    leaf = LPNode(("B",), (LPRule(Atom("A", "a"), _chain(s, "B", "b", "nb").links),), ())
+    tree = LPTree(s, LPNode(("A",), (_chain(s, "A", "a", "na"),), ((None, leaf),)))
+    assert validate(tree) != []
+    o, o2 = alt(s, A="na", B="nb"), alt(s, A="na", B="b")
+    with pytest.raises(ValidationError):
+        compare_lptree(tree, o, o2)
+    with pytest.raises(ValidationError):
+        strict_cut_count(tree, o)
+    with pytest.raises(ValidationError):
+        list(strict_dominators(tree, o))
+    # a pair decided at the root never meets the node below
+    assert compare_lptree(tree, alt(s, A="a", B="b"), o) is Relation.STRICTLY_BETTER
+
+
+def test_branch_queries_reject_a_missing_edge():
+    s = _binary_schema()
+    leaf = LPNode(("B",), (_chain(s, "B", "b", "nb"),), ())
+    root = LPNode(("A",), (_chain(s, "A", "a", "na"),), ((s.instantiation({"A": "a"}), leaf),))
+    tree = LPTree(s, root)
+    assert validate(tree) != []
+    o, o2 = alt(s, A="na", B="nb"), alt(s, A="na", B="b")
+    with pytest.raises(ValidationError):
+        decide(tree, o, o2)
+    with pytest.raises(ValidationError):
+        compare_lptree(tree, o, o2)
+    with pytest.raises(ValidationError):
+        strict_cut_count(tree, o)
+    with pytest.raises(ValidationError):
+        list(strict_dominators(tree, o))
+
+
 def test_decide_rejects_equal_pair():
     tree = _lex_tree()
     o = alt(tree.schema, A="a", B="b")
@@ -385,31 +460,52 @@ def test_strict_cut_count_corners():
     assert strict_cut_count(tree, alt(s, A="a", B="b")) == 0
 
 
+def _shuffled(tree, rng):
+    """A copy that stores each node's label and labelled edges in a random,
+    non-canonical order."""
+
+    def copy(node):
+        label = tuple(rng.sample(node.label, len(node.label)))
+        children = [(edge, copy(child)) for edge, child in node.children]
+        if children and children[0][0] is not None:
+            rng.shuffle(children)
+        return LPNode(label, node.rules, tuple(children))
+
+    return LPTree(tree.schema, copy(tree.root))
+
+
+def _with_oracle(seed, count, complete, max_attrs=4):
+    """Seeded trees plus a shuffled copy of each, every one with the
+    exhaustive relation of its translated statements."""
+    trees = _tree_sample(seed=seed, count=count, complete=complete, max_attrs=max_attrs)
+    rng = random.Random(seed)
+    copies = [_shuffled(tree, rng) for tree in trees]
+    assert any(copy != tree for copy, tree in zip(copies, trees))
+    out = []
+    for tree in trees + copies:
+        assert validate(tree) == []
+        out.append((tree, closure_oracle(lptree_to_statements(tree))))
+    return out
+
+
+def _oracle_dominators(oracle, o):
+    return [oracle.universe[j] for j in oracle.dominators(o, strict=True)]
+
+
 def test_strict_cut_count_matches_enumeration():
-    for tree in _tree_sample(seed=113, count=20, complete=True):
-        universe = list(tree.schema.alternatives())
-        for o in universe:
-            brute = sum(
-                1
-                for o2 in universe
-                if o2 != o and compare_lptree(tree, o2, o) is Relation.STRICTLY_BETTER
-            )
-            assert strict_cut_count(tree, o) == brute
+    for tree, oracle in _with_oracle(seed=113, count=20, complete=True):
+        for o in oracle.universe:
+            assert strict_cut_count(tree, o) == len(_oracle_dominators(oracle, o))
 
 
 def test_strict_dominators_match_enumeration_and_count():
     for complete, seed in ((True, 131), (False, 137)):
-        for tree in _tree_sample(seed=seed, count=10, complete=complete):
-            universe = list(tree.schema.alternatives())
-            for o in universe:
-                brute = [
-                    o2
-                    for o2 in universe
-                    if o2 != o and compare_lptree(tree, o2, o) is Relation.STRICTLY_BETTER
-                ]
-                assert list(strict_dominators(tree, o)) == brute
+        for tree, oracle in _with_oracle(seed=seed, count=10, complete=complete):
+            for o in oracle.universe:
+                expected = _oracle_dominators(oracle, o)
+                assert list(strict_dominators(tree, o)) == expected
                 if complete:
-                    assert strict_cut_count(tree, o) == len(brute)
+                    assert strict_cut_count(tree, o) == len(expected)
 
 
 def test_strict_cut_count_rejects_incomplete_trees():

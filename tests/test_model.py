@@ -202,6 +202,19 @@ def test_classify_ex2():
     assert not profile.free_empty
     assert profile.acyclic
     assert not profile.is_cpnet
+    # a condition counts as conjunctive iff it is built from literals and AND
+    theory = ex2_theory()
+    w, c1, c2 = Atom("W", "w"), Atom("C", "c1"), Atom("C", "c2")
+    for condition, conjunctive in (
+        (TRUE, True),
+        (FALSE, False),
+        (Not(Not(w)), False),
+        (And(TRUE, w), True),
+        (And(c1, c2), True),  # clashing atoms: unsatisfiable, still literals
+    ):
+        extra = CPStatement.make(theory.schema, {"P": "p"}, {"P": "np"}, condition=condition)
+        profile = classify(CPTheory(theory.schema, theory.statements + (extra,)))
+        assert profile.conjunctive is conjunctive
 
 
 def test_classify_ex7():

@@ -144,10 +144,7 @@ def _cmd_optimal(args) -> CommandResult:
     kind = OptimumKind(args.kind)
     if args.check:
         o = textio.parse_alternative(theory.schema, args.check)
-        if kind is OptimumKind.UNDOMINATED:
-            answer = semantics.undominated_check(theory, o)
-        else:
-            answer = semantics.optimum_check(theory, o, kind, args.cap)
+        answer = semantics.optimum_check(theory, o, kind, args.cap)
         return CommandResult(
             EXIT_OK if answer else EXIT_NO, f"{kind.value}: {_yes_no(answer)}"
         )
@@ -255,11 +252,8 @@ def _build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
     state in it, since every call fills a fresh namespace from the
     declared defaults."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget", type=int, default=0, help="dominance search budget (states and expansions)"
-    )
-    common.add_argument(
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
         "--cap",
         type=int,
         default=DEFAULT_ORACLE_CAP,
@@ -271,26 +265,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cpref", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="sublanguage profile of a theory")
+    p = sub.add_parser("classify", help="sublanguage profile of a theory")
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("compare", parents=[common], help="four-way comparison of two alternatives")
+    p = sub.add_parser("compare", help="four-way comparison of two alternatives")
     p.add_argument("file")
     p.add_argument("-o", required=True, metavar="ALT", help="first alternative, e.g. A=a,B=b")
     p.add_argument("-p", required=True, metavar="ALT", help="second alternative")
+    p.add_argument(
+        "--budget", type=int, default=0, help="dominance search budget (states and expansions)"
+    )
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("linearisable", parents=[common], help="is the induced relation antisymmetric")
+    p = sub.add_parser("linearisable", parents=[capped], help="is the induced relation antisymmetric")
     p.add_argument("file")
     p.set_defaults(func=_cmd_linearisable)
 
-    p = sub.add_parser("equiv", parents=[common], help="do two documents induce the same relation")
+    p = sub.add_parser("equiv", parents=[capped], help="do two documents induce the same relation")
     p.add_argument("file")
     p.add_argument("other")
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("top", parents=[common], help="top-p ranking of a candidate set")
+    p = sub.add_parser("top", parents=[capped], help="top-p ranking of a candidate set")
     p.add_argument("file")
     p.add_argument("--set", required=True, help="file with one alternative per line")
     p.add_argument("-p", type=int, required=True)
@@ -303,13 +300,13 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_top)
 
-    p = sub.add_parser("optimal", parents=[common], help="optimality checks and existence")
+    p = sub.add_parser("optimal", parents=[capped], help="optimality checks and existence")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=[k.value for k in OptimumKind])
     p.add_argument("--check", metavar="ALT", help="check this alternative instead of searching")
     p.set_defaults(func=_cmd_optimal)
 
-    p = sub.add_parser("cut", parents=[common], help="count or extract dominators of an alternative")
+    p = sub.add_parser("cut", parents=[capped], help="count or extract dominators of an alternative")
     p.add_argument("file")
     p.add_argument("--alt", required=True, metavar="ALT")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -325,19 +322,19 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_cut)
 
-    p = sub.add_parser("compile", parents=[common], help="build a complete k-wide tree extending a theory")
+    p = sub.add_parser("compile", help="build a complete k-wide tree extending a theory")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--node-budget", type=int, default=lexcompat.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("oracle", parents=[common], help="dump the exhaustive relation")
+    p = sub.add_parser("oracle", parents=[capped], help="dump the exhaustive relation")
     p.add_argument("file")
     p.add_argument("--strict", action="store_true", help="strict pairs only")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("gen3sat", parents=[common], help="statement encoding of a DIMACS CNF")
+    p = sub.add_parser("gen3sat", help="statement encoding of a DIMACS CNF")
     p.add_argument("cnf")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_gen3sat)

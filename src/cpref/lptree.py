@@ -159,15 +159,6 @@ def _rule_rows(
     return _closed_rows(succ, n)
 
 
-def _matching_rule(
-    node: LPNode, context_values: PartialInstantiation
-) -> LPRule:
-    for rule in node.rules:
-        if eval_formula(context_values.restrict(rule.condition.variables()), rule.condition):
-            return rule
-    raise ValidationError("no rule applies at node; tree is not valid")
-
-
 def iter_nodes(tree: LPTree) -> Iterator[tuple[LPNode, PathContext]]:
     """Depth-first traversal yielding each node with its path context."""
     root = PathContext(frozenset(), frozenset(), None, tree.schema.empty_instantiation())
@@ -292,38 +283,39 @@ def _validate_rule_multiplicity(schema, node, ctx, violations):
 
 def _branch(
     tree: LPTree, o: PartialInstantiation
-) -> Iterator[tuple[LPNode, frozenset[str], frozenset[str]]]:
-    """The nodes on ``o``'s branch, root first, each with the attributes above
-    it and those of them crossed on unlabelled edges."""
-    node, ancestors, noninst = tree.root, frozenset(), frozenset()
+) -> Iterator[tuple[LPNode, tuple[str, ...], int, LPRule, int]]:
+    """The steps down ``o``'s branch, root first: each node with its label in
+    schema order, ``o``'s offset among the label's instantiations, the rule
+    that applies to ``o``'s values of the attributes crossed on unlabelled
+    edges, and the block size, how many alternatives share each label value
+    below the node.  Another alternative is decided at the first step where
+    its offset differs from ``o``'s."""
+    schema = tree.schema
+    node, context, unmet = tree.root, schema.empty_instantiation(), set(schema.names)
     while True:
-        yield node, ancestors, noninst
+        label = schema.ordered(node.label)
+        unmet.difference_update(label)
+        rule = next((r for r in node.rules if eval_formula(context, r.condition)), None)
+        if rule is None:
+            raise ValidationError("no rule applies at node; tree is not valid")
+        block = math.prod(len(schema.domain(a)) for a in unmet)
+        yield node, label, _label_index(schema, label, o), rule, block
         if not node.children:
             return
-        label = frozenset(node.label)
-        ancestors |= label
         if len(node.children) == 1 and node.children[0][0] is None:
-            noninst |= label
+            context = o.restrict(context.var_set.union(label))
             node = node.children[0][1]
             continue
         mine = o.restrict(label)
-        for edge_label, child in node.children:
-            if edge_label == mine:
-                node = child
-                break
-        else:
+        node = next((child for edge, child in node.children if edge == mine), None)
+        if node is None:
             raise ValidationError("missing edge below node; tree is not valid")
 
 
-def _descend(
-    tree: LPTree, o: PartialInstantiation, o_prime: PartialInstantiation
-) -> tuple[LPNode, frozenset[str]] | None:
-    """First node on the branch whose label values differ between o and o',
-    with the attributes crossed on unlabelled edges above it."""
-    for node, _, noninst in _branch(tree, o):
-        if o.restrict(node.label) != o_prime.restrict(node.label):
-            return node, noninst
-    return None
+def _strictly_above(rows: tuple[int, ...], mine: int) -> list[int]:
+    """The label offsets strictly better than ``mine`` under closed ``rows``."""
+    own = rows[mine]
+    return [j for j, row in enumerate(rows) if row >> mine & 1 and not own >> j & 1]
 
 
 def decide(
@@ -332,8 +324,10 @@ def decide(
     """The node deciding the pair, or None when the pair escapes the tree."""
     if o == o_prime:
         raise ValidationError("decide is defined for distinct alternatives only")
-    found = _descend(tree, o, o_prime)
-    return None if found is None else found[0]
+    for node, label, mine, _, _ in _branch(tree, o):
+        if _label_index(tree.schema, label, o_prime) != mine:
+            return node
+    return None
 
 
 def compare_lptree(
@@ -346,15 +340,12 @@ def compare_lptree(
     """
     if o == o_prime:
         raise ValidationError("compare is defined for distinct alternatives only")
-    found = _descend(tree, o, o_prime)
-    if found is None:
-        return Relation.INCOMPARABLE
-    node, noninst = found
-    label = tree.schema.ordered(node.label)
-    rows = _rule_rows(tree.schema, label, _matching_rule(node, o.restrict(noninst)))
-    i = _label_index(tree.schema, label, o)
-    j = _label_index(tree.schema, label, o_prime)
-    return _label_from(bool(rows[i] >> j & 1), bool(rows[j] >> i & 1))
+    for _, label, i, rule, _ in _branch(tree, o):
+        j = _label_index(tree.schema, label, o_prime)
+        if j != i:
+            rows = _rule_rows(tree.schema, label, rule)
+            return _label_from(bool(rows[i] >> j & 1), bool(rows[j] >> i & 1))
+    return Relation.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +432,30 @@ def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
     """
     if not is_complete(tree):
         raise IncompleteTreeError("strict-cut counting requires a complete tree")
-    schema = tree.schema
-    total = 0
-    for node, ancestors, noninst in _branch(tree, o):
-        label = schema.ordered(node.label)
-        rows = _rule_rows(schema, label, _matching_rule(node, o.restrict(noninst)))
-        mine = _label_index(schema, label, o)
-        own = rows[mine]
-        above = sum(
-            1 for j, row in enumerate(rows) if row >> mine & 1 and not own >> j & 1
-        )
-        remaining = set(schema.names) - ancestors - set(label)
-        total += above * math.prod(len(schema.domain(a)) for a in remaining)
-    return total
+    return sum(
+        len(_strictly_above(_rule_rows(tree.schema, label, rule), mine)) * block
+        for _, label, mine, rule, block in _branch(tree, o)
+    )
 
 
 def strict_dominators(
     tree: LPTree, o: PartialInstantiation
 ) -> Iterator[PartialInstantiation]:
-    """The alternatives strictly better than ``o``, in canonical order, found
-    by comparing each one with ``o``; for trees that need not be complete."""
-    for other in tree.schema.alternatives():
-        if other != o and compare_lptree(tree, other, o) is Relation.STRICTLY_BETTER:
-            yield other
+    """The alternatives strictly better than ``o``, in canonical order, each
+    placed at the first step of ``o``'s branch where its label value differs;
+    for trees that need not be complete."""
+    schema = tree.schema
+    steps = [
+        (label, mine, set(_strictly_above(_rule_rows(schema, label, rule), mine)))
+        for _, label, mine, rule, _ in _branch(tree, o)
+    ]
+    for other in schema.alternatives():
+        for label, mine, above in steps:
+            j = _label_index(schema, label, other)
+            if j != mine:
+                if j in above:
+                    yield other
+                break
 
 
 def top_p_lptree(

@@ -378,17 +378,6 @@ def instantiation_formula(inst: PartialInstantiation) -> Formula:
     return conjunction(Atom(n, v) for n, v in inst.bindings)
 
 
-def is_conjunction_of_literals(f: Formula) -> bool:
-    """True iff ``f`` is built from atoms and negated atoms using AND only."""
-    if f == TRUE or isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.operand, Atom)
-    if isinstance(f, And):
-        return is_conjunction_of_literals(f.left) and is_conjunction_of_literals(f.right)
-    return False
-
-
 def formula_size(f: Formula) -> int:
     """Number of connectives plus number of atoms."""
     if isinstance(f, Const):
@@ -777,7 +766,7 @@ def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
     # Unary conjunctive statements, no free parts, and per attribute exactly
     # one Hamiltonian value chain for every instantiation of its parents.
     for s in theory.statements:
-        if len(s.swapped) != 1 or s.free or not is_conjunction_of_literals(s.condition):
+        if len(s.swapped) != 1 or s.free or s.condition._literals is None:
             return False
     schema = theory.schema
     for x in schema.names:
@@ -799,7 +788,7 @@ def classify(theory: CPTheory) -> LanguageProfile:
     graph = dependency_graph(theory)
     return LanguageProfile(
         max_swap_width=max((len(s.swapped) for s in theory.statements), default=0),
-        conjunctive=all(is_conjunction_of_literals(s.condition) for s in theory.statements),
+        conjunctive=all(s.condition._literals is not None for s in theory.statements),
         free_empty=all(not s.free for s in theory.statements),
         acyclic=graph.is_acyclic(),
         polytree=graph.is_polytree(),

@@ -502,7 +502,10 @@ def optimum_check(
     kind: OptimumKind,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
-    """Evaluate one of the optimality notions against the exhaustive relation."""
+    """Evaluate one of the optimality notions; undominatedness is read off
+    the statements, the others off the exhaustive relation."""
+    if kind is OptimumKind.UNDOMINATED:
+        return undominated_check(theory, o)
     comp, optimal = _optimal_components(theory, kind, cap)
     return optimal[comp[_alternative_index(theory.schema, o)]]
 

@@ -230,6 +230,26 @@ def test_gen3sat_output_parses(tmp_path):
     assert theory.schema.names == ("X1", "X2", "Y0", "Y1", "Y2")
 
 
+def test_limits_exist_only_where_they_bound_something(tmp_path, ex2_file):
+    out = tmp_path / "x.lpt"
+    for argv in (
+        ["classify", ex2_file, "--budget", "5"],
+        ["compile", ex2_file, "-k", "1", "-o", str(out), "--cap", "4"],
+        ["oracle", ex2_file, "--budget", "5"],
+        ["compare", ex2_file, "-o", "W=w,C=c1,P=p", "-p", "W=w,C=c2,P=p", "--cap", "4"],
+    ):
+        result = run(argv)
+        assert result.status == 2 and result.report == ""
+        assert "unrecognized arguments" in result.diagnostics
+        assert "usage:" in result.diagnostics
+    assert not out.exists()
+    alt = "W=w,C=c2,P=np"
+    assert run(["cut", ex2_file, "--alt", alt, "--count", "--geq", "--cap", "100"]).status == 0
+    # undominatedness is read off the statements, so no cap refuses it
+    checked = run(["optimal", ex2_file, "--kind", "undominated", "--check", alt, "--cap", "1"])
+    assert checked.status in (0, 1) and checked.report.startswith("undominated: ")
+
+
 def test_input_errors(tmp_path):
     assert run(["classify", str(tmp_path / "missing.cpt")]).status == 2
     bad = _write(tmp_path, "bad.cpt", "stmt nonsense\n")

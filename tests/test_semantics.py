@@ -316,6 +316,19 @@ def test_undominated_check_matches_oracle():
             assert undominated_check(t, o) == semantic
 
 
+def test_optimum_check_undominated_reads_the_statements_under_any_cap():
+    t = ex7_theory(2)  # 8 alternatives, beyond a cap of 1
+    o = next(t.schema.alternatives())
+    with pytest.raises(OracleTooLargeError):
+        optimum_check(t, o, OptimumKind.DOMINATING, cap=1)
+    answers = set()
+    for o in t.schema.alternatives():
+        answer = optimum_check(t, o, OptimumKind.UNDOMINATED, cap=1)
+        assert answer == undominated_check(t, o)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
 def test_optimum_check_examples():
     t3 = ex3_theory()
     s3 = t3.schema

@@ -264,34 +264,39 @@ class Formula:
 
     @cached_property
     def _literals(self) -> tuple[tuple[str, object, frozenset[str]], ...] | None:
-        """For a conjunction of literals, one entry per attribute: the value
-        its atoms require (None when no atom names it, ``_CLASH`` when two
-        atoms name different values) and the values its negated atoms
-        exclude.  None for any other formula."""
-        required: dict[str, set[str]] = {}
-        excluded: dict[str, set[str]] = {}
-        stack: list[Formula] = [self]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, And):
-                stack += (f.right, f.left)
-            elif isinstance(f, Atom):
-                required.setdefault(f.attribute, set()).add(f.value)
-                excluded.setdefault(f.attribute, set())
-            elif isinstance(f, Not) and isinstance(f.operand, Atom):
-                required.setdefault(f.operand.attribute, set())
-                excluded.setdefault(f.operand.attribute, set()).add(f.operand.value)
-            elif f != TRUE:
-                return None
-        return tuple(
-            (a, _CLASH if len(vs) > 1 else next(iter(vs), None), frozenset(excluded[a]))
-            for a, vs in required.items()
-        )
+        """:func:`_literal_table` of this formula, kept for repeated tests."""
+        return _literal_table(self)
 
 
 # Required value of an attribute that two atoms of a conjunction pin to
 # different values: equal to no value, so no instantiation satisfies it.
 _CLASH = object()
+
+
+def _literal_table(f: Formula) -> tuple[tuple[str, object, frozenset[str]], ...] | None:
+    """For a conjunction of literals, one entry per attribute: the value its
+    atoms require (None when no atom names it, ``_CLASH`` when two atoms name
+    different values) and the values its negated atoms exclude.  None for any
+    other formula."""
+    required: dict[str, set[str]] = {}
+    excluded: dict[str, set[str]] = {}
+    stack: list[Formula] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        elif isinstance(g, Atom):
+            required.setdefault(g.attribute, set()).add(g.value)
+            excluded.setdefault(g.attribute, set())
+        elif isinstance(g, Not) and isinstance(g.operand, Atom):
+            required.setdefault(g.operand.attribute, set())
+            excluded.setdefault(g.operand.attribute, set()).add(g.operand.value)
+        elif g != TRUE:
+            return None
+    return tuple(
+        (a, _CLASH if len(vs) > 1 else next(iter(vs), None), frozenset(excluded[a]))
+        for a, vs in required.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -766,7 +771,7 @@ def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
     # Unary conjunctive statements, no free parts, and per attribute exactly
     # one Hamiltonian value chain for every instantiation of its parents.
     for s in theory.statements:
-        if len(s.swapped) != 1 or s.free or s.condition._literals is None:
+        if len(s.swapped) != 1 or s.free or _literal_table(s.condition) is None:
             return False
     schema = theory.schema
     for x in schema.names:
@@ -788,7 +793,7 @@ def classify(theory: CPTheory) -> LanguageProfile:
     graph = dependency_graph(theory)
     return LanguageProfile(
         max_swap_width=max((len(s.swapped) for s in theory.statements), default=0),
-        conjunctive=all(s.condition._literals is not None for s in theory.statements),
+        conjunctive=all(_literal_table(s.condition) is not None for s in theory.statements),
         free_empty=all(not s.free for s in theory.statements),
         acyclic=graph.is_acyclic(),
         polytree=graph.is_polytree(),

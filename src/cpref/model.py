@@ -264,7 +264,8 @@ class Formula:
 
     @cached_property
     def _literals(self) -> tuple[tuple[str, object, frozenset[str]], ...] | None:
-        """:func:`_literal_table` of this formula, kept for repeated tests."""
+        """:func:`_literal_table` of this formula, cached for the builder's
+        repeated consistency tests."""
         return _literal_table(self)
 
 

@@ -15,13 +15,7 @@ from pathlib import Path
 
 from . import lexcompat, lptree, semantics, textio
 from .model import CPTheory, ValidationError, classify
-from .semantics import (
-    BUDGET_EXHAUSTED,
-    DEFAULT_ORACLE_CAP,
-    OptimumKind,
-    OracleTooLargeError,
-    SearchBudget,
-)
+from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP, OptimumKind, OracleTooLargeError
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -67,15 +61,6 @@ def _as_theory(doc) -> CPTheory:
     return doc
 
 
-def _read_alternatives(schema, path: str):
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            out.append(textio.parse_alternative(schema, stripped))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -104,8 +89,7 @@ def _cmd_compare(args) -> CommandResult:
     if isinstance(doc, lptree.LPTree):
         label = lptree.compare_lptree(doc, o, o_prime)
     else:
-        budget = SearchBudget.of(args.budget) if args.budget else None
-        label = semantics.compare(doc, o, o_prime, budget)
+        label = semantics.compare(doc, o, o_prime, args.budget or None)
         if label is BUDGET_EXHAUSTED:
             return CommandResult(EXIT_EXHAUSTED, "budget-exhausted")
     return CommandResult(EXIT_OK, label.value)
@@ -129,7 +113,7 @@ def _cmd_equiv(args) -> CommandResult:
 
 def _cmd_top(args) -> CommandResult:
     doc = _load_document(args.file)
-    candidates = _read_alternatives(doc.schema, args.set)
+    candidates = textio.parse_alternatives(doc.schema, Path(args.set).read_text(encoding="utf-8"))
     if isinstance(doc, lptree.LPTree):
         sequence = lptree.top_p_lptree(doc, candidates, args.p)
     elif args.lex_k:
@@ -339,6 +323,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_gen3sat)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -366,7 +352,10 @@ def run(argv) -> CommandResult:
     """Parse and execute one invocation; never raises for user errors."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # reported by the subcommand, so the usage shown is the one it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         return CommandResult(EXIT_INPUT, "", str(exc))
     try:

@@ -39,7 +39,7 @@ from .lptree import (
     strict_chain_rule,
     validate,
 )
-from .semantics import assemble_top_p
+from .semantics import Relation, assemble_top_p
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -350,8 +350,6 @@ def top_p_lexcompat(
     the whole tree: each pair follows the single branch along its shared
     values until a chosen label separates it.  Each node on those branches
     is labelled once per call, however many pairs pass through it."""
-    items = list(dict.fromkeys(candidates))
-    cache: dict[tuple[PartialInstantiation, PartialInstantiation], bool] = {}
     labels: dict[NodeContext, tuple[CandidateLabel, tuple[CPStatement, ...], dict]] = {}
 
     def label_at(ctx: NodeContext, above: tuple[CPStatement, ...] | None):
@@ -366,22 +364,18 @@ def top_p_lexcompat(
             labels[ctx] = cand, active, {t: i for i, t in enumerate(cand.order)}
         return labels[ctx]
 
-    def branch_better(o, o_prime) -> bool:
-        if (o, o_prime) in cache:
-            return cache[(o, o_prime)]
+    def branch_label(o, o_prime) -> Relation:
         ctx, active = NodeContext.root(theory.schema), None
         while True:
             cand, active, rank = label_at(ctx, active)
             mine = o.restrict(cand.attrs)
             theirs = o_prime.restrict(cand.attrs)
             if mine != theirs:
-                verdict = rank[mine] < rank[theirs]
-                cache[(o, o_prime)] = verdict
-                cache[(o_prime, o)] = not verdict
-                return verdict
+                better = rank[mine] < rank[theirs]
+                return Relation.STRICTLY_BETTER if better else Relation.STRICTLY_WORSE
             ctx = ctx.child(cand.attrs, mine)
 
-    return assemble_top_p(items, branch_better, p, theory.schema)
+    return assemble_top_p(candidates, branch_label, p, theory.schema)
 
 
 # ---------------------------------------------------------------------------

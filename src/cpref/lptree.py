@@ -10,6 +10,7 @@ enumerating the alternative space.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,9 +34,9 @@ from .semantics import (
     Relation,
     _bits,
     _closed_rows,
+    _dominators,
     _label_from,
     assemble_top_p,
-    check_top_p,
 )
 
 
@@ -312,12 +313,6 @@ def _branch(
             raise ValidationError("missing edge below node; tree is not valid")
 
 
-def _strictly_above(rows: tuple[int, ...], mine: int) -> list[int]:
-    """The label offsets strictly better than ``mine`` under closed ``rows``."""
-    own = rows[mine]
-    return [j for j, row in enumerate(rows) if row >> mine & 1 and not own >> j & 1]
-
-
 def decide(
     tree: LPTree, o: PartialInstantiation, o_prime: PartialInstantiation
 ) -> LPNode | None:
@@ -433,7 +428,7 @@ def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
     if not is_complete(tree):
         raise IncompleteTreeError("strict-cut counting requires a complete tree")
     return sum(
-        len(_strictly_above(_rule_rows(tree.schema, label, rule), mine)) * block
+        sum(1 for _ in _dominators(_rule_rows(tree.schema, label, rule), mine, True)) * block
         for _, label, mine, rule, block in _branch(tree, o)
     )
 
@@ -446,7 +441,7 @@ def strict_dominators(
     for trees that need not be complete."""
     schema = tree.schema
     steps = [
-        (label, mine, set(_strictly_above(_rule_rows(schema, label, rule), mine)))
+        (label, mine, set(_dominators(_rule_rows(schema, label, rule), mine, True)))
         for _, label, mine, rule, _ in _branch(tree, o)
     ]
     for other in schema.alternatives():
@@ -463,15 +458,4 @@ def top_p_lptree(
 ) -> tuple[PartialInstantiation, ...]:
     """Top-p sequence of the candidate set under the tree's relation; each
     pair is compared only when the ranking first asks about it."""
-    items = list(dict.fromkeys(candidates))
-    check_top_p(items, p)
-    verdicts: dict[tuple[PartialInstantiation, PartialInstantiation], bool] = {}
-
-    def better(a, b) -> bool:
-        if (a, b) not in verdicts:
-            label = compare_lptree(tree, a, b)
-            verdicts[(a, b)] = label is Relation.STRICTLY_BETTER
-            verdicts[(b, a)] = label is Relation.STRICTLY_WORSE
-        return verdicts[(a, b)]
-
-    return assemble_top_p(items, better, p, tree.schema)
+    return assemble_top_p(candidates, functools.partial(compare_lptree, tree), p, tree.schema)

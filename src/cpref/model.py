@@ -158,10 +158,6 @@ class AttributeSchema:
             bindings.append((a.name, a.values[digit]))
         return PartialInstantiation(self, tuple(bindings))
 
-    def sort_key(self, inst: PartialInstantiation) -> tuple[int, ...]:
-        """Canonical ordering key: domain positions in schema attribute order."""
-        return tuple(self.domain(n).index(v) for n, v in inst.bindings)
-
 
 @dataclass(frozen=True, eq=False)
 class PartialInstantiation:
@@ -582,11 +578,9 @@ class CPNet:
                 raise ValidationError(f"attribute {table.attribute!r} cannot parent itself")
             for p in table.parents:
                 self.schema.position(p)
-            expected = list(self.schema.instantiations(table.parents))
+            expected = set(self.schema.instantiations(table.parents))
             seen = [u for u, _ in table.rules]
-            if sorted(seen, key=self.schema.sort_key) != expected or len(seen) != len(
-                set(seen)
-            ):
+            if set(seen) != expected or len(seen) != len(expected):
                 raise ValidationError(
                     f"table for {table.attribute!r} must hold exactly one rule "
                     f"per parent instantiation"

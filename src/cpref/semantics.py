@@ -12,10 +12,10 @@ with bitset reach sets serves every whole-universe query.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     AttributeSchema,
@@ -71,26 +71,6 @@ class _BudgetExhausted:
 BUDGET_EXHAUSTED = _BudgetExhausted()
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Bounds on the reachability search: stored states and node expansions."""
-
-    max_states: int
-    max_expansions: int
-
-    def __post_init__(self):
-        if self.max_states <= 0 or self.max_expansions <= 0:
-            raise ValidationError("search budget bounds must be positive")
-
-    @classmethod
-    def unlimited(cls) -> SearchBudget:
-        return cls(2**63, 2**63)
-
-    @classmethod
-    def of(cls, n: int) -> SearchBudget:
-        return cls(n, n)
-
-
 # ---------------------------------------------------------------------------
 # The reachability engine
 #
@@ -122,6 +102,15 @@ def _closed_rows(succ: list[list[int]], n: int) -> tuple[int, ...]:
                             bits |= reach[comp[t]]
         reach.append(bits)
     return tuple(reach[comp[v]] for v in range(n))
+
+
+def _dominators(rows: Sequence[int], i: int, strict: bool = False) -> Iterator[int]:
+    """Indices, ascending, of the nodes other than ``i`` whose reach bitset
+    holds ``i`` (``strict``: and that ``i`` does not reach back)."""
+    own = rows[i]
+    for j, row in enumerate(rows):
+        if j != i and row >> i & 1 and not (strict and own >> j & 1):
+            yield j
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -202,11 +191,7 @@ class ExplicitPreorder:
     def dominators(self, o: PartialInstantiation, strict: bool = False) -> Iterator[int]:
         """Indices, ascending, of the alternatives other than ``o`` that are
         at least as good as it (``strict``: strictly better)."""
-        i = self.index_of(o)
-        own = self.rows[i]
-        for j, row in enumerate(self.rows):
-            if j != i and row >> i & 1 and not (strict and own >> j & 1):
-                yield j
+        return _dominators(self.rows, self.index_of(o), strict)
 
     def is_reflexive(self) -> bool:
         return all(row >> i & 1 for i, row in enumerate(self.rows))
@@ -301,24 +286,26 @@ def dominates(
     theory: CPTheory,
     o: PartialInstantiation,
     o_prime: PartialInstantiation,
-    budget: SearchBudget | None = None,
+    budget: int | None = None,
 ):
     """Decide ``o >= o'``: reflexively, or through a chain of worsening swaps.
 
-    Breadth-first reachability with a visited set.  Returns True, False, or
-    BUDGET_EXHAUSTED when the search was truncated; with an unlimited budget
-    the answer is exact.
+    Breadth-first reachability with a visited set.  ``budget`` bounds both
+    the stored states and the expansions.  Returns True, False, or
+    BUDGET_EXHAUSTED when the search was truncated; with no budget the answer
+    is exact.
     """
+    if budget is not None and budget <= 0:
+        raise ValidationError("search budget must be positive")
     if o == o_prime:
         return True
-    if budget is None:
-        budget = SearchBudget.unlimited()
+    limit = math.inf if budget is None else budget
     seen = {o}
     frontier: deque[PartialInstantiation] = deque((o,))
     expansions = 0
     truncated = False
     while frontier:
-        if expansions >= budget.max_expansions:
+        if expansions >= limit:
             truncated = True
             break
         current = frontier.popleft()
@@ -328,7 +315,7 @@ def dominates(
                 return True
             if successor in seen:
                 continue
-            if len(seen) >= budget.max_states:
+            if len(seen) >= limit:
                 truncated = True
                 continue
             seen.add(successor)
@@ -340,7 +327,7 @@ def compare(
     theory: CPTheory,
     o: PartialInstantiation,
     o_prime: PartialInstantiation,
-    budget: SearchBudget | None = None,
+    budget: int | None = None,
 ):
     """Four-way label for a distinct pair, from the two dominance directions.
 
@@ -554,18 +541,29 @@ def check_top_p(candidates: Sequence[PartialInstantiation], p: int) -> None:
 
 
 def assemble_top_p(
-    candidates: Sequence[PartialInstantiation],
-    strictly_better,
+    candidates: Iterable[PartialInstantiation],
+    label: Callable[[PartialInstantiation, PartialInstantiation], Relation],
     p: int,
     schema: AttributeSchema,
 ) -> tuple[PartialInstantiation, ...]:
     """Greedy maximal-first sequence satisfying the top-p contract.
 
-    ``strictly_better(a, b)`` must be an acyclic strict relation.  Ties among
-    maximal candidates break towards the canonically smallest alternative.
+    ``label(a, b)`` is the four-way relation of a distinct pair; its strict
+    part must be acyclic.  Each unordered pair is labelled at most once, when
+    the ranking first asks about it.  Ties among maximal candidates break
+    towards the canonically smallest alternative.
     """
-    remaining = sorted(dict.fromkeys(candidates), key=schema.sort_key)
+    remaining = sorted(dict.fromkeys(candidates), key=schema.offset)
     check_top_p(remaining, p)
+    verdicts: dict[tuple[PartialInstantiation, PartialInstantiation], bool] = {}
+
+    def strictly_better(a, b) -> bool:
+        if (a, b) not in verdicts:
+            relation = label(a, b)
+            verdicts[a, b] = relation is Relation.STRICTLY_BETTER
+            verdicts[b, a] = relation is Relation.STRICTLY_WORSE
+        return verdicts[a, b]
+
     out = []
     for _ in range(p):
         pick = next(
@@ -590,4 +588,4 @@ def top_p_general(
     items = list(dict.fromkeys(candidates))
     check_top_p(items, p)
     oracle = closure_oracle(theory, cap)
-    return assemble_top_p(items, oracle.strictly_better, p, theory.schema)
+    return assemble_top_p(items, oracle.label, p, theory.schema)

@@ -89,9 +89,11 @@ class _Parser:
     it is checked and built once per parse.
     """
 
-    def __init__(self):
-        self.schema: AttributeSchema | None = None
+    def __init__(self, schema: AttributeSchema | None = None):
+        self.schema = schema
         self.points: dict[tuple[str, ...], PartialInstantiation] = {}
+        if schema is not None:
+            self.use(schema)
 
     def load(self, text: str, first_line: int, end_line: int) -> None:
         """Tokenize ``text``, whose first line is ``first_line``; the end of
@@ -215,6 +217,17 @@ class _Parser:
                 break
             self.i += 1
         point = self.points[key] = self.schema.instantiation(bindings)
+        return point
+
+    def whole_point(self, text: str, line: int, total: bool) -> PartialInstantiation:
+        """``text``, on line ``line``, as one point and nothing else;
+        ``total``: the point must bind every attribute."""
+        self.load(text, line, line)
+        point = self.point()
+        self.expect_end()
+        if total and not point.is_total():
+            missing = set(self.schema.names) - point.var_set
+            self.fail(f"alternative leaves attributes unbound: {sorted(missing)}", 0)
         return point
 
     def formula(self, level: int = 0) -> Formula:
@@ -368,28 +381,30 @@ def parse_lptree(text: str) -> LPTree:
 
 
 def parse_instantiation(schema: AttributeSchema, text: str) -> PartialInstantiation:
-    parser = _Parser()
-    parser.load(text, 1, 1)
-    parser.use(schema)
-    point = parser.point()
-    parser.expect_end()
-    return point
+    return _Parser(schema).whole_point(text, 1, total=False)
 
 
 def parse_alternative(schema: AttributeSchema, text: str) -> PartialInstantiation:
-    inst = parse_instantiation(schema, text)
-    if not inst.is_total():
-        missing = set(schema.names) - inst.var_set
-        raise ParseError(f"alternative leaves attributes unbound: {sorted(missing)}", 1, 1)
-    return inst
+    return _Parser(schema).whole_point(text, 1, total=True)
+
+
+def parse_alternatives(schema: AttributeSchema, text: str) -> list[PartialInstantiation]:
+    """One alternative per line, under the lexical rules of a theory line:
+    blank and comment-only lines are skipped, and errors name the line."""
+    parser = _Parser(schema)
+    return [
+        parser.whole_point(raw, line_no, total=True)
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if _TOKEN_RE.match(raw)[1]
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-_LEVEL = {Iff: 0, Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5, Const: 5}
-_OP = {Iff: "<->", Implies: "->", Or: "or", And: "and"}
+_OP = {cls: op for op, (_, cls) in _BINARY.items()}
+_LEVEL = {cls: level for level, cls in _BINARY.values()} | {Not: 4, Atom: 5, Const: 5}
 
 
 def format_formula(f: Formula) -> str:

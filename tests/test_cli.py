@@ -125,6 +125,25 @@ def test_top(tmp_path, ex2_file):
     assert via_branches.status == 0
 
 
+def test_top_set_file_has_theory_line_syntax_and_errors_name_its_lines(tmp_path, ex2_file):
+    head = "# candidates\nW=nw,C=c2,P=p   # one\n\n  W=nw , C=c1 , P=np\n"
+    commented = _write(tmp_path, "commented.txt", head + "W=w,C=c3,P=np#three\n")
+    plain = _write(tmp_path, "plain.txt", "W=nw,C=c2,P=p\nW=nw,C=c1,P=np\nW=w,C=c3,P=np\n")
+    assert run(["top", ex2_file, "--set", commented, "-p", "2"]) == run(
+        ["top", ex2_file, "--set", plain, "-p", "2"]
+    )
+    bad_value = _write(tmp_path, "bad.txt", head + "W=w,C=c9,P=p\n")
+    result = run(["top", ex2_file, "--set", bad_value, "-p", "1"])
+    assert result.status == 2
+    assert result.diagnostics == "error: line 5, column 7: unknown value 'c9' for attribute 'C'"
+    unbound = _write(tmp_path, "unbound.txt", "W=nw,C=c2,P=p\nW=w,C=c1\n")
+    result = run(["top", ex2_file, "--set", unbound, "-p", "1"])
+    assert result.status == 2
+    assert result.diagnostics == (
+        "error: line 2, column 1: alternative leaves attributes unbound: ['P']"
+    )
+
+
 def test_optimal(tmp_path, ex2_file):
     best = run(["optimal", ex2_file, "--kind", "dominating"])
     assert best.status == 0 and best.report == "W=nw,C=c3,P=p"
@@ -241,7 +260,7 @@ def test_limits_exist_only_where_they_bound_something(tmp_path, ex2_file):
         result = run(argv)
         assert result.status == 2 and result.report == ""
         assert "unrecognized arguments" in result.diagnostics
-        assert "usage:" in result.diagnostics
+        assert f"usage: cpref {argv[0]} " in result.diagnostics
     assert not out.exists()
     alt = "W=w,C=c2,P=np"
     assert run(["cut", ex2_file, "--alt", alt, "--count", "--geq", "--cap", "100"]).status == 0

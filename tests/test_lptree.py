@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from cpref import lptree as lptree_module
 from cpref import (
     Atom,
     AttributeSchema,
+    ExplicitPreorder,
     IncompleteTreeError,
     LinkKind,
     LPNode,
@@ -24,6 +26,7 @@ from cpref import (
     strict_chain_rule,
     strict_cut_count,
     strict_dominators,
+    top_p_general,
     top_p_lptree,
     validate,
 )
@@ -489,7 +492,8 @@ def _with_oracle(seed, count, complete, max_attrs=4):
 
 
 def _oracle_dominators(oracle, o):
-    return [oracle.universe[j] for j in oracle.dominators(o, strict=True)]
+    # read pair by pair, not through the rows scan the tree queries share
+    return [o2 for o2 in oracle.universe if oracle.strictly_better(o2, o)]
 
 
 def test_strict_cut_count_matches_enumeration():
@@ -545,22 +549,50 @@ def test_top_p_contract_on_random_trees():
 
 
 def test_top_p_equals_ranking_on_every_pair_compared_first():
-    # The ranking compares a pair only when it first needs it; the reference
-    # compares every ordered pair up front.
+    # The ranking labels a pair only when it first needs it; the reference
+    # is handed every pair's label up front.
     from cpref.semantics import assemble_top_p
 
     rng = random.Random(131)
     for tree in _tree_sample(seed=131, count=30):
         universe = list(tree.schema.alternatives())
         candidates = rng.sample(universe, rng.randint(2, min(9, len(universe))))
-        strict = {
-            (a, b)
-            for a in candidates
-            for b in candidates
-            if a != b and compare_lptree(tree, a, b) is Relation.STRICTLY_BETTER
+        labels = {
+            (a, b): compare_lptree(tree, a, b) for a in candidates for b in candidates if a != b
         }
         for p in range(len(candidates)):
-            expected = assemble_top_p(
-                candidates, lambda a, b: (a, b) in strict, p, tree.schema
-            )
+            expected = assemble_top_p(candidates, lambda a, b: labels[a, b], p, tree.schema)
             assert top_p_lptree(tree, candidates, p) == expected
+
+
+def test_top_p_labels_each_unordered_pair_at_most_once(monkeypatch):
+    # Both routes share the ranking's one pair memo: the tree route labels
+    # through compare_lptree, the oracle route through ExplicitPreorder.label.
+    asked = []
+
+    def recording(original):
+        def label(*args):
+            asked.append(frozenset(args[-2:]))
+            return original(*args)
+
+        return label
+
+    monkeypatch.setattr(lptree_module, "compare_lptree", recording(compare_lptree))
+    monkeypatch.setattr(ExplicitPreorder, "label", recording(ExplicitPreorder.label))
+    rng = random.Random(137)
+    for tree in _tree_sample(seed=137, count=20):
+        theory = lptree_to_statements(tree)
+        universe = list(tree.schema.alternatives())
+        candidates = rng.sample(universe, rng.randint(2, min(9, len(universe))))
+        for p in range(1, len(candidates)):
+            answers = []
+            # ties break canonically, whatever order the candidates come in
+            for given in (candidates, candidates[::-1]):
+                for route in (
+                    lambda: top_p_lptree(tree, given, p),
+                    lambda: top_p_general(theory, given, p),
+                ):
+                    asked.clear()
+                    answers.append(route())
+                    assert asked and len(asked) == len(set(asked))
+            assert len(set(answers)) == 1

@@ -319,6 +319,20 @@ def test_cpnet_missing_rule_rejected():
         )
     with pytest.raises(ValidationError):  # not a permutation of the domain
         CPNet(s, (CPNetTable("A", (), ((s.empty_instantiation(), ("a", "a")),)),))
+    other = AttributeSchema.of([("A", ("a", "na")), ("Z", ("z", "nz"))])
+    a, na = s.instantiation({"A": "a"}), s.instantiation({"A": "na"})
+    for contexts in (
+        (other.instantiation({"A": "a", "Z": "z"}), na),  # binds an unknown attribute
+        (a, na, a),  # every parent context, one of them twice
+    ):
+        with pytest.raises(ValidationError):
+            CPNet(
+                s,
+                (
+                    CPNetTable("A", (), ((s.empty_instantiation(), ("a", "na")),)),
+                    CPNetTable("B", ("A",), tuple((u, ("b", "nb")) for u in contexts)),
+                ),
+            )
 
 
 def test_cpnet_roundtrip_invariants():

@@ -11,7 +11,6 @@ from cpref import (
     OptimumKind,
     OracleTooLargeError,
     Relation,
-    SearchBudget,
     ValidationError,
     closure_oracle,
     compare,
@@ -144,17 +143,22 @@ def test_dominates_budget_exhaustion_is_distinct():
     s = t.schema
     top, bottom = alt(s, A="a0"), alt(s, A="a5")
     assert dominates(t, top, bottom) is True
-    truncated = dominates(t, top, bottom, SearchBudget(max_states=2, max_expansions=2))
+    truncated = dominates(t, top, bottom, 2)
     assert truncated is BUDGET_EXHAUSTED
     with pytest.raises(TypeError):
         bool(truncated)
     # unreachable target with ample budget stays an exact "no"
-    assert dominates(t, bottom, top, SearchBudget.of(100)) is False
+    assert dominates(t, bottom, top, 100) is False
 
 
 def test_budget_must_be_positive():
-    with pytest.raises(ValidationError):
-        SearchBudget(0, 1)
+    t = _chain_theory()
+    top, bottom = alt(t.schema, A="a0"), alt(t.schema, A="a5")
+    for budget in (0, -1):
+        with pytest.raises(ValidationError):
+            dominates(t, top, bottom, budget)
+        with pytest.raises(ValidationError):
+            compare(t, top, bottom, budget)
 
 
 def test_compare_labels():
@@ -190,7 +194,7 @@ def test_compare_rejects_equal_alternatives():
 def test_compare_budget_exhausted():
     t = _chain_theory()
     s = t.schema
-    out = compare(t, alt(s, A="a0"), alt(s, A="a5"), SearchBudget(2, 2))
+    out = compare(t, alt(s, A="a0"), alt(s, A="a5"), 2)
     assert out is BUDGET_EXHAUSTED
 
 

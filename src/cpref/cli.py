@@ -89,7 +89,7 @@ def _cmd_compare(args) -> CommandResult:
     if isinstance(doc, lptree.LPTree):
         label = lptree.compare_lptree(doc, o, o_prime)
     else:
-        label = semantics.compare(doc, o, o_prime, args.budget or None)
+        label = semantics.compare(doc, o, o_prime, args.budget)
         if label is BUDGET_EXHAUSTED:
             return CommandResult(EXIT_EXHAUSTED, "budget-exhausted")
     return CommandResult(EXIT_OK, label.value)
@@ -116,7 +116,7 @@ def _cmd_top(args) -> CommandResult:
     candidates = textio.parse_alternatives(doc.schema, Path(args.set).read_text(encoding="utf-8"))
     if isinstance(doc, lptree.LPTree):
         sequence = lptree.top_p_lptree(doc, candidates, args.p)
-    elif args.lex_k:
+    elif args.lex_k is not None:
         sequence = lexcompat.top_p_lexcompat(doc, args.lex_k, candidates, args.p)
     else:
         sequence = semantics.top_p_general(doc, candidates, args.p, args.cap)
@@ -258,7 +258,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", required=True, metavar="ALT", help="first alternative, e.g. A=a,B=b")
     p.add_argument("-p", required=True, metavar="ALT", help="second alternative")
     p.add_argument(
-        "--budget", type=int, default=0, help="dominance search budget (states and expansions)"
+        "--budget", type=int, help="dominance search budget (states and expansions)"
     )
     p.set_defaults(func=_cmd_compare)
 
@@ -278,7 +278,6 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--lex-k",
         type=int,
-        default=0,
         metavar="K",
         help="answer through one tree branch per pair (theory must be K-lexico-compatible)",
     )

@@ -10,36 +10,34 @@ checker certifies the result node by node against every relevant statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import itertools
 import math
 
 from .model import (
+    And,
     Atom,
     CPStatement,
     CPTheory,
-    Formula,
     PartialInstantiation,
     TRUE,
     AttributeSchema,
     ValidationError,
     _consistent,
     consistent_with,
-    eval_formula,
 )
 from .lptree import (
     IncompleteTreeError,
     LPNode,
     LPTree,
-    _label_index,
     _rule_rows,
     is_complete,
     iter_nodes,
     strict_chain_rule,
     validate,
 )
-from .semantics import Relation, assemble_top_p
+from .semantics import Relation, _swaps, assemble_top_p
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -116,50 +114,6 @@ def phi_at_node(
     )
 
 
-def _forced_pairs(
-    statement: CPStatement,
-    schema: AttributeSchema,
-    label: tuple[str, ...],
-    assigned: Mapping[str, str],
-) -> Iterator[tuple[int, int]]:
-    """Ordered pairs of label instantiations the statement forces strictly
-    at a node whose path fixes the values ``assigned``, each instantiation
-    numbered by its position in canonical order (its mixed-radix offset
-    within the label, as in ``lptree._label_index``).
-
-    t must be compatible with the better side, t' with the worse side, and
-    both must agree outside the statement's free and swapped attributes; the
-    condition must be satisfiable together with the path values and t.
-    """
-    better = worse = 0
-    conditioned: list[tuple[str, int, tuple[str, ...]]] = []
-    shared = [0]  # offsets over label attributes t and t' must agree on
-    free = [0]
-    stride = 1
-    for a in reversed(label):
-        domain = schema.domain(a)
-        if a in statement.swapped:
-            better += domain.index(statement.better[a]) * stride
-            worse += domain.index(statement.worse[a]) * stride
-        elif a in statement.free:
-            free = [f + d * stride for f in free for d in range(len(domain))]
-        elif a in statement.condition_vars:
-            conditioned.append((a, stride, domain))
-        else:
-            shared = [r + d * stride for r in shared for d in range(len(domain))]
-        stride *= len(domain)
-    for combo in itertools.product(*(range(len(d)) for _, _, d in conditioned)):
-        values = dict(assigned)
-        values.update((a, d[i]) for (a, _, d), i in zip(conditioned, combo))
-        if not _consistent(statement.condition, values, schema):
-            continue
-        base = sum(i * st for (_, st, _), i in zip(conditioned, combo))
-        for r in shared:
-            for f in free:
-                for g in free:
-                    yield base + r + better + f, base + r + worse + g
-
-
 def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
     """Total order respecting the edges, smallest index first; None on cycle."""
     succ: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -218,7 +172,10 @@ def choose_attribute(
             forced: set[tuple[int, int]] = set()
             for s in active:
                 if s.swapped & t_set:
-                    forced.update(_forced_pairs(s, schema, combo, assigned))
+                    bases, better, worse, free = _swaps(s, schema, combo, assigned)
+                    forced.update(
+                        (b + better + f, b + worse + g) for b in bases for f in free for g in free
+                    )
             n = math.prod(len(schema.domain(a)) for a in combo)
             order = _deterministic_toposort(n, forced)
             if order is None:
@@ -294,45 +251,24 @@ def extends_check(theory: CPTheory, tree: LPTree) -> bool:
     for node, path in iter_nodes(tree):
         label = schema.ordered(node.label)
         ctx = NodeContext(path.ancestors, path.assigned)
+        assigned = dict(path.assigned.bindings)
         for s in theory.statements:
             if not relevant(s, ctx, label):
                 continue
             if s.free & ctx.ancestors:
                 return False
-            if not _rules_respect_statement(schema, node, path, s, label):
-                return False
-    return True
-
-
-def _rules_respect_statement(schema, node, path, statement, label) -> bool:
-    u_vars = schema.ordered(statement.condition_vars)
-    rest = [
-        a
-        for a in label
-        if a not in statement.condition_vars
-        and a not in statement.free
-        and a not in statement.swapped
-    ]
-    # Free values outside the label leave the label positions below unchanged.
-    free_here = [a for a in label if a in statement.free]
-    for rule in node.rules:
-        rows = _rule_rows(schema, label, rule)
-        for u in schema.instantiations(u_vars):
-            if not eval_formula(u, statement.condition):
-                continue
-            if not u.compatible(path.assigned):
-                continue
-            if not consistent_with(rule.condition, u.combine(path.assigned)):
-                continue
-            for s_part in schema.instantiations(rest):
-                for v1 in schema.instantiations(free_here):
-                    for v2 in schema.instantiations(free_here):
-                        left = u.combine(s_part, v1, statement.better)
-                        right = u.combine(s_part, v2, statement.worse)
-                        i = _label_index(schema, label, left)
-                        j = _label_index(schema, label, right)
-                        if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
-                            return False
+            for rule in node.rules:
+                rows = _rule_rows(schema, label, rule)
+                bases, better, worse, free = _swaps(
+                    s, schema, label, assigned, And(s.condition, rule.condition)
+                )
+                for b in bases:
+                    for f in free:
+                        i = b + better + f
+                        for g in free:
+                            j = b + worse + g
+                            if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
+                                return False
     return True
 
 
@@ -350,6 +286,8 @@ def top_p_lexcompat(
     the whole tree: each pair follows the single branch along its shared
     values until a chosen label separates it.  Each node on those branches
     is labelled once per call, however many pairs pass through it."""
+    if k < 1:
+        raise ValidationError("label width must be at least 1")
     labels: dict[NodeContext, tuple[CandidateLabel, tuple[CPStatement, ...], dict]] = {}
 
     def label_at(ctx: NodeContext, above: tuple[CPStatement, ...] | None):

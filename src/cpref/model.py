@@ -211,11 +211,6 @@ class PartialInstantiation:
             self.schema, tuple(b for b in self.bindings if b[0] in keep)
         )
 
-    def compatible(self, other: PartialInstantiation) -> bool:
-        """True iff the two assignments agree on every shared attribute."""
-        small, large = sorted((self, other), key=len)
-        return all(large.get(n) in (None, v) for n, v in small.bindings)
-
     def extends(self, other: PartialInstantiation) -> bool:
         """True iff every binding of ``other`` is also a binding of this one."""
         return all(self.get(n) == v for n, v in other.bindings)
@@ -223,15 +218,6 @@ class PartialInstantiation:
     def override(self, other: PartialInstantiation) -> PartialInstantiation:
         """A copy with ``other``'s bindings replacing or extending this one's."""
         merged = {**self._mapping, **other._mapping}
-        return PartialInstantiation(self.schema, self.schema._in_order(merged))
-
-    def combine(self, *others: PartialInstantiation) -> PartialInstantiation:
-        """Union of disjoint-or-agreeing assignments; conflict is an error."""
-        merged = dict(self._mapping)
-        for other in others:
-            for n, v in other.bindings:
-                if merged.setdefault(n, v) != v:
-                    raise ValidationError(f"conflicting values for {n!r}")
         return PartialInstantiation(self.schema, self.schema._in_order(merged))
 
     def __repr__(self):

@@ -15,14 +15,16 @@ import enum
 import math
 from collections import deque
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     AttributeSchema,
     CPStatement,
     CPTheory,
+    Formula,
     PartialInstantiation,
     ValidationError,
+    _consistent,
     eval_formula,
     strong_components,
 )
@@ -354,42 +356,63 @@ def _check_cap(schema: AttributeSchema, cap: int) -> None:
         )
 
 
-def _offsets(schema: AttributeSchema, attrs: Iterable[str]) -> list[int]:
-    """Index offsets of every instantiation of ``attrs``."""
-    out = [0]
-    for a in attrs:
-        stride = schema.strides[schema.position(a)]
-        steps = range(0, len(schema.domain(a)) * stride, stride)
-        out = [o + step for o in out for step in steps]
-    return out
+def _swaps(
+    statement: CPStatement,
+    schema: AttributeSchema,
+    attrs: Sequence[str],
+    fixed: Mapping[str, str],
+    condition: Formula | None = None,
+) -> tuple[list[int], int, int, list[int]]:
+    """The statement's swaps as offsets over ``attrs`` (in schema order,
+    numbered in mixed radix with the first attribute slowest), with
+    ``fixed`` the values known outside them.
+
+    Returns ``(bases, better, worse, free)``: ``base + better + f`` swaps to
+    ``base + worse + g`` for every base and every f, g in ``free``.  A base
+    fixes the remaining positions, and is kept when ``condition`` (default:
+    the statement's) is satisfiable together with ``fixed`` and the base's
+    condition values.
+    """
+    if condition is None:
+        condition = statement.condition
+    u = None  # the condition's variables, read once an attribute needs them
+    better = worse = 0
+    # shared: positions both sides keep; free: positions either side sets
+    # freely; points: condition digits, as (offset, bindings)
+    shared, free, points = [0], [0], [(0, ())]
+    stride = 1
+    for a in reversed(attrs):
+        domain = schema.domain(a)
+        steps = range(0, len(domain) * stride, stride)
+        if a in statement.swapped:
+            better += domain.index(statement.better[a]) * stride
+            worse += domain.index(statement.worse[a]) * stride
+        elif a in statement.free:
+            free = [f + step for step in steps for f in free]
+        elif a in (u := condition.variables() if u is None else u):
+            points = [(o + step, ((a, v), *p)) for step, v in zip(steps, domain) for o, p in points]
+        else:
+            shared = [r + step for step in steps for r in shared]
+        stride *= len(domain)
+    kept = [o for o, p in points if _consistent(condition, {**fixed, **dict(p)}, schema)]
+    return [c + r for c in kept for r in shared], better, worse, free
 
 
 def _swap_graph(theory: CPTheory, cap: int) -> list[list[int]]:
     """Successor lists of the sanctioned-swap graph over alternative indices;
     a universe beyond the cap is refused before anything is allocated.
 
-    A statement's swap moves an index by the worse-minus-better offset of the
-    swapped attributes, from every source whose condition digits satisfy the
-    condition.  Sources that differ only on the statement's free attributes
-    share their targets, so each such group is linked through one relay node
-    numbered past the alternatives: 2·|F| edges instead of |F|² for a group
-    of |F| free combinations.
+    Sources that differ only on a statement's free attributes share their
+    targets, so each such group is linked through one relay node numbered
+    past the alternatives: 2·|F| edges instead of |F|² for a group of |F|
+    free combinations.
     """
     schema = theory.schema
     _check_cap(schema, cap)
     succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
     for s in theory.statements:
-        satisfying = [
-            schema.offset(u)
-            for u in schema.instantiations(s.condition_vars)
-            if s.condition.evaluate(u)
-        ]
-        rest = _offsets(
-            schema, schema.ordered(set(schema.names) - s.condition_vars - s.swapped - s.free)
-        )
-        free = _offsets(schema, s.free)
-        better, worse = schema.offset(s.better), schema.offset(s.worse)
-        for base in (c + r for c in satisfying for r in rest):
+        bases, better, worse, free = _swaps(s, schema, schema.names, {})
+        for base in bases:
             if len(free) == 1:
                 succ[base + better].append(base + worse)
                 continue

@@ -34,6 +34,7 @@ from cpref import (
 )
 from cpref import lexcompat
 from cpref.lptree import _label_index, iter_nodes
+from cpref.semantics import _swaps
 from helpers import random_lptree, random_schema, random_theory
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=200)
@@ -150,8 +151,9 @@ def test_forced_pairs_equal_the_swaps_between_alternatives_on_the_branch():
                 for o2 in branch
                 if sanctions(s, o, o2)
             }
-            forced = lexcompat._forced_pairs(s, schema, label, dict(path.bindings))
-            assert set(forced) == swaps
+            bases, better, worse, free = _swaps(s, schema, label, dict(path.bindings))
+            forced = {(b + better + f, b + worse + g) for b in bases for f in free for g in free}
+            assert forced == swaps
             checked += 1
     assert checked > 100
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -297,6 +298,15 @@ def test_cli_answers_match_library(tmp_path, ex2_file):
     ).report == str(count)
 
 
+def _child_env():
+    """This environment with the checkout's sources first on PYTHONPATH, so
+    that a child interpreter imports cpref without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "t.cpt"
     path.write_text(SINGLE)
@@ -304,6 +314,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "cpref", "linearisable", str(path)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "linearisable: yes"
@@ -333,12 +344,6 @@ def test_default_cap_refuses_before_allocating(tmp_path):
 
 
 def test_cli_import_loads_no_numerical_libraries(tmp_path):
-    import os
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # With numpy blocked, the whole-relation queries and the preorder encoding
     # must still answer: cpref has no runtime dependency.
     probe = """\
@@ -365,7 +370,7 @@ print(len(preorder_to_cp(ExplicitPreorder.from_pairs(schema, [(first, second)]))
         [sys.executable, "-c", probe, base, extended],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "1"]
@@ -421,6 +426,20 @@ def test_top_rejects_a_negative_size(tmp_path, ex2_file):
         result = run(argv)
         assert result.status == 2 and result.report == ""
         assert "negative" in result.diagnostics
+
+
+def test_a_zero_or_negative_limit_is_refused(tmp_path, ex2_file):
+    sets = _write(tmp_path, "set.txt", "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n")
+    pair = ["-o", "W=w,C=c1,P=p", "-p", "W=nw,C=c1,P=p"]
+    for limit in ("0", "-1"):
+        for argv in (
+            ["compare", ex2_file, *pair, "--budget", limit],
+            ["top", ex2_file, "--set", sets, "-p", "1", "--lex-k", limit],
+            ["top", ex2_file, "--set", sets, "-p", "0", "--lex-k", limit],
+        ):
+            result = run(argv)
+            assert result.status == 2 and result.report == "", argv
+            assert "must be positive" in result.diagnostics or "at least 1" in result.diagnostics
 
 
 def test_top_checks_the_size_before_building_the_relation(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -13,6 +14,7 @@ from cpref import (
     NodeBudgetError,
     NodeContext,
     NotLexicoCompatibleError,
+    Or,
     TRUE,
     ValidationError,
     build_complete_lptree,
@@ -36,6 +38,7 @@ from helpers import (
     ex2_theory,
     random_lptree,
     random_schema,
+    random_theory,
 )
 
 
@@ -290,20 +293,49 @@ def test_extends_check_requires_complete_tree():
         extends_check(ex2_theory(), partial)
 
 
+def _merged_swaps(theory):
+    """The theory with the statements that share a swap and free set merged
+    into one, whose condition is the disjunction of theirs: the same swaps.
+    Sibling nodes of a tree give disjuncts that differ in their path values."""
+    groups = {}
+    for s in theory.statements:
+        groups.setdefault((s.better, s.worse, s.free), []).append(s.condition)
+    return CPTheory(
+        theory.schema,
+        tuple(CPStatement(reduce(Or, cs), free, b, w) for (b, w, free), cs in groups.items()),
+    )
+
+
 def test_extends_check_matches_oracle_inclusion():
+    """Seeded theories against complete trees: translations of other trees,
+    random theories (free attributes, disjunctive conditions), truncated
+    translations of the same or another tree with shared swaps merged, and
+    random theories against the tree the builder compiles from them, if it
+    compiles one."""
     rng = random.Random(223)
-    checked = 0
-    while checked < 12:
-        schema = random_schema(rng, max_attrs=3, max_domain=3)
+    verdicts = {kind: set() for kind in range(4)}
+    for i in range(160):
+        kind = i % 4
+        schema = random_schema(rng, max_attrs=4, max_domain=3)
         tree = random_lptree(rng, schema, k=2, complete=True)
-        theory = lptree_to_statements(
-            random_lptree(rng, schema, k=2, complete=True)
-        )
+        if kind == 0:
+            theory = lptree_to_statements(random_lptree(rng, schema, k=2, complete=True))
+        elif kind == 2:
+            source = tree if rng.random() < 0.5 else random_lptree(rng, schema, k=2, complete=True)
+            statements = lptree_to_statements(source).statements
+            theory = _merged_swaps(
+                CPTheory(schema, tuple(rng.sample(statements, rng.randint(0, len(statements)))))
+            )
+        else:
+            theory = random_theory(rng, schema, max_statements=6 if kind == 1 else 4)
+            if kind == 3:
+                tree = build_complete_lptree(theory, rng.choice((1, 2))) or tree
         expected = closure_oracle(lptree_to_statements(tree)).extends(
             closure_oracle(theory)
         )
-        assert extends_check(theory, tree) == expected
-        checked += 1
+        assert extends_check(theory, tree) == expected, (theory, tree)
+        verdicts[kind].add(expected)
+    assert all(seen == {True, False} for seen in verdicts.values())
 
 
 # ---------------------------------------------------------------------------

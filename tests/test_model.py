@@ -78,25 +78,19 @@ def test_restriction_compatibility_extension():
     o = alt(s, W="nw", C="c2", P="p")
     assert o.restrict(["C"]) == s.instantiation({"C": "c2"})
     assert o.extends(s.instantiation({"W": "nw", "P": "p"}))
-    assert o.compatible(s.instantiation({"C": "c2"}))
-    assert not o.compatible(s.instantiation({"C": "c1"}))
 
 
-def test_override_and_combine_keep_schema_order():
+def test_override_keeps_schema_order():
     s = ex2_schema()
     p = s.instantiation({"P": "p"})
     wc = s.instantiation({"W": "w", "C": "c3"})
     assert p.override(wc).bindings == (("W", "w"), ("C", "c3"), ("P", "p"))
     assert wc.override(s.instantiation({"C": "c1"})).bindings == (("W", "w"), ("C", "c1"))
-    assert p.combine(wc) == p.override(wc)
-    with pytest.raises(ValidationError, match="conflicting"):
-        wc.combine(s.instantiation({"C": "c1"}))
     # an instantiation built around the validating constructor still names
     # its unknown attribute
     stray = PartialInstantiation(s, (("X", "x"),))
-    for merge in (p.override, p.combine):
-        with pytest.raises(ValidationError, match="unknown attribute 'X'"):
-            merge(stray)
+    with pytest.raises(ValidationError, match="unknown attribute 'X'"):
+        p.override(stray)
     with pytest.raises(ValidationError, match="unknown attribute 'X'"):
         s.instantiation({"W": "w", "X": "x"})
 
@@ -117,7 +111,6 @@ def test_restriction_properties(case):
     r = o.restrict(attrs)
     assert r.var_set == set(attrs)
     assert o.extends(r)
-    assert r.compatible(o) and o.compatible(r)
     assert r.restrict(attrs) == r
 
 

@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+def _positive_int(text: str) -> int:
+    """A limit option's value: a positive integer, whatever the document."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -258,7 +269,9 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", required=True, metavar="ALT", help="first alternative, e.g. A=a,B=b")
     p.add_argument("-p", required=True, metavar="ALT", help="second alternative")
     p.add_argument(
-        "--budget", type=int, help="dominance search budget (states and expansions)"
+        "--budget",
+        type=_positive_int,
+        help="dominance search budget (states and expansions)",
     )
     p.set_defaults(func=_cmd_compare)
 
@@ -277,7 +290,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-p", type=int, required=True)
     p.add_argument(
         "--lex-k",
-        type=int,
+        type=_positive_int,
         metavar="K",
         help="answer through one tree branch per pair (theory must be K-lexico-compatible)",
     )

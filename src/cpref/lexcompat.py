@@ -252,13 +252,13 @@ def extends_check(theory: CPTheory, tree: LPTree) -> bool:
         label = schema.ordered(node.label)
         ctx = NodeContext(path.ancestors, path.assigned)
         assigned = dict(path.assigned.bindings)
+        closed = [(rule, _rule_rows(schema, label, rule)) for rule in node.rules]
         for s in theory.statements:
             if not relevant(s, ctx, label):
                 continue
             if s.free & ctx.ancestors:
                 return False
-            for rule in node.rules:
-                rows = _rule_rows(schema, label, rule)
+            for rule, rows in closed:
                 bases, better, worse, free = _swaps(
                     s, schema, label, assigned, And(s.condition, rule.condition)
                 )

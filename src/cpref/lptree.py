@@ -390,7 +390,9 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
     shares; all attributes below or beside the node are free.  Pinning the
     shared label values keeps each statement sanctioning exactly the pairs
     the node decides with that verdict; projecting them away instead would
-    also sanction pairs the rule never ordered.
+    also sanction pairs the rule never ordered.  The tree must be valid
+    (:func:`validate`): statements built from its parts are not checked
+    again.
     """
     schema = tree.schema
     all_names = set(schema.names)
@@ -409,7 +411,7 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
                     parts = (rule.condition, path_formula, instantiation_formula(shared))
                     cond = conjunction(p for p in parts if p != TRUE)
                     statements.append(
-                        CPStatement(cond, free, w.restrict(diff), w_prime.restrict(diff))
+                        CPStatement._trusted(cond, free, w.restrict(diff), w_prime.restrict(diff))
                     )
     return CPTheory(schema, tuple(statements))
 

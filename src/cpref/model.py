@@ -493,6 +493,24 @@ class CPStatement:
             schema.instantiation(worse),
         )
 
+    @classmethod
+    def _trusted(
+        cls,
+        condition: Formula,
+        free: frozenset[str],
+        better: PartialInstantiation,
+        worse: PartialInstantiation,
+    ) -> CPStatement:
+        """A statement from parts known to meet the checks of
+        ``__post_init__``, such as parts read off a validated tree; the
+        checks are not run again."""
+        statement = object.__new__(cls)
+        object.__setattr__(statement, "condition", condition)
+        object.__setattr__(statement, "free", free)
+        object.__setattr__(statement, "better", better)
+        object.__setattr__(statement, "worse", worse)
+        return statement
+
     @property
     def schema(self) -> AttributeSchema:
         return self.better.schema

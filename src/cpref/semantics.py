@@ -2,11 +2,12 @@
 
 A statement sanctions worsening swaps between alternatives; the induced
 preference relation is the reflexive-transitive closure of all sanctioned
-swaps.  Dominance is decided by budgeted breadth-first reachability, and the
-exhaustive closure oracle materialises the whole relation at desk scale to
-answer the query catalogue exactly: swaps become index arithmetic over the
-alternatives' mixed-radix indices, and one strongly-connected-component pass
-with bitset reach sets serves every whole-universe query.
+swaps.  Swaps are index arithmetic over the alternatives' mixed-radix
+indices.  Dominance is decided by budgeted breadth-first reachability over
+those indices, and the exhaustive closure oracle materialises the whole
+relation at desk scale to answer the query catalogue exactly: one
+strongly-connected-component pass with bitset reach sets serves every
+whole-universe query.
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ def worsening_successors(
     theory: CPTheory, o: PartialInstantiation
 ) -> tuple[PartialInstantiation, ...]:
     """All alternatives one sanctioned swap below ``o``, deduplicated, in
-    deterministic statement-then-instantiation order."""
+    deterministic statement-then-instantiation order; the object-level
+    reference for the index search of :func:`dominates`."""
     out: dict[PartialInstantiation, None] = {}
     for s in theory.statements:
         if not o.extends(s.better):
@@ -284,26 +286,111 @@ def worsening_successors(
     return tuple(out)
 
 
+def _index_statements(theory: CPTheory) -> list[tuple]:
+    """The theory's statements as arithmetic on alternatives' mixed-radix
+    indices, in theory order.
+
+    Each is ``(swap, delta, free, free_offsets, condition)``.  The statement
+    applies to index ``o`` when ``o // stride % radix == digit`` for every
+    ``(stride, radix, digit)`` of ``swap`` (the better side's digits) and
+    ``condition`` holds, or is None for a true condition; it then swaps
+    ``o`` to ``o + delta`` (the worse side) with the digits of ``free``
+    (stride and radix of each free attribute) cleared, plus each of
+    ``free_offsets``, ascending.  A statement whose condition has no
+    variables and is false sanctions nothing and is left out.  Nothing
+    compiled here outlives its caller.
+    """
+    schema = theory.schema
+
+    def digits(attrs):
+        for a in schema.ordered(attrs):
+            i = schema.position(a)
+            yield a, schema.strides[i], schema.attributes[i].values
+
+    out = []
+    for s in theory.statements:
+        swap, delta = [], 0
+        for a, stride, values in digits(s.swapped):
+            better = values.index(s.better[a])
+            swap.append((stride, len(values), better))
+            delta += (values.index(s.worse[a]) - better) * stride
+        free, free_offsets = [], [0]
+        for _, stride, values in digits(s.free):
+            free.append((stride, len(values)))
+            free_offsets = [f + d * stride for f in free_offsets for d in range(len(values))]
+        if s.condition.variables():
+            condition = _condition_test(s.condition, list(digits(s.condition.variables())))
+        elif s.condition.evaluate({}):
+            condition = None
+        else:
+            continue
+        out.append((swap, delta, free, free_offsets, condition))
+    return out
+
+
+def _condition_test(formula: Formula, digits: list) -> Callable[[int], bool]:
+    """``formula`` as a test of an index, memoised on the digits of its
+    attributes (``digits``: the name, stride and values of each)."""
+    memo: dict[tuple[int, ...], bool] = {}
+    places = [(stride, len(values)) for _, stride, values in digits]
+
+    def holds(o: int) -> bool:
+        key = tuple(o // stride % radix for stride, radix in places)
+        if key not in memo:
+            memo[key] = formula.evaluate(
+                {a: values[d] for (a, _, values), d in zip(digits, key)}
+            )
+        return memo[key]
+
+    return holds
+
+
+def _index_successors(statements: Sequence[tuple], o: int) -> list[int]:
+    """The indices one sanctioned swap below index ``o``, deduplicated, in
+    the order of :func:`worsening_successors`: statements in theory order,
+    then free offsets ascending."""
+    out: dict[int, None] = {}
+    for swap, delta, free, free_offsets, condition in statements:
+        for stride, radix, digit in swap:
+            if o // stride % radix != digit:
+                break
+        else:
+            if condition is None or condition(o):
+                base = o + delta
+                for stride, radix in free:
+                    base -= o // stride % radix * stride
+                for f in free_offsets:
+                    out[base + f] = None
+    return list(out)
+
+
 def dominates(
     theory: CPTheory,
     o: PartialInstantiation,
     o_prime: PartialInstantiation,
     budget: int | None = None,
+    *,
+    _statements: Sequence[tuple] | None = None,
 ):
     """Decide ``o >= o'``: reflexively, or through a chain of worsening swaps.
 
-    Breadth-first reachability with a visited set.  ``budget`` bounds both
-    the stored states and the expansions.  Returns True, False, or
-    BUDGET_EXHAUSTED when the search was truncated; with no budget the answer
-    is exact.
+    Breadth-first reachability over mixed-radix indices with a visited set,
+    expanding states in the order of :func:`worsening_successors`.
+    ``budget`` bounds both the stored states and the expansions.  Returns
+    True, False, or BUDGET_EXHAUSTED when the search was truncated; with no
+    budget the answer is exact.  :func:`compare` passes ``_statements``, the
+    theory's index form, so that both of its directions share one.
     """
     if budget is not None and budget <= 0:
         raise ValidationError("search budget must be positive")
     if o == o_prime:
         return True
+    schema = theory.schema
+    source, target = _alternative_index(schema, o), _alternative_index(schema, o_prime)
+    statements = _index_statements(theory) if _statements is None else _statements
     limit = math.inf if budget is None else budget
-    seen = {o}
-    frontier: deque[PartialInstantiation] = deque((o,))
+    seen = {source}
+    frontier: deque[int] = deque((source,))
     expansions = 0
     truncated = False
     while frontier:
@@ -312,8 +399,8 @@ def dominates(
             break
         current = frontier.popleft()
         expansions += 1
-        for successor in worsening_successors(theory, current):
-            if successor == o_prime:
+        for successor in _index_successors(statements, current):
+            if successor == target:
                 return True
             if successor in seen:
                 continue
@@ -331,14 +418,16 @@ def compare(
     o_prime: PartialInstantiation,
     budget: int | None = None,
 ):
-    """Four-way label for a distinct pair, from the two dominance directions.
+    """Four-way label for a distinct pair, from the two dominance directions,
+    which share one compilation of the statements.
 
     Returns a Relation, or BUDGET_EXHAUSTED if either direction was truncated.
     """
     if o == o_prime:
         raise ValidationError("compare is defined for distinct alternatives only")
-    forward = dominates(theory, o, o_prime, budget)
-    backward = dominates(theory, o_prime, o, budget)
+    statements = _index_statements(theory)
+    forward = dominates(theory, o, o_prime, budget, _statements=statements)
+    backward = dominates(theory, o_prime, o, budget, _statements=statements)
     if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
         return BUDGET_EXHAUSTED
     return _label_from(forward, backward)

@@ -429,17 +429,24 @@ def test_top_rejects_a_negative_size(tmp_path, ex2_file):
 
 
 def test_a_zero_or_negative_limit_is_refused(tmp_path, ex2_file):
-    sets = _write(tmp_path, "set.txt", "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n")
-    pair = ["-o", "W=w,C=c1,P=p", "-p", "W=nw,C=c1,P=p"]
-    for limit in ("0", "-1"):
-        for argv in (
-            ["compare", ex2_file, *pair, "--budget", limit],
-            ["top", ex2_file, "--set", sets, "-p", "1", "--lex-k", limit],
-            ["top", ex2_file, "--set", sets, "-p", "0", "--lex-k", limit],
-        ):
-            result = run(argv)
-            assert result.status == 2 and result.report == "", argv
-            assert "must be positive" in result.diagnostics or "at least 1" in result.diagnostics
+    tree_file = _write(tmp_path, "lex.lpt", LEX_TREE)
+    documents = (
+        (ex2_file, "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n", ["-o", "W=w,C=c1,P=p", "-p", "W=nw,C=c1,P=p"]),
+        (tree_file, "A=a,B=b\nA=na,B=nb\n", ["-o", "A=a,B=nb", "-p", "A=na,B=b"]),
+    )
+    for doc, candidates, pair in documents:
+        sets = _write(tmp_path, "set.txt", candidates)
+        for limit in ("0", "-1", "-5"):
+            for argv in (
+                ["compare", doc, *pair, "--budget", limit],
+                ["top", doc, "--set", sets, "-p", "1", "--lex-k", limit],
+                ["top", doc, "--set", sets, "-p", "0", "--lex-k", limit],
+            ):
+                result = run(argv)
+                assert result.status == 2 and result.report == "", argv
+                assert "must be positive" in result.diagnostics, argv
+            assert run(["compare", doc, *pair, "--budget", "1"]).status in (0, 3)
+            assert run(["top", doc, "--set", sets, "-p", "1", "--lex-k", "1"]).status == 0
 
 
 def test_top_checks_the_size_before_building_the_relation(tmp_path):

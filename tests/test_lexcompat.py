@@ -278,6 +278,28 @@ def test_extends_check_rejects_wrong_root_order():
     ).extends(closure_oracle(t))
 
 
+def test_extends_check_closes_each_rule_once(monkeypatch):
+    import cpref.lexcompat as lexcompat
+    from cpref.lptree import iter_nodes
+
+    calls = []
+    closes = lexcompat._rule_rows
+
+    def counting(schema, label, rule):
+        calls.append(rule)
+        return closes(schema, label, rule)
+
+    monkeypatch.setattr(lexcompat, "_rule_rows", counting)
+    rng = random.Random(227)
+    for _ in range(10):
+        schema = random_schema(rng, max_attrs=3, max_domain=3)
+        tree = random_lptree(rng, schema, k=2, complete=True)
+        theory = lptree_to_statements(tree)
+        calls.clear()
+        assert extends_check(theory, tree)
+        assert len(calls) == sum(len(node.rules) for node, _ in iter_nodes(tree))
+
+
 def test_extends_check_empty_theory():
     empty = CPTheory(ex2_schema(), ())
     assert extends_check(empty, _w_first_tree(("w", "nw")))

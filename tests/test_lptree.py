@@ -452,6 +452,19 @@ def test_translation_statements_are_well_formed():
             assert all(stmt.better[a] != stmt.worse[a] for a in w)
 
 
+def test_translation_builds_what_the_validated_constructor_builds(monkeypatch):
+    from cpref import CPStatement
+
+    trees = _tree_sample(seed=113, count=15) + _tree_sample(seed=127, count=15, complete=True)
+    trusted = [lptree_to_statements(tree).statements for tree in trees]
+    # the same translation with every statement built and checked by __init__
+    monkeypatch.setattr(CPStatement, "_trusted", classmethod(lambda cls, *parts: cls(*parts)))
+    checked = [lptree_to_statements(tree).statements for tree in trees]
+    assert checked == trusted
+    assert [list(map(hash, t)) for t in checked] == [list(map(hash, t)) for t in trusted]
+    assert sum(map(len, trusted)) > 500
+
+
 # ---------------------------------------------------------------------------
 # Counting
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -8,6 +9,11 @@ from cpref import (
     BUDGET_EXHAUSTED,
     CPStatement,
     CPTheory,
+    DEFAULT_ORACLE_CAP,
+    FALSE,
+    Iff,
+    Not,
+    Or,
     OptimumKind,
     OracleTooLargeError,
     Relation,
@@ -25,6 +31,8 @@ from cpref import (
     undominated_check,
     worsening_successors,
 )
+from cpref import semantics
+from cpref.semantics import _index_statements, _index_successors
 from helpers import (
     alt,
     ex2_schema,
@@ -196,6 +204,158 @@ def test_compare_budget_exhausted():
     s = t.schema
     out = compare(t, alt(s, A="a0"), alt(s, A="a5"), 2)
     assert out is BUDGET_EXHAUSTED
+
+
+# ---------------------------------------------------------------------------
+# Dominance over indices against the object-level search
+
+
+def _object_search(theory, o, o_prime, budget=None):
+    """Breadth-first search over ``worsening_successors``, storing and
+    expanding states under the budget exactly as ``dominates`` does."""
+    if o == o_prime:
+        return True
+    limit = float("inf") if budget is None else budget
+    seen, frontier = {o}, deque((o,))
+    expansions, truncated = 0, False
+    while frontier:
+        if expansions >= limit:
+            truncated = True
+            break
+        current = frontier.popleft()
+        expansions += 1
+        for successor in worsening_successors(theory, current):
+            if successor == o_prime:
+                return True
+            if successor in seen:
+                continue
+            if len(seen) >= limit:
+                truncated = True
+                continue
+            seen.add(successor)
+            frontier.append(successor)
+    return BUDGET_EXHAUSTED if truncated else False
+
+
+def _differential_theories(seed=23, count=120):
+    """Random theories over binary and ternary domains with free attributes
+    and conjunctive, disjunctive and negated conditions, plus one whose
+    conditions are constant or biconditional."""
+    rng = random.Random(seed)
+    s = ex3_schema()
+    constant = CPTheory(
+        s,
+        (
+            CPStatement.make(s, {"A": "a"}, {"A": "na"}, condition=FALSE),
+            CPStatement.make(s, {"A": "na"}, {"A": "a"}, condition=Iff(Atom("B", "b"), Atom("B", "b"))),
+            CPStatement.make(s, {"B": "nb"}, {"B": "b"}, condition=Not(Atom("A", "na"))),
+        ),
+    )
+    out = [ex2_theory(), ex5_theory(), ex7_theory(2), ex9_theory(), _chain_theory(), constant]
+    while len(out) < count:
+        schema = random_schema(rng, max_attrs=4, max_domain=3)
+        out.append(random_theory(rng, schema))
+    statements = [st for t in out for st in t.statements]
+    assert any(len(t.schema.domain(a)) == 3 for t in out for a in t.schema.names)
+    assert any(st.free for st in statements)
+    assert any(isinstance(st.condition, Or) for st in statements)
+    assert any("Not(" in repr(st.condition) for st in statements)
+    return out
+
+
+def test_index_successors_follow_worsening_successors():
+    for t in _differential_theories():
+        schema = t.schema
+        statements = _index_statements(t)
+        for o in schema.alternatives():
+            want = [schema.offset(x) for x in worsening_successors(t, o)]
+            assert _index_successors(statements, schema.offset(o)) == want
+
+
+def test_index_search_matches_object_search():
+    rng = random.Random(31)
+    outcomes = Counter()
+    for t in _differential_theories():
+        universe = list(t.schema.alternatives())
+        for _ in range(6):
+            o, o_prime = rng.sample(universe, 2)
+            for budget in (None, *range(1, 9)):
+                want = _object_search(t, o, o_prime, budget)
+                assert dominates(t, o, o_prime, budget) is want, (t, o, o_prime, budget)
+                outcomes[repr(want)] += 1
+    assert min(outcomes[k] for k in ("True", "False", "BUDGET_EXHAUSTED")) >= 50
+
+
+def test_compare_compiles_the_statements_once(monkeypatch):
+    calls = []
+    compile_ = semantics._index_statements
+    monkeypatch.setattr(semantics, "_index_statements", lambda t: calls.append(t) or compile_(t))
+    t = ex2_theory()
+    s = t.schema
+    assert compare(t, alt(s, W="nw", C="c2", P="p"), alt(s, W="nw", C="c1", P="np")) is Relation.INCOMPARABLE
+    assert calls == [t]
+
+
+def _separable_theory(rng, n=26):
+    """Unconditional value chains, one per attribute, over a third ternary
+    and two thirds binary domains; returns the theory and each value's rank
+    in its chain (0 = best)."""
+    sizes = [2] * (n - n // 3) + [3] * (n // 3)
+    rng.shuffle(sizes)
+    schema = AttributeSchema.of((f"X{i}", [f"v{j}" for j in range(k)]) for i, k in enumerate(sizes))
+    ranks, statements = {}, []
+    for name in schema.names:
+        order = list(schema.domain(name))
+        rng.shuffle(order)
+        ranks[name] = {v: r for r, v in enumerate(order)}
+        statements += [
+            CPStatement.make(schema, {name: x}, {name: y}) for x, y in zip(order, order[1:])
+        ]
+    return CPTheory(schema, tuple(statements)), ranks
+
+
+def test_budgeted_search_beyond_the_cap_agrees_with_the_closed_form():
+    # o >= o' in a separable theory iff o ranks at least as high as o' on
+    # every attribute; the universe is far beyond the oracle's cap.
+    rng = random.Random(61)
+    theory, ranks = _separable_theory(rng)
+    schema = theory.schema
+    assert schema.universe_size() > DEFAULT_ORACLE_CAP
+    names = schema.names
+    worst = {a: max(ranks[a], key=ranks[a].get) for a in names}
+
+    def lifted(base, attrs):
+        values = dict(base)
+        for a in attrs:
+            values[a] = rng.choice([v for v in schema.domain(a) if v != worst[a]])
+        return values
+
+    def geq(o, o_prime):
+        return all(ranks[a][o[a]] <= ranks[a][o_prime[a]] for a in names)
+
+    answered = Counter()
+    for _ in range(16):
+        good = rng.sample(names, 5)
+        o = lifted(worst, good)
+        if rng.random() < 0.5:  # worse on two of o's good attributes
+            o_prime = {**o, **{a: worst[a] for a in good[:2]}}
+        else:  # better on two others
+            o_prime = lifted(worst, good[:3] + rng.sample([a for a in names if a not in good], 2))
+        want = semantics._label_from(geq(o, o_prime), geq(o_prime, o))
+        for budget in (None, 400):
+            label = compare(theory, schema.alternative(o), schema.alternative(o_prime), budget)
+            assert label is want
+            answered[want] += 1
+    assert answered[Relation.STRICTLY_BETTER] and answered[Relation.INCOMPARABLE]
+    # o's downward closure is far beyond the budget, so o >= o' stays open
+    o = lifted(worst, rng.sample(names, 16))
+    up = rng.choice([a for a in names if o[a] == worst[a]])
+    o_prime = lifted(o, [up])
+    assert geq(o_prime, o) and not geq(o, o_prime)
+    o, o_prime = schema.alternative(o), schema.alternative(o_prime)
+    assert dominates(theory, o_prime, o, 400) is True
+    assert dominates(theory, o, o_prime, 400) is BUDGET_EXHAUSTED
+    assert compare(theory, o, o_prime, 400) is BUDGET_EXHAUSTED
 
 
 # ---------------------------------------------------------------------------

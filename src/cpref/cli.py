@@ -77,11 +77,14 @@ def _as_theory(doc) -> CPTheory:
 
 
 def _cmd_classify(args) -> CommandResult:
-    theory = _as_theory(_load_document(args.file))
-    profile = classify(theory)
+    doc = _load_document(args.file)
+    if isinstance(doc, lptree.LPTree):
+        count, size, profile = lptree.classify_lptree(doc)
+    else:
+        count, size, profile = len(doc), doc.size(), classify(doc)
     lines = [
-        f"statements: {len(theory)}",
-        f"size: {theory.size()}",
+        f"statements: {count}",
+        f"size: {size}",
         f"max-swap-width: {profile.max_swap_width}",
         f"conjunctive: {_yes_no(profile.conjunctive)}",
         f"free-empty: {_yes_no(profile.free_empty)}",
@@ -271,7 +274,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--budget",
         type=_positive_int,
-        help="dominance search budget (states and expansions)",
+        help="dominance search budget (stored states per direction)",
     )
     p.set_defaults(func=_cmd_compare)
 

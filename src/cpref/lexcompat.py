@@ -31,6 +31,7 @@ from .lptree import (
     IncompleteTreeError,
     LPNode,
     LPTree,
+    _offset_tables,
     _rule_rows,
     is_complete,
     iter_nodes,
@@ -248,11 +249,13 @@ def extends_check(theory: CPTheory, tree: LPTree) -> bool:
     if not is_complete(tree):
         raise IncompleteTreeError("extension check requires a complete tree")
     schema = theory.schema
+    offsets = _offset_tables(schema)
     for node, path in iter_nodes(tree):
         label = schema.ordered(node.label)
         ctx = NodeContext(path.ancestors, path.assigned)
         assigned = dict(path.assigned.bindings)
-        closed = [(rule, _rule_rows(schema, label, rule)) for rule in node.rules]
+        table = offsets(label)
+        closed = [(rule, _rule_rows(table, rule)) for rule in node.rules]
         for s in theory.statements:
             if not relevant(s, ctx, label):
                 continue

@@ -3,8 +3,8 @@
 A tree node ranks a group of attributes through a conditional preference
 table; a pair of alternatives is decided at the first node whose label they
 value differently.  Comparison, linearisability, completeness, strict-cut
-counting and translation to plain statements all walk the tree without ever
-enumerating the alternative space.
+counting, classification and translation to plain statements all walk the
+tree without ever enumerating the alternative space.
 """
 
 from __future__ import annotations
@@ -15,18 +15,23 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     CPStatement,
     CPTheory,
+    DependencyGraph,
     Formula,
+    LanguageProfile,
     PartialInstantiation,
     TRUE,
     AttributeSchema,
     ValidationError,
+    _is_cpnet_shape,
+    _literal_table,
     conjunction,
     eval_formula,
+    formula_size,
     instantiation_formula,
     validate_formula,
 )
@@ -68,6 +73,8 @@ class LPRule:
 
 
 Edge = tuple[PartialInstantiation | None, "LPNode"]
+# A label's instantiations, keyed by their bindings, to their offsets.
+Offsets = dict[tuple[tuple[str, str], ...], int]
 
 
 @dataclass(frozen=True)
@@ -145,15 +152,27 @@ def _label_index(
     return index
 
 
-def _rule_rows(
-    schema: AttributeSchema, label: tuple[str, ...], rule: LPRule
-) -> tuple[int, ...]:
-    """Reach bitset of each label instantiation, by canonical position, under
-    the reflexive-transitive closure of the rule's links."""
-    n = math.prod(len(schema.domain(a)) for a in label)
+def _label_offsets(schema: AttributeSchema, label: tuple[str, ...]) -> Offsets:
+    """The :func:`_label_index` of every instantiation of ``label`` (in
+    schema order), keyed by its bindings."""
+    bindings = itertools.product(*([(a, v) for v in schema.domain(a)] for a in label))
+    return {b: k for k, b in enumerate(bindings)}
+
+
+def _offset_tables(schema: AttributeSchema) -> Callable[[tuple[str, ...]], Offsets]:
+    """:func:`_label_offsets` over ``schema``, built once per label for the
+    one call that holds it."""
+    return functools.cache(functools.partial(_label_offsets, schema))
+
+
+def _rule_rows(offsets: Offsets, rule: LPRule) -> tuple[int, ...]:
+    """Reach bitset of each label instantiation, by offset, under the
+    reflexive-transitive closure of the rule's links; ``offsets`` is the
+    label's :func:`_label_offsets` table."""
+    n = len(offsets)
     succ: list[list[int]] = [[] for _ in range(n)]
     for link in rule.links:
-        i, j = _label_index(schema, label, link.left), _label_index(schema, label, link.right)
+        i, j = offsets[link.left.bindings], offsets[link.right.bindings]
         succ[i].append(j)
         if link.kind is LinkKind.EQUIV:
             succ[j].append(i)
@@ -182,8 +201,7 @@ def validate(tree: LPTree) -> list[str]:
     """Structural check; returns human-readable violations (empty when valid)."""
     schema = tree.schema
     violations: list[str] = []
-    # bindings of every instantiation of a label, per label met in this call
-    label_bindings: dict[tuple[str, ...], frozenset[tuple[tuple[str, str], ...]]] = {}
+    offsets = _offset_tables(schema)
 
     for node, ctx in iter_nodes(tree):
         label = node.label
@@ -200,12 +218,7 @@ def validate(tree: LPTree) -> list[str]:
         repeated = ctx.ancestors.intersection(label)
         if repeated:
             violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
-        names = schema.ordered(label)
-        valid = label_bindings.get(names)
-        if valid is None:
-            valid = label_bindings[names] = frozenset(
-                tuple(zip(names, combo)) for combo in itertools.product(*map(schema.domain, names))
-            )
+        valid = offsets(schema.ordered(label))
         _validate_children(schema, node, ctx, valid, violations)
         if _validate_rules(schema, node, ctx, valid, violations):
             _validate_rule_multiplicity(schema, node, ctx, violations)
@@ -338,7 +351,7 @@ def compare_lptree(
     for _, label, i, rule, _ in _branch(tree, o):
         j = _label_index(tree.schema, label, o_prime)
         if j != i:
-            rows = _rule_rows(tree.schema, label, rule)
+            rows = _rule_rows(_label_offsets(tree.schema, label), rule)
             return _label_from(bool(rows[i] >> j & 1), bool(rows[j] >> i & 1))
     return Relation.INCOMPARABLE
 
@@ -351,12 +364,13 @@ def is_complete(tree: LPTree) -> bool:
     """Every attribute on every branch, every rule a linear order."""
     schema = tree.schema
     all_names = set(schema.names)
+    offsets = _offset_tables(schema)
     for node, ctx in iter_nodes(tree):
-        label = schema.ordered(node.label)
+        table = offsets(schema.ordered(node.label))
         for rule in node.rules:
             # A preorder on n elements is linear iff its reach sets have n
             # distinct sizes: the largest reaches all, and the rest is linear.
-            rows = _rule_rows(schema, label, rule)
+            rows = _rule_rows(table, rule)
             if len({row.bit_count() for row in rows}) != len(rows):
                 return False
         if not node.children and ctx.ancestors | set(node.label) != all_names:
@@ -367,11 +381,13 @@ def is_complete(tree: LPTree) -> bool:
 def is_linearisable_lptree(tree: LPTree) -> bool:
     """True iff every rule's order is antisymmetric."""
     schema = tree.schema
+    offsets = _offset_tables(schema)
     for node, _ in iter_nodes(tree):
+        table = offsets(schema.ordered(node.label))
         for rule in node.rules:
             # Distinct elements of a preorder are equivalent iff their reach
             # sets are equal.
-            rows = _rule_rows(schema, schema.ordered(node.label), rule)
+            rows = _rule_rows(table, rule)
             if len(set(rows)) != len(rows):
                 return False
     return True
@@ -396,14 +412,16 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
     """
     schema = tree.schema
     all_names = set(schema.names)
+    offsets = _offset_tables(schema)
     statements: list[CPStatement] = []
     for node, ctx in iter_nodes(tree):
         label = schema.ordered(node.label)
+        table = offsets(label)
         insts = tuple(schema.instantiations(label))
         free = frozenset(all_names - ctx.ancestors - set(label))
         path_formula = instantiation_formula(ctx.assigned)
         for rule in node.rules:
-            for i, row in enumerate(_rule_rows(schema, label, rule)):
+            for i, row in enumerate(_rule_rows(table, rule)):
                 for j in _bits(row & ~(1 << i)):
                     w, w_prime = insts[i], insts[j]
                     diff = [a for a in label if w[a] != w_prime[a]]
@@ -417,7 +435,113 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
 
 
 # ---------------------------------------------------------------------------
+# Classification read off the nodes
+
+
+def _diff_classes(
+    radices: tuple[int, ...],
+) -> list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]:
+    """For a label whose domains have sizes ``radices``: each way two of its
+    instantiations can differ, as the label positions where they differ,
+    the positions where they agree, and per offset i the bitset of the
+    offsets whose instantiations differ from i's at exactly those positions."""
+    digits = list(itertools.product(*map(range, radices)))
+    positions = range(len(radices))
+    partners: dict[tuple[int, ...], list[int]] = {}
+    for i, x in enumerate(digits):
+        for j, y in enumerate(digits):
+            differ = tuple(p for p in positions if x[p] != y[p])
+            if differ:
+                partners.setdefault(differ, [0] * len(digits))[i] |= 1 << j
+    return [
+        (differ, tuple(p for p in positions if p not in differ), bits)
+        for differ, bits in partners.items()
+    ]
+
+
+def classify_lptree(tree: LPTree) -> tuple[int, int, LanguageProfile]:
+    """The statement count, the size and the language profile of
+    :func:`lptree_to_statements` of the tree, read off its nodes.
+
+    The statement of a rule's ordered pair swaps the label attributes where
+    the pair differs and pins the rest of the label, so each rule's pairs
+    are counted by the label positions where they differ, which give the
+    statements' width, size and dependency edges.  Rules of one
+    node with equal conditions give equal statements for equal pairs, which
+    the theory keeps once, so their pairs are counted once.  Only when every
+    statement is unary, free-empty and conjunctive is the tree translated,
+    for the CP-net test of :func:`~cpref.model.classify`.  The tree must be
+    valid (:func:`validate`).
+    """
+    schema = tree.schema
+    all_names = frozenset(schema.names)
+    offsets = _offset_tables(schema)
+    classes_for = functools.cache(_diff_classes)
+    count = size = width = 0
+    conjunctive = free_empty = True
+    edges: set[tuple[str, str]] = set()
+    for node, ctx in iter_nodes(tree):
+        label = schema.ordered(node.label)
+        table = offsets(label)
+        merged: dict[Formula, tuple[int, ...]] = {}
+        for rule in node.rules:
+            rows = _rule_rows(table, rule)
+            other = merged.get(rule.condition)
+            if other is not None:
+                rows = tuple(map(int.__or__, rows, other))
+            merged[rule.condition] = rows
+        free = all_names.difference(ctx.ancestors, label)
+        assigned = ctx.ancestors - ctx.noninst
+        classes = classes_for(tuple(len(schema.domain(a)) for a in label))
+        for condition, rows in merged.items():
+            if sum(map(int.bit_count, rows)) == len(rows):
+                continue  # no pair beyond the reflexive ones
+            if conjunctive and condition != TRUE:
+                conjunctive = _literal_table(condition) is not None
+            free_empty = free_empty and not free
+            # formula sizes of the condition's parts: the rule condition,
+            # the path values, then the shared label values
+            fixed = [formula_size(condition)] if condition != TRUE else []
+            if assigned:
+                fixed.append(2 * len(assigned) - 1)
+            swapping: set[str] = set()
+            for differ, agree, partners in classes:
+                pairs = sum(map(int.bit_count, map(int.__and__, rows, partners)))
+                if not pairs:
+                    continue
+                swapped = [label[p] for p in differ]
+                shared = [label[p] for p in agree]
+                parts = fixed + [2 * len(shared) - 1] if shared else fixed
+                condition_size = sum(parts) + max(len(parts) - 1, 0)
+                count += pairs
+                size += pairs * (condition_size + len(free) + 2 * len(swapped))
+                width = max(width, len(swapped))
+                swapping.update(swapped)
+                edges.update(itertools.product(shared, swapped))
+            edges.update(itertools.product(condition.variables() | assigned, swapping))
+            edges.update(itertools.product(swapping, free))
+    graph = DependencyGraph(schema.names, frozenset(edges))
+    is_cpnet = (
+        width <= 1
+        and free_empty
+        and conjunctive
+        and _is_cpnet_shape(lptree_to_statements(tree), graph)
+    )
+    profile = LanguageProfile(
+        width, conjunctive, free_empty, graph.is_acyclic(), graph.is_polytree(), is_cpnet
+    )
+    return count, size, profile
+
+
+# ---------------------------------------------------------------------------
 # Counting and ranking without touching the universe
+
+
+def _strictly_above(
+    schema: AttributeSchema, label: tuple[str, ...], rule: LPRule, mine: int
+) -> Iterator[int]:
+    """The label offsets that ``rule`` orders strictly above offset ``mine``."""
+    return _dominators(_rule_rows(_label_offsets(schema, label), rule), mine, True)
 
 
 def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
@@ -430,7 +554,7 @@ def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
     if not is_complete(tree):
         raise IncompleteTreeError("strict-cut counting requires a complete tree")
     return sum(
-        sum(1 for _ in _dominators(_rule_rows(tree.schema, label, rule), mine, True)) * block
+        sum(1 for _ in _strictly_above(tree.schema, label, rule, mine)) * block
         for _, label, mine, rule, block in _branch(tree, o)
     )
 
@@ -443,7 +567,7 @@ def strict_dominators(
     for trees that need not be complete."""
     schema = tree.schema
     steps = [
-        (label, mine, set(_dominators(_rule_rows(schema, label, rule), mine, True)))
+        (label, mine, set(_strictly_above(schema, label, rule, mine)))
         for _, label, mine, rule, _ in _branch(tree, o)
     ]
     for other in schema.alternatives():

@@ -376,10 +376,11 @@ def dominates(
 
     Breadth-first reachability over mixed-radix indices with a visited set,
     expanding states in the order of :func:`worsening_successors`.
-    ``budget`` bounds both the stored states and the expansions.  Returns
-    True, False, or BUDGET_EXHAUSTED when the search was truncated; with no
-    budget the answer is exact.  :func:`compare` passes ``_statements``, the
-    theory's index form, so that both of its directions share one.
+    ``budget`` bounds the stored states, the source included, and nothing
+    else.  Returns True, False, or BUDGET_EXHAUSTED when the search was
+    truncated; with no budget the answer is exact.  :func:`compare` passes
+    ``_statements``, the theory's index form, so that both of its
+    directions share one.
     """
     if budget is not None and budget <= 0:
         raise ValidationError("search budget must be positive")
@@ -391,14 +392,9 @@ def dominates(
     limit = math.inf if budget is None else budget
     seen = {source}
     frontier: deque[int] = deque((source,))
-    expansions = 0
     truncated = False
     while frontier:
-        if expansions >= limit:
-            truncated = True
-            break
         current = frontier.popleft()
-        expansions += 1
         for successor in _index_successors(statements, current):
             if successor == target:
                 return True

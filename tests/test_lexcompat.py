@@ -285,9 +285,9 @@ def test_extends_check_closes_each_rule_once(monkeypatch):
     calls = []
     closes = lexcompat._rule_rows
 
-    def counting(schema, label, rule):
+    def counting(offsets, rule):
         calls.append(rule)
-        return closes(schema, label, rule)
+        return closes(offsets, rule)
 
     monkeypatch.setattr(lexcompat, "_rule_rows", counting)
     rng = random.Random(227)

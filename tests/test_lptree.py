@@ -4,6 +4,7 @@ import pytest
 
 from cpref import lptree as lptree_module
 from cpref import (
+    And,
     Atom,
     AttributeSchema,
     ExplicitPreorder,
@@ -12,10 +13,14 @@ from cpref import (
     LPNode,
     LPRule,
     LPTree,
+    Not,
+    Or,
     OrderLink,
     Relation,
     TRUE,
     ValidationError,
+    classify,
+    classify_lptree,
     closure_oracle,
     compare_lptree,
     decide,
@@ -23,6 +28,9 @@ from cpref import (
     is_linearisable_lptree,
     linearisable,
     lptree_to_statements,
+    parse_theory,
+    serialize_lptree,
+    serialize_theory,
     strict_chain_rule,
     strict_cut_count,
     strict_dominators,
@@ -30,6 +38,8 @@ from cpref import (
     top_p_lptree,
     validate,
 )
+from cpref.cli import run
+from cpref.semantics import _dominators
 from helpers import alt, ex2_schema, inst, random_lptree, random_schema
 
 
@@ -466,6 +476,147 @@ def test_translation_builds_what_the_validated_constructor_builds(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Classification read off the nodes
+
+
+def _disguised(tree, rng):
+    """A copy with some rule conditions rewritten into equivalent formulas
+    of other shapes and sizes, some of them not conjunctions of literals."""
+
+    def rewrite(c):
+        return rng.choice((c, c, Or(c, c), And(c, TRUE), Not(Not(c))))
+
+    def copy(node):
+        rules = tuple(LPRule(rewrite(r.condition), r.links) for r in node.rules)
+        return LPNode(node.label, rules, tuple((e, copy(c)) for e, c in node.children))
+
+    return LPTree(tree.schema, copy(tree.root))
+
+
+def _classify_sample():
+    """Seeded complete and partial trees of label width 1-3, each with a
+    shuffled and a disguised copy."""
+    out = []
+    for seed, complete in ((151, True), (157, False)):
+        rng = random.Random(seed)
+        for _ in range(40):
+            schema = random_schema(rng, max_attrs=5, min_attrs=1)
+            tree = random_lptree(rng, schema, k=rng.randint(1, 3), complete=complete)
+            out += [tree, _shuffled(tree, rng), _disguised(tree, rng)]
+    return out
+
+
+def _translated_profile(tree):
+    theory = lptree_to_statements(tree)
+    return len(theory), theory.size(), classify(theory)
+
+
+def test_classify_lptree_matches_the_translation():
+    profiles = []
+    for tree in _classify_sample():
+        assert validate(tree) == []
+        profiles.append(classify_lptree(tree))
+        assert profiles[-1] == _translated_profile(tree)
+    # the sample reaches both answers of every field
+    for field in ("conjunctive", "free_empty", "acyclic", "polytree", "is_cpnet"):
+        assert {getattr(p, field) for _, _, p in profiles} == {True, False}, field
+    assert {p.max_swap_width for _, _, p in profiles} == {1, 2, 3}
+
+
+def test_classify_report_on_a_tree_is_the_report_on_its_translation(tmp_path):
+    for k, tree in enumerate(_classify_sample()[::4]):
+        theory = lptree_to_statements(tree)
+        tree_file, theory_file = tmp_path / f"t{k}.lpt", tmp_path / f"t{k}.cpt"
+        tree_file.write_text(serialize_lptree(tree))
+        theory_file.write_text(serialize_theory(theory))
+        assert parse_theory(theory_file.read_text()).statements == theory.statements
+        assert run(["classify", str(tree_file)]) == run(["classify", str(theory_file)])
+
+
+def _three_valued_schema():
+    return AttributeSchema.of([("A", ("a", "na")), ("B", ("b0", "b1", "b2"))])
+
+
+def _equal_unsatisfiable_conditions_tree():
+    """Two rules below A whose equal conditions no context meets; their
+    pairs overlap, and the translation keeps each shared statement once."""
+    s = _three_valued_schema()
+    b0, b1, b2 = (s.instantiation({"B": v}) for v in s.domain("B"))
+    never = And(Atom("A", "a"), Atom("A", "na"))
+    rules = (
+        strict_chain_rule(Atom("A", "a"), (b0, b1, b2)),
+        strict_chain_rule(Atom("A", "na"), (b2, b1, b0)),
+        strict_chain_rule(never, (b0, b1, b2)),
+        strict_chain_rule(never, (b2, b0, b1)),
+    )
+    child = LPNode(("B",), rules, ())
+    return LPTree(s, LPNode(("A",), (_chain(s, "A", "a", "na"),), ((None, child),)))
+
+
+def _trivial_links_tree():
+    """A root whose rule links each value to itself only, above two chains."""
+    s = _three_valued_schema()
+    a, na = s.instantiation({"A": "a"}), s.instantiation({"A": "na"})
+    rule = LPRule(TRUE, (OrderLink(a, a, LinkKind.STRICT), OrderLink(na, na, LinkKind.EQUIV)))
+    leaf = lambda *order: LPNode(("B",), (_chain(s, "B", *order),), ())
+    edges = ((a, leaf("b0", "b2", "b1")), (na, leaf("b2", "b1", "b0")))
+    return LPTree(s, LPNode(("A",), (rule,), edges))
+
+
+def _cpnet_tree():
+    """One node over two binary attributes whose order is a cyclic CP-net:
+    each value of one attribute flips the preferred value of the other."""
+    s = _binary_schema()
+    ab, anb, nab, nanb = (
+        s.instantiation({"A": x, "B": y}) for x in ("a", "na") for y in ("b", "nb")
+    )
+    links = ((ab, nab), (nanb, nab), (nanb, anb), (ab, anb))
+    rule = LPRule(TRUE, tuple(OrderLink(x, y, LinkKind.STRICT) for x, y in links))
+    return LPTree(s, LPNode(("A", "B"), (rule,), ()))
+
+
+def test_classify_lptree_edge_cases():
+    s = _binary_schema()
+    single = LPTree(s, LPNode(("A",), (_chain(s, "A", "a", "na"),), ()))
+    trees = {
+        "equal-unsatisfiable": _equal_unsatisfiable_conditions_tree(),
+        "trivial-links": _trivial_links_tree(),
+        "single-node": single,
+        "cp-net": _cpnet_tree(),
+    }
+    for name, tree in trees.items():
+        assert validate(tree) == [], name
+        assert classify_lptree(tree) == _translated_profile(tree), name
+    count, _, profile = classify_lptree(trees["equal-unsatisfiable"])
+    assert count == 1 + 3 + 3 + 5  # the two unsatisfiable rules share b0 > b1
+    count, _, profile = classify_lptree(trees["trivial-links"])
+    assert count == 6 and profile.free_empty and not profile.is_cpnet
+    count, size, profile = classify_lptree(single)
+    assert (count, size, profile.free_empty) == (1, 3, False)
+    count, _, profile = classify_lptree(trees["cp-net"])
+    assert count == 4 and profile.is_cpnet and not profile.acyclic
+
+
+def test_classify_translates_only_for_the_cpnet_test(tmp_path, monkeypatch):
+    schema = AttributeSchema.of([(f"X{i}", ("a", "b")) for i in range(10)])
+    tree = random_lptree(random.Random(163), schema, k=2, complete=True)
+    assert is_complete(tree)
+    tree_file, cpnet_file = tmp_path / "big.lpt", tmp_path / "cpnet.lpt"
+    tree_file.write_text(serialize_lptree(tree))
+    cpnet_file.write_text(serialize_lptree(_cpnet_tree()))
+    expected = run(["classify", str(tree_file)])
+    assert expected.status == 0 and "free-empty: no" in expected.report
+
+    def refuse(tree):
+        raise AssertionError("the tree was translated")
+
+    monkeypatch.setattr(lptree_module, "lptree_to_statements", refuse)
+    assert run(["classify", str(tree_file)]) == expected
+    with pytest.raises(AssertionError, match="translated"):
+        classify_lptree(_cpnet_tree())
+
+
+# ---------------------------------------------------------------------------
 # Counting
 
 
@@ -523,6 +674,25 @@ def test_strict_dominators_match_enumeration_and_count():
                 assert list(strict_dominators(tree, o)) == expected
                 if complete:
                     assert strict_cut_count(tree, o) == len(expected)
+
+
+def test_strict_dominators_of_partial_trees_count_by_branch_blocks():
+    # Each step of o's branch accounts for its strictly better label values
+    # times the block below the node, on partial trees as on complete ones.
+    pairs = 0
+    trees = _tree_sample(seed=139, count=30, complete=False)
+    rng = random.Random(139)
+    for tree in trees + [_shuffled(tree, rng) for tree in trees]:
+        schema = tree.schema
+        for o in schema.alternatives():
+            expected = 0
+            for _, label, mine, rule, block in lptree_module._branch(tree, o):
+                offsets = lptree_module._label_offsets(schema, label)
+                rows = lptree_module._rule_rows(offsets, rule)
+                expected += sum(1 for _ in _dominators(rows, mine, True)) * block
+            assert sum(1 for _ in strict_dominators(tree, o)) == expected
+            pairs += expected > 0
+    assert pairs > 500
 
 
 def test_strict_cut_count_rejects_incomplete_trees():

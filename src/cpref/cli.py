@@ -253,7 +253,7 @@ def _build_parser() -> _Parser:
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_ORACLE_CAP,
         help="largest universe the exhaustive relation may enumerate; its reach "
         "bitsets take at most N*ceil(N/8) bytes for N alternatives "
@@ -323,9 +323,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compile", help="build a complete k-wide tree extending a theory")
     p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_positive_int, required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--node-budget", type=int, default=lexcompat.DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_positive_int, default=lexcompat.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("oracle", parents=[capped], help="dump the exhaustive relation")

@@ -4,7 +4,10 @@ A theory is k-lexico-compatible when some complete tree with labels of at
 most k attributes induces a relation extending the theory's.  The builder
 grows such a tree top-down, labelling each node with a candidate attribute
 group and a linear order that no active statement contradicts; the extension
-checker certifies the result node by node against every relevant statement.
+checker certifies the result node by node against every active statement
+that swaps into the node's label.  The builder, the ranking and the checker
+place a node by its :class:`~cpref.lptree.PathContext`, and the checker
+reads each rule's closed order from the tree's one closed-rule walk.
 """
 
 from __future__ import annotations
@@ -25,16 +28,14 @@ from .model import (
     AttributeSchema,
     ValidationError,
     _consistent,
-    consistent_with,
 )
 from .lptree import (
     IncompleteTreeError,
     LPNode,
     LPTree,
-    _offset_tables,
-    _rule_rows,
+    PathContext,
+    _closed_nodes,
     is_complete,
-    iter_nodes,
     strict_chain_rule,
     validate,
 )
@@ -52,22 +53,6 @@ class NotLexicoCompatibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NodeContext:
-    """Position of a node being labelled: attributes above it and the values
-    fixed along its (fully labelled) path."""
-
-    ancestors: frozenset[str]
-    assigned: PartialInstantiation
-
-    @classmethod
-    def root(cls, schema: AttributeSchema) -> NodeContext:
-        return cls(frozenset(), schema.empty_instantiation())
-
-    def child(self, label: Iterable[str], values: PartialInstantiation) -> NodeContext:
-        return NodeContext(self.ancestors | set(label), self.assigned.override(values))
-
-
-@dataclass(frozen=True)
 class CandidateLabel:
     """A label choice: up to k fresh attributes and a linear order over their
     instantiations, best first."""
@@ -76,26 +61,9 @@ class CandidateLabel:
     order: tuple[PartialInstantiation, ...]
 
 
-def relevant(
-    statement: CPStatement,
-    ctx: NodeContext,
-    label: Iterable[str] | None = None,
-) -> bool:
-    """True iff the statement can sanction a swap decided at this node: its
-    swapped attributes avoid the ancestors, its condition is consistent with
-    the path values, and (when a label is given) it swaps into the label."""
-    if statement.swapped & ctx.ancestors:
-        return False
-    if not consistent_with(statement.condition, ctx.assigned):
-        return False
-    if label is not None and not (statement.swapped & set(label)):
-        return False
-    return True
-
-
 def phi_at_node(
     theory: CPTheory,
-    ctx: NodeContext,
+    ctx: PathContext,
     among: Iterable[CPStatement] | None = None,
 ) -> tuple[CPStatement, ...]:
     """The statements still active at a node: condition consistent with the
@@ -138,7 +106,7 @@ def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | 
 
 def choose_attribute(
     theory: CPTheory,
-    ctx: NodeContext,
+    ctx: PathContext,
     k: int,
     active: Sequence[CPStatement] | None = None,
 ) -> CandidateLabel | None:
@@ -203,7 +171,7 @@ def build_complete_lptree(
         raise ValidationError("tree construction needs at least one attribute")
     created = 0
 
-    def grow(ctx: NodeContext, above: tuple[CPStatement, ...] | None) -> LPNode | None:
+    def grow(ctx: PathContext, above: tuple[CPStatement, ...] | None) -> LPNode | None:
         nonlocal created
         created += 1
         if created > node_budget:
@@ -223,7 +191,7 @@ def build_complete_lptree(
             edges.append((value, child))
         return LPNode(cand.attrs, (rule,), tuple(edges))
 
-    root = grow(NodeContext.root(schema), None)
+    root = grow(PathContext.root(schema), None)
     return None if root is None else LPTree(schema, root)
 
 
@@ -239,25 +207,21 @@ def is_k_lexico_compatible(theory: CPTheory, k: int) -> bool:
 def extends_check(theory: CPTheory, tree: LPTree) -> bool:
     """True iff the complete tree's relation extends the theory's.
 
-    For every node and every statement relevant there, the statement's free
-    attributes must avoid the node's ancestors, and every applicable rule must
-    strictly order the label values induced by the statement's swap, whatever
-    the free and untouched attributes do.
+    For every node and every statement active there (:func:`phi_at_node`)
+    that swaps into the node's label, the statement's free attributes must
+    avoid the node's ancestors, and every applicable rule must strictly
+    order the label values induced by the statement's swap, whatever the
+    free and untouched attributes do.
     """
     if validate(tree):
         raise ValidationError("extension check requires a valid tree")
     if not is_complete(tree):
         raise IncompleteTreeError("extension check requires a complete tree")
     schema = theory.schema
-    offsets = _offset_tables(schema)
-    for node, path in iter_nodes(tree):
-        label = schema.ordered(node.label)
-        ctx = NodeContext(path.ancestors, path.assigned)
-        assigned = dict(path.assigned.bindings)
-        table = offsets(label)
-        closed = [(rule, _rule_rows(table, rule)) for rule in node.rules]
-        for s in theory.statements:
-            if not relevant(s, ctx, label):
+    for _, ctx, label, closed in _closed_nodes(tree):
+        assigned = dict(ctx.assigned.bindings)
+        for s in phi_at_node(theory, ctx):
+            if s.swapped.isdisjoint(label):
                 continue
             if s.free & ctx.ancestors:
                 return False
@@ -288,25 +252,27 @@ def top_p_lexcompat(
     """Top-p for a theory known to be k-lexico-compatible, without building
     the whole tree: each pair follows the single branch along its shared
     values until a chosen label separates it.  Each node on those branches
-    is labelled once per call, however many pairs pass through it."""
+    is labelled once per call, however many pairs pass through it; on these
+    fully labelled paths the values fixed above a node determine it."""
     if k < 1:
         raise ValidationError("label width must be at least 1")
-    labels: dict[NodeContext, tuple[CandidateLabel, tuple[CPStatement, ...], dict]] = {}
+    labels: dict[PartialInstantiation, tuple[CandidateLabel, tuple[CPStatement, ...], dict]] = {}
 
-    def label_at(ctx: NodeContext, above: tuple[CPStatement, ...] | None):
+    def label_at(ctx: PathContext, above: tuple[CPStatement, ...] | None):
         """The node's label, active statements and rank of each label value."""
-        if ctx not in labels:
+        key = ctx.assigned
+        if key not in labels:
             active = phi_at_node(theory, ctx, above)
             cand = choose_attribute(theory, ctx, k, active)
             if cand is None:
                 raise NotLexicoCompatibleError(
                     f"theory is not {k}-lexico-compatible"
                 )
-            labels[ctx] = cand, active, {t: i for i, t in enumerate(cand.order)}
-        return labels[ctx]
+            labels[key] = cand, active, {t: i for i, t in enumerate(cand.order)}
+        return labels[key]
 
     def branch_label(o, o_prime) -> Relation:
-        ctx, active = NodeContext.root(theory.schema), None
+        ctx, active = PathContext.root(theory.schema), None
         while True:
             cand, active, rank = label_at(ctx, active)
             mine = o.restrict(cand.attrs)

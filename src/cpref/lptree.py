@@ -27,6 +27,7 @@ from .model import (
     TRUE,
     AttributeSchema,
     ValidationError,
+    _bits,
     _is_cpnet_shape,
     _literal_table,
     conjunction,
@@ -37,7 +38,6 @@ from .model import (
 )
 from .semantics import (
     Relation,
-    _bits,
     _closed_rows,
     _dominators,
     _label_from,
@@ -98,7 +98,8 @@ class LPTree:
 
 @dataclass(frozen=True)
 class PathContext:
-    """Everything the semantics needs to know about a node's position.
+    """Everything the tree queries and the builder need to know about a
+    node's position.
 
     ``edge`` labels the edge from ``parent`` (None when unlabelled); at the
     root, which has no parent, it is the empty instantiation.  The values
@@ -127,6 +128,15 @@ class PathContext:
         if self.edge is None:
             return self.parent.trail + "/*"
         return self.parent.trail + "/" + ",".join(f"{n}={v}" for n, v in self.edge.bindings)
+
+    @classmethod
+    def root(cls, schema: AttributeSchema) -> PathContext:
+        return cls(frozenset(), frozenset(), None, schema.empty_instantiation())
+
+    def child(self, label: Iterable[str], edge: PartialInstantiation | None) -> PathContext:
+        """The context below a node labelled ``label``, across ``edge``."""
+        noninst = self.noninst if edge is not None else self.noninst.union(label)
+        return PathContext(self.ancestors.union(label), noninst, self, edge)
 
 
 def strict_chain_rule(
@@ -181,16 +191,26 @@ def _rule_rows(offsets: Offsets, rule: LPRule) -> tuple[int, ...]:
 
 def iter_nodes(tree: LPTree) -> Iterator[tuple[LPNode, PathContext]]:
     """Depth-first traversal yielding each node with its path context."""
-    root = PathContext(frozenset(), frozenset(), None, tree.schema.empty_instantiation())
-    stack = [(tree.root, root)]
+    stack = [(tree.root, PathContext.root(tree.schema))]
     while stack:
         node, ctx = stack.pop()
         yield node, ctx
-        label = frozenset(node.label)
-        ancestors, noninst_below = ctx.ancestors | label, ctx.noninst | label
-        for edge_label, child in reversed(node.children):
-            noninst = ctx.noninst if edge_label is not None else noninst_below
-            stack.append((child, PathContext(ancestors, noninst, ctx, edge_label)))
+        for edge, child in reversed(node.children):
+            stack.append((child, ctx.child(node.label, edge)))
+
+
+def _closed_nodes(
+    tree: LPTree,
+) -> Iterator[tuple[LPNode, PathContext, tuple[str, ...], list[tuple[LPRule, tuple[int, ...]]]]]:
+    """Each node of a valid tree with its context, its label in schema order
+    and each of its rules with the rule's :func:`_rule_rows`; one offset
+    table is built per distinct label per call."""
+    schema = tree.schema
+    offsets = _offset_tables(schema)
+    for node, ctx in iter_nodes(tree):
+        label = schema.ordered(node.label)
+        table = offsets(label)
+        yield node, ctx, label, [(rule, _rule_rows(table, rule)) for rule in node.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +382,24 @@ def compare_lptree(
 
 def is_complete(tree: LPTree) -> bool:
     """Every attribute on every branch, every rule a linear order."""
-    schema = tree.schema
-    all_names = set(schema.names)
-    offsets = _offset_tables(schema)
-    for node, ctx in iter_nodes(tree):
-        table = offsets(schema.ordered(node.label))
-        for rule in node.rules:
+    all_names = set(tree.schema.names)
+    for node, ctx, label, closed in _closed_nodes(tree):
+        for _, rows in closed:
             # A preorder on n elements is linear iff its reach sets have n
             # distinct sizes: the largest reaches all, and the rest is linear.
-            rows = _rule_rows(table, rule)
             if len({row.bit_count() for row in rows}) != len(rows):
                 return False
-        if not node.children and ctx.ancestors | set(node.label) != all_names:
+        if not node.children and ctx.ancestors.union(label) != all_names:
             return False
     return True
 
 
 def is_linearisable_lptree(tree: LPTree) -> bool:
     """True iff every rule's order is antisymmetric."""
-    schema = tree.schema
-    offsets = _offset_tables(schema)
-    for node, _ in iter_nodes(tree):
-        table = offsets(schema.ordered(node.label))
-        for rule in node.rules:
+    for _, _, _, closed in _closed_nodes(tree):
+        for _, rows in closed:
             # Distinct elements of a preorder are equivalent iff their reach
             # sets are equal.
-            rows = _rule_rows(table, rule)
             if len(set(rows)) != len(rows):
                 return False
     return True
@@ -412,16 +424,13 @@ def lptree_to_statements(tree: LPTree) -> CPTheory:
     """
     schema = tree.schema
     all_names = set(schema.names)
-    offsets = _offset_tables(schema)
     statements: list[CPStatement] = []
-    for node, ctx in iter_nodes(tree):
-        label = schema.ordered(node.label)
-        table = offsets(label)
+    for _, ctx, label, closed in _closed_nodes(tree):
         insts = tuple(schema.instantiations(label))
         free = frozenset(all_names - ctx.ancestors - set(label))
         path_formula = instantiation_formula(ctx.assigned)
-        for rule in node.rules:
-            for i, row in enumerate(_rule_rows(table, rule)):
+        for rule, rows in closed:
+            for i, row in enumerate(rows):
                 for j in _bits(row & ~(1 << i)):
                     w, w_prime = insts[i], insts[j]
                     diff = [a for a in label if w[a] != w_prime[a]]
@@ -475,17 +484,13 @@ def classify_lptree(tree: LPTree) -> tuple[int, int, LanguageProfile]:
     """
     schema = tree.schema
     all_names = frozenset(schema.names)
-    offsets = _offset_tables(schema)
     classes_for = functools.cache(_diff_classes)
     count = size = width = 0
     conjunctive = free_empty = True
     edges: set[tuple[str, str]] = set()
-    for node, ctx in iter_nodes(tree):
-        label = schema.ordered(node.label)
-        table = offsets(label)
+    for _, ctx, label, closed in _closed_nodes(tree):
         merged: dict[Formula, tuple[int, ...]] = {}
-        for rule in node.rules:
-            rows = _rule_rows(table, rule)
+        for rule, rows in closed:
             other = merged.get(rule.condition)
             if other is not None:
                 rows = tuple(map(int.__or__, rows, other))

@@ -628,6 +628,15 @@ def cpnet_to_statements(net: CPNet) -> CPTheory:
 # Graphs
 
 
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, ascending."""
+    digits = bin(x)[:1:-1]
+    j = digits.find("1")
+    while j >= 0:
+        yield j
+        j = digits.find("1", j + 1)
+
+
 def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Strongly connected components of the graph with nodes 0..n-1, by an
     iterative Tarjan search: the component id of every node, and the members
@@ -815,10 +824,14 @@ def preorder_to_cp(relation: "ExplicitPreorder") -> CPTheory:
         raise ValidationError("relation is not reflexive and transitive")
     schema = relation.schema
     names = set(schema.names)
+    universe = relation.universe
+    distinct_pairs = (
+        (universe[i], universe[j])
+        for i, row in enumerate(relation.rows)
+        for j in _bits(row & ~(1 << i))
+    )
     statements = []
-    for o, o_prime in relation.pairs():
-        if o == o_prime:
-            continue
+    for o, o_prime in distinct_pairs:
         delta = {n for n in names if o[n] != o_prime[n]}
         common = o.restrict(names - delta)
         statements.append(

@@ -25,6 +25,7 @@ from .model import (
     Formula,
     PartialInstantiation,
     ValidationError,
+    _bits,
     _consistent,
     eval_formula,
     strong_components,
@@ -116,15 +117,6 @@ def _dominators(rows: Sequence[int], i: int, strict: bool = False) -> Iterator[i
             yield j
 
 
-def _bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of ``x``, ascending."""
-    digits = bin(x)[:1:-1]
-    j = digits.find("1")
-    while j >= 0:
-        yield j
-        j = digits.find("1", j + 1)
-
-
 # ---------------------------------------------------------------------------
 # Explicit preorders
 
@@ -179,17 +171,6 @@ class ExplicitPreorder:
         forward = self.geq(o, o_prime)
         backward = self.geq(o_prime, o)
         return _label_from(forward, backward)
-
-    def pairs(self, strict_only: bool = False) -> Iterator[
-        tuple[PartialInstantiation, PartialInstantiation]
-    ]:
-        """Related pairs in row-major universe order."""
-        rows, universe = self.rows, self.universe
-        for i, row in enumerate(rows):
-            for j in _bits(row):
-                if strict_only and rows[j] >> i & 1:
-                    continue
-                yield universe[i], universe[j]
 
     def dominators(self, o: PartialInstantiation, strict: bool = False) -> Iterator[int]:
         """Indices, ascending, of the alternatives other than ``o`` that are

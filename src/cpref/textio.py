@@ -46,6 +46,7 @@ from .model import (
     PartialInstantiation,
     TRUE,
     ValidationError,
+    _bits,
 )
 from .lptree import Edge, LinkKind, LPNode, LPRule, LPTree, OrderLink
 from .semantics import ExplicitPreorder
@@ -219,13 +220,13 @@ class _Parser:
         point = self.points[key] = self.schema.instantiation(bindings)
         return point
 
-    def whole_point(self, text: str, line: int, total: bool) -> PartialInstantiation:
-        """``text``, on line ``line``, as one point and nothing else;
-        ``total``: the point must bind every attribute."""
+    def whole_point(self, text: str, line: int) -> PartialInstantiation:
+        """``text``, on line ``line``, as one point binding every attribute
+        and nothing else."""
         self.load(text, line, line)
         point = self.point()
         self.expect_end()
-        if total and not point.is_total():
+        if not point.is_total():
             missing = set(self.schema.names) - point.var_set
             self.fail(f"alternative leaves attributes unbound: {sorted(missing)}", 0)
         return point
@@ -380,12 +381,8 @@ def parse_lptree(text: str) -> LPTree:
 # Alternatives from command-line text
 
 
-def parse_instantiation(schema: AttributeSchema, text: str) -> PartialInstantiation:
-    return _Parser(schema).whole_point(text, 1, total=False)
-
-
 def parse_alternative(schema: AttributeSchema, text: str) -> PartialInstantiation:
-    return _Parser(schema).whole_point(text, 1, total=True)
+    return _Parser(schema).whole_point(text, 1)
 
 
 def parse_alternatives(schema: AttributeSchema, text: str) -> list[PartialInstantiation]:
@@ -393,7 +390,7 @@ def parse_alternatives(schema: AttributeSchema, text: str) -> list[PartialInstan
     blank and comment-only lines are skipped, and errors name the line."""
     parser = _Parser(schema)
     return [
-        parser.whole_point(raw, line_no, total=True)
+        parser.whole_point(raw, line_no)
         for line_no, raw in enumerate(text.splitlines(), start=1)
         if _TOKEN_RE.match(raw)[1]
     ]
@@ -494,9 +491,14 @@ def serialize_lptree(tree: LPTree) -> str:
 
 
 def serialize_preorder(relation: ExplicitPreorder, strict_only: bool = False) -> str:
+    """Related pairs, one per line, in row-major universe order."""
+    rows = relation.rows
+    names = [format_instantiation(o) for o in relation.universe]
     lines = [
-        f"{format_instantiation(o)} >= {format_instantiation(o_prime)}"
-        for o, o_prime in relation.pairs(strict_only=strict_only)
+        f"{names[i]} >= {names[j]}"
+        for i, row in enumerate(rows)
+        for j in _bits(row)
+        if not (strict_only and rows[j] >> i & 1)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -20,9 +20,9 @@ from cpref import (
     FALSE,
     Iff,
     Implies,
-    NodeContext,
     Not,
     Or,
+    PathContext,
     TRUE,
     build_complete_lptree,
     consistent_with,
@@ -188,7 +188,7 @@ def test_inherited_active_statements_equal_a_fresh_scan(monkeypatch):
         return result
 
     for theory, k in _compatible_theories(seed=503, count=25):
-        root = NodeContext.root(theory.schema)
+        root = PathContext.root(theory.schema)
         fresh = original(theory, root)
         assert original(theory, root, fresh[1:]) == fresh[1:]
         seen.clear()
@@ -197,7 +197,7 @@ def test_inherited_active_statements_equal_a_fresh_scan(monkeypatch):
         tree = build_complete_lptree(theory, k)
         monkeypatch.setattr(lexcompat, "phi_at_node", original)
         assert whole_scans == [root]
-        contexts = [NodeContext(path.ancestors, path.assigned) for _, path in iter_nodes(tree)]
+        contexts = [path for _, path in iter_nodes(tree)]
         assert set(contexts) == set(seen)
         for ctx in contexts:
             assert seen[ctx] == original(theory, ctx)

@@ -1,13 +1,21 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cpref import is_complete, parse_lptree, parse_theory, validate
+from cpref import (
+    closure_oracle,
+    is_complete,
+    parse_lptree,
+    parse_theory,
+    serialize_theory,
+    validate,
+)
 from cpref.cli import run
-from helpers import EX2_DSL
+from helpers import EX2_DSL, random_schema, random_theory
 
 SINGLE = "attr A: a, na\nstmt true : A=a >= A=na\n"
 CYCLIC = "attr A: a, na\nstmt true : A=a >= A=na\nstmt true : A=na >= A=a\n"
@@ -236,6 +244,29 @@ def test_oracle_dump_is_deterministic(tmp_path):
     assert strict.report == "A=a >= A=na"
 
 
+def test_oracle_dump_lists_the_pairs_geq_relates(tmp_path):
+    """On seeded theories with cycles and free parts, ``oracle`` lists every
+    pair that ``geq`` relates and ``--strict`` every pair it does not relate
+    back, row by row in canonical order."""
+    rng = random.Random(1543)
+    cyclic = freed = 0
+    for n in range(25):
+        theory = random_theory(rng, random_schema(rng, max_attrs=3), max_statements=8)
+        path = _write(tmp_path, f"t{n}.cpt", serialize_theory(theory))
+        schema, relation = theory.schema, closure_oracle(theory)
+        universe = list(schema.alternatives())
+        name = {o: ",".join(f"{a}={o[a]}" for a in schema.names) for o in universe}
+        geq = [(o, p) for o in universe for p in universe if relation.geq(o, p)]
+        strict = [(o, p) for o, p in geq if not relation.geq(p, o)]
+        for argv, pairs in (([], geq), (["--strict"], strict)):
+            result = run(["oracle", path, *argv])
+            assert result.status == 0 and result.diagnostics == ""
+            assert result.report == "\n".join(f"{name[o]} >= {name[p]}" for o, p in pairs)
+        cyclic += len(geq) - len(strict) > len(universe)
+        freed += any(s.free for s in theory.statements)
+    assert cyclic and freed
+
+
 def test_oracle_cap_exhaustion(ex2_file):
     result = run(["oracle", ex2_file, "--cap", "4"])
     assert result.status == 3 and "exceeds the cap" in result.diagnostics
@@ -434,6 +465,7 @@ def test_a_zero_or_negative_limit_is_refused(tmp_path, ex2_file):
         (ex2_file, "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n", ["-o", "W=w,C=c1,P=p", "-p", "W=nw,C=c1,P=p"]),
         (tree_file, "A=a,B=b\nA=na,B=nb\n", ["-o", "A=a,B=nb", "-p", "A=na,B=b"]),
     )
+    out = str(tmp_path / "out.lpt")
     for doc, candidates, pair in documents:
         sets = _write(tmp_path, "set.txt", candidates)
         for limit in ("0", "-1", "-5"):
@@ -441,12 +473,20 @@ def test_a_zero_or_negative_limit_is_refused(tmp_path, ex2_file):
                 ["compare", doc, *pair, "--budget", limit],
                 ["top", doc, "--set", sets, "-p", "1", "--lex-k", limit],
                 ["top", doc, "--set", sets, "-p", "0", "--lex-k", limit],
+                ["linearisable", doc, "--cap", limit],
+                ["oracle", doc, "--cap", limit],
+                ["compile", doc, "-k", limit, "-o", out],
+                ["compile", doc, "-k", "1", "-o", out, "--node-budget", limit],
             ):
                 result = run(argv)
                 assert result.status == 2 and result.report == "", argv
                 assert "must be positive" in result.diagnostics, argv
+            assert not os.path.exists(out)
             assert run(["compare", doc, *pair, "--budget", "1"]).status in (0, 3)
             assert run(["top", doc, "--set", sets, "-p", "1", "--lex-k", "1"]).status == 0
+            assert run(["linearisable", doc, "--cap", "1"]).status in (0, 3)
+            assert run(["compile", doc, "-k", "1", "-o", out, "--node-budget", "1"]).status == 3
+            assert not os.path.exists(out)
 
 
 def test_top_checks_the_size_before_building_the_relation(tmp_path):

@@ -12,9 +12,9 @@ from cpref import (
     LPNode,
     LPTree,
     NodeBudgetError,
-    NodeContext,
     NotLexicoCompatibleError,
     Or,
+    PathContext,
     TRUE,
     ValidationError,
     build_complete_lptree,
@@ -26,7 +26,6 @@ from cpref import (
     is_k_lexico_compatible,
     lptree_to_statements,
     phi_at_node,
-    relevant,
     strict_chain_rule,
     top_p_lexcompat,
     validate,
@@ -43,7 +42,17 @@ from helpers import (
 
 
 def _root_ctx(schema):
-    return NodeContext.root(schema)
+    return PathContext.root(schema)
+
+
+def _below_w(schema):
+    return _root_ctx(schema).child(("W",), schema.instantiation({"W": "w"}))
+
+
+def _relevant(theory, ctx, label):
+    """The statements ``extends_check`` holds a node labelled ``label`` to:
+    those active there that swap into the label."""
+    return [s for s in phi_at_node(theory, ctx) if not s.swapped.isdisjoint(label)]
 
 
 # ---------------------------------------------------------------------------
@@ -54,27 +63,25 @@ def test_relevant_at_root():
     t = ex2_theory()
     ctx = _root_ctx(t.schema)
     wait_stmt = t.statements[0]  # swaps W, frees C and P
-    assert relevant(wait_stmt, ctx, label=("W",))
-    assert not relevant(wait_stmt, ctx, label=("C",))  # swap misses the label
-    assert relevant(wait_stmt, ctx)  # without a label only two conjuncts apply
+    assert wait_stmt in _relevant(t, ctx, ("W",))
+    assert wait_stmt not in _relevant(t, ctx, ("C",))  # swap misses the label
+    assert wait_stmt in phi_at_node(t, ctx)  # active whatever the label
 
 
 def test_relevant_blocked_by_ancestors_and_context():
     t = ex2_theory()
-    s = t.schema
+    below_w = _below_w(t.schema)
     wait_stmt = t.statements[0]
-    below_w = NodeContext(frozenset({"W"}), s.instantiation({"W": "w"}))
-    assert not relevant(wait_stmt, below_w, label=("C",))  # W already placed
+    assert wait_stmt not in _relevant(t, below_w, ("C",))  # W already placed
     now_conditioned = t.statements[3]  # condition W=nw
-    assert not relevant(now_conditioned, below_w, label=("P",))
+    assert now_conditioned not in _relevant(t, below_w, ("P",))
 
 
 def test_phi_at_node():
     t = ex2_theory()
     s = t.schema
     assert phi_at_node(t, _root_ctx(s)) == t.statements
-    below_w = NodeContext(frozenset({"W"}), s.instantiation({"W": "w"}))
-    active = phi_at_node(t, below_w)
+    active = phi_at_node(t, _below_w(s))
     assert t.statements[0] not in active  # swapped attribute already placed
     assert t.statements[3] not in active  # condition clashes with the path
     assert t.statements[5] in active
@@ -103,9 +110,9 @@ def test_choose_attribute_blocked_on_satisfying_branch():
     t = gen_3sat_reduction([[1]])
     s = t.schema
     # with the clause satisfied every chain attribute sits in an active free part
-    satisfied = NodeContext(frozenset({"X1"}), s.instantiation({"X1": "t"}))
+    satisfied = _root_ctx(s).child(("X1",), s.instantiation({"X1": "t"}))
     assert choose_attribute(t, satisfied, 1) is None
-    falsified = NodeContext(frozenset({"X1"}), s.instantiation({"X1": "f"}))
+    falsified = _root_ctx(s).child(("X1",), s.instantiation({"X1": "f"}))
     assert choose_attribute(t, falsified, 1) is not None
 
 
@@ -279,17 +286,17 @@ def test_extends_check_rejects_wrong_root_order():
 
 
 def test_extends_check_closes_each_rule_once(monkeypatch):
-    import cpref.lexcompat as lexcompat
+    import cpref.lptree as lptree
     from cpref.lptree import iter_nodes
 
     calls = []
-    closes = lexcompat._rule_rows
+    closes = lptree._rule_rows
 
     def counting(offsets, rule):
         calls.append(rule)
         return closes(offsets, rule)
 
-    monkeypatch.setattr(lexcompat, "_rule_rows", counting)
+    monkeypatch.setattr(lptree, "_rule_rows", counting)
     rng = random.Random(227)
     for _ in range(10):
         schema = random_schema(rng, max_attrs=3, max_domain=3)
@@ -297,7 +304,8 @@ def test_extends_check_closes_each_rule_once(monkeypatch):
         theory = lptree_to_statements(tree)
         calls.clear()
         assert extends_check(theory, tree)
-        assert len(calls) == sum(len(node.rules) for node, _ in iter_nodes(tree))
+        # once in the completeness test, once in the extension walk
+        assert len(calls) == 2 * sum(len(node.rules) for node, _ in iter_nodes(tree))
 
 
 def test_extends_check_empty_theory():

@@ -172,10 +172,13 @@ def _cmd_cut(args) -> CommandResult:
             if not args.enumerate:
                 raise lptree.IncompleteTreeError(
                     "strict-cut counting needs a complete tree; pass --enumerate to "
-                    "fall back to enumeration"
+                    "count a partial tree by the block sums on the alternative's branch"
                 ) from None
-            count = sum(1 for _ in lptree.strict_dominators(doc, o))
-            warning = "warning: tree is not complete; counted by enumeration"
+            count = lptree.strict_dominator_count(doc, o)
+            warning = (
+                "warning: tree is not complete; counted by the block sums on the "
+                "alternative's branch"
+            )
     else:
         if args.strict:
             warning = (
@@ -317,7 +320,9 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--enumerate",
         action="store_true",
-        help="allow enumeration when the tractable counting path does not apply",
+        help="count --strict on a partial tree too, by the strictly better label "
+        "values times the block sizes on the alternative's branch, instead of "
+        "refusing it",
     )
     p.set_defaults(func=_cmd_cut)
 

@@ -35,7 +35,7 @@ from .lptree import (
     LPTree,
     PathContext,
     _closed_nodes,
-    is_complete,
+    _complete_at,
     strict_chain_rule,
     validate,
 )
@@ -55,7 +55,8 @@ class NotLexicoCompatibleError(RuntimeError):
 @dataclass(frozen=True)
 class CandidateLabel:
     """A label choice: up to k fresh attributes and a linear order over their
-    instantiations, best first."""
+    instantiations, best first.  It is what :func:`choose_attribute`
+    returns, exported with it so that callers can name the type."""
 
     attrs: tuple[str, ...]
     order: tuple[PartialInstantiation, ...]
@@ -211,31 +212,41 @@ def extends_check(theory: CPTheory, tree: LPTree) -> bool:
     that swaps into the node's label, the statement's free attributes must
     avoid the node's ancestors, and every applicable rule must strictly
     order the label values induced by the statement's swap, whatever the
-    free and untouched attributes do.
+    free and untouched attributes do.  Completeness is tested in the same
+    walk, so each rule is closed once; once the extension fails, the walk
+    goes on only to test completeness.
     """
     if validate(tree):
         raise ValidationError("extension check requires a valid tree")
-    if not is_complete(tree):
-        raise IncompleteTreeError("extension check requires a complete tree")
+    all_names = frozenset(tree.schema.names)
+    extends = True
+    for node, ctx, label, closed in _closed_nodes(tree):
+        if not _complete_at(node, ctx, label, closed, all_names):
+            raise IncompleteTreeError("extension check requires a complete tree")
+        extends = extends and _extends_at(theory, ctx, label, closed)
+    return extends
+
+
+def _extends_at(theory: CPTheory, ctx: PathContext, label, closed) -> bool:
+    """:func:`extends_check` at one node of the tree's closed-rule walk."""
     schema = theory.schema
-    for _, ctx, label, closed in _closed_nodes(tree):
-        assigned = dict(ctx.assigned.bindings)
-        for s in phi_at_node(theory, ctx):
-            if s.swapped.isdisjoint(label):
-                continue
-            if s.free & ctx.ancestors:
-                return False
-            for rule, rows in closed:
-                bases, better, worse, free = _swaps(
-                    s, schema, label, assigned, And(s.condition, rule.condition)
-                )
-                for b in bases:
-                    for f in free:
-                        i = b + better + f
-                        for g in free:
-                            j = b + worse + g
-                            if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
-                                return False
+    assigned = dict(ctx.assigned.bindings)
+    for s in phi_at_node(theory, ctx):
+        if s.swapped.isdisjoint(label):
+            continue
+        if s.free & ctx.ancestors:
+            return False
+        for rule, rows in closed:
+            bases, better, worse, free = _swaps(
+                s, schema, label, assigned, And(s.condition, rule.condition)
+            )
+            for b in bases:
+                for f in free:
+                    i = b + better + f
+                    for g in free:
+                        j = b + worse + g
+                        if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
+                            return False
     return True
 
 

@@ -221,37 +221,58 @@ def validate(tree: LPTree) -> list[str]:
     """Structural check; returns human-readable violations (empty when valid)."""
     schema = tree.schema
     violations: list[str] = []
-    offsets = _offset_tables(schema)
+    labels: dict[tuple[str, ...], tuple[str | None, Offsets, set[int]]] = {}
 
     for node, ctx in iter_nodes(tree):
         label = node.label
-        if not label:
-            violations.append(f"{ctx.trail}: node label is empty")
-            continue
-        if len(set(label)) != len(label):
-            violations.append(f"{ctx.trail}: label repeats an attribute")
-            continue
-        unknown = [a for a in label if a not in schema]
-        if unknown:
-            violations.append(f"{ctx.trail}: unknown attributes {unknown}")
+        facts = labels.get(label)
+        if facts is None:
+            facts = labels[label] = _label_facts(schema, label)
+        problem, valid, known = facts
+        if problem is not None:
+            violations.append(f"{ctx.trail}: {problem}")
             continue
         repeated = ctx.ancestors.intersection(label)
         if repeated:
             violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
-        valid = offsets(schema.ordered(label))
-        _validate_children(schema, node, ctx, valid, violations)
-        if _validate_rules(schema, node, ctx, valid, violations):
+        _validate_children(schema, node, ctx, valid, known, violations)
+        rules = node.rules
+        if len(rules) == 1 and rules[0].condition == TRUE:
+            # a lone unconditional rule matches every context exactly once
+            _validate_links(schema, 0, rules[0], ctx, valid, known, violations)
+        elif _validate_rules(schema, node, ctx, valid, known, violations):
             _validate_rule_multiplicity(schema, node, ctx, violations)
 
     return violations
 
 
-def _is_instantiation(schema, valid, inst: PartialInstantiation) -> bool:
-    """True iff ``inst`` is over ``schema`` and its bindings are in ``valid``."""
-    return inst.bindings in valid and (inst.schema is schema or inst.schema == schema)
+def _label_facts(schema, label) -> tuple[str | None, Offsets, set[int]]:
+    """What is wrong with ``label`` on its own (None when nothing is), the
+    offset table of its instantiations, and an empty set for the ids of the
+    points found to instantiate it."""
+    if not label:
+        return "node label is empty", {}, set()
+    if len(set(label)) != len(label):
+        return "label repeats an attribute", {}, set()
+    unknown = [a for a in label if a not in schema]
+    if unknown:
+        return f"unknown attributes {unknown}", {}, set()
+    return None, _label_offsets(schema, schema.ordered(label)), set()
 
 
-def _validate_children(schema, node, ctx, valid, violations):
+def _instantiates(schema, valid, known, inst: PartialInstantiation) -> bool:
+    """True iff ``inst`` is over ``schema`` and its bindings are in ``valid``;
+    ``known`` holds the ids of the points already found to be, so a point
+    the parser shares is checked once per label."""
+    if id(inst) in known:
+        return True
+    if inst.bindings in valid and (inst.schema is schema or inst.schema == schema):
+        known.add(id(inst))
+        return True
+    return False
+
+
+def _validate_children(schema, node, ctx, valid, known, violations):
     if not node.children:
         return
     labels = [e for e, _ in node.children]
@@ -263,14 +284,14 @@ def _validate_children(schema, node, ctx, valid, violations):
     if (
         len(labels) != len(valid)
         or len({e.bindings for e in labels}) != len(labels)
-        or not all(_is_instantiation(schema, valid, e) for e in labels)
+        or not all(_instantiates(schema, valid, known, e) for e in labels)
     ):
         violations.append(
             f"{ctx.trail}: edges must carry each label instantiation exactly once"
         )
 
 
-def _validate_rules(schema, node, ctx, valid, violations) -> bool:
+def _validate_rules(schema, node, ctx, valid, known, violations) -> bool:
     ok = True
     for k, rule in enumerate(node.rules):
         try:
@@ -286,15 +307,25 @@ def _validate_rules(schema, node, ctx, valid, violations) -> bool:
                 f"unlabelled-edge ancestors: {sorted(stray)}"
             )
             ok = False
-        for link in rule.links:
-            for endpoint in (link.left, link.right):
-                if not _is_instantiation(schema, valid, endpoint):
-                    violations.append(
-                        f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
-                        f"instantiation of the node label"
-                    )
-                    ok = False
-                    break
+        ok = _validate_links(schema, k, rule, ctx, valid, known, violations) and ok
+    return ok
+
+
+def _validate_links(schema, k, rule, ctx, valid, known, violations) -> bool:
+    """Check that every link of rule ``k`` orders instantiations of the
+    node's label."""
+    ok = True
+    for link in rule.links:
+        if id(link.left) in known and id(link.right) in known:
+            continue
+        for endpoint in (link.left, link.right):
+            if not _instantiates(schema, valid, known, endpoint):
+                violations.append(
+                    f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
+                    f"instantiation of the node label"
+                )
+                ok = False
+                break
     return ok
 
 
@@ -382,16 +413,21 @@ def compare_lptree(
 
 def is_complete(tree: LPTree) -> bool:
     """Every attribute on every branch, every rule a linear order."""
-    all_names = set(tree.schema.names)
-    for node, ctx, label, closed in _closed_nodes(tree):
-        for _, rows in closed:
-            # A preorder on n elements is linear iff its reach sets have n
-            # distinct sizes: the largest reaches all, and the rest is linear.
-            if len({row.bit_count() for row in rows}) != len(rows):
-                return False
-        if not node.children and ctx.ancestors.union(label) != all_names:
+    all_names = frozenset(tree.schema.names)
+    return all(
+        _complete_at(node, ctx, label, closed, all_names)
+        for node, ctx, label, closed in _closed_nodes(tree)
+    )
+
+
+def _complete_at(node, ctx, label, closed, all_names) -> bool:
+    """:func:`is_complete` at one node of :func:`_closed_nodes`."""
+    for _, rows in closed:
+        # A preorder on n elements is linear iff its reach sets have n
+        # distinct sizes: the largest reaches all, and the rest is linear.
+        if len({row.bit_count() for row in rows}) != len(rows):
             return False
-    return True
+    return bool(node.children) or ctx.ancestors.union(label) == all_names
 
 
 def is_linearisable_lptree(tree: LPTree) -> bool:
@@ -550,14 +586,23 @@ def _strictly_above(
 
 
 def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
-    """How many alternatives are strictly better than ``o``.
-
-    Walks ``o``'s branch; at each node the strictly-better label values each
-    account for a full block of alternatives over the attributes not yet
-    encountered.  Requires a complete tree.
+    """How many alternatives are strictly better than ``o``, by
+    :func:`strict_dominator_count`.  Requires a complete tree, the case the
+    tractable counting path is stated for.
     """
     if not is_complete(tree):
         raise IncompleteTreeError("strict-cut counting requires a complete tree")
+    return strict_dominator_count(tree, o)
+
+
+def strict_dominator_count(tree: LPTree, o: PartialInstantiation) -> int:
+    """How many alternatives :func:`strict_dominators` yields, without
+    visiting them; for trees that need not be complete.
+
+    Walks ``o``'s branch; at each node the strictly-better label values each
+    account for a full block of alternatives over the attributes not yet
+    encountered.
+    """
     return sum(
         sum(1 for _ in _strictly_above(tree.schema, label, rule, mine)) * block
         for _, label, mine, rule, block in _branch(tree, o)

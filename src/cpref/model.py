@@ -225,10 +225,6 @@ class PartialInstantiation:
         return f"<{body or 'empty'}>"
 
 
-# A total instantiation; construct through AttributeSchema.alternative.
-Alternative = PartialInstantiation
-
-
 # ---------------------------------------------------------------------------
 # Propositional formulas over the schema's atoms
 
@@ -548,9 +544,6 @@ class CPTheory:
         """Total statement size: condition size + free count + twice swap width."""
         return sum(s.size() for s in self.statements)
 
-    def with_statements(self, *extra: CPStatement) -> CPTheory:
-        return CPTheory(self.schema, self.statements + tuple(extra))
-
 
 # ---------------------------------------------------------------------------
 # CP-nets
@@ -595,11 +588,6 @@ class CPNet:
                         f"rule order for {table.attribute!r} must be a linear order "
                         f"over its domain"
                     )
-
-    def graph_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(
-            (p, t.attribute) for t in self.tables for p in t.parents
-        )
 
 
 def cpnet_to_statements(net: CPNet) -> CPTheory:

@@ -151,10 +151,6 @@ class ExplicitPreorder:
             succ[_alternative_index(schema, o)].append(_alternative_index(schema, o_prime))
         return cls(schema, _closed_rows(succ, len(succ)))
 
-    @classmethod
-    def identity(cls, schema: AttributeSchema) -> ExplicitPreorder:
-        return cls.from_pairs(schema, ())
-
     def index_of(self, alt: PartialInstantiation) -> int:
         return _alternative_index(self.schema, alt)
 
@@ -179,14 +175,6 @@ class ExplicitPreorder:
 
     def is_reflexive(self) -> bool:
         return all(row >> i & 1 for i, row in enumerate(self.rows))
-
-    def is_antisymmetric(self) -> bool:
-        rows = self.rows
-        for i, row in enumerate(rows):
-            for j in _bits(row >> (i + 1)):
-                if rows[i + 1 + j] >> i & 1:
-                    return False
-        return True
 
     def is_preorder(self) -> bool:
         rows = self.rows

@@ -26,9 +26,10 @@ statements and tree components in stored order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from typing import NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 from .model import (
     And,
@@ -63,17 +64,18 @@ class ParseError(ValueError):
 
 
 # One match per token: the whitespace and comments before it, then the token.
-# Every character is either skipped or starts a token, so the scan never
-# backtracks.  A single character that starts no longer token is a token of
-# its own, a symbol or else an error, and the end of the text is the empty
-# token.
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    ( [A-Za-z_][A-Za-z0-9_]* | <-> | -> | >= | [^ \t\r\n\#] | \Z )
-    """,
-    re.VERBOSE,
-)
+# Every character is either skipped or starts a token.  A single character
+# that starts no longer token is a token of its own, a symbol or else an
+# error, and the end of the text is the empty token.  ``_TOKEN_RE`` takes a
+# space-free point run ``X=x,Y=y`` as one token; ``_ATOM_TOKEN_RE`` splits
+# it into names and symbols.
+def _token_re(name: str) -> re.Pattern:
+    return re.compile(rf"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*({name}|<->|->|>=|[^ \t\r\n\#]|\Z)")
+
+
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = _token_re(rf"{_NAME}(?:={_NAME}(?:,{_NAME}={_NAME})*)?")
+_ATOM_TOKEN_RE = _token_re(_NAME)
 _SYMBOLS = frozenset(("<->", "->", ">=", *">~;|{}()=,:*"))
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # Binding level and constructor of each binary connective, loosest first.
@@ -81,18 +83,28 @@ _BINARY = {"<->": (0, Iff), "->": (1, Implies), "or": (2, Or), "and": (3, And)}
 _LINKS = {">": LinkKind.STRICT, "~": LinkKind.EQUIV}
 
 
+class _Rescan(Exception):
+    """A parse over point-run tokens failed; the text is parsed again over
+    atom tokens, which alone report errors."""
+
+
 class _Parser:
     """Recursive descent over the tokens of one text at a time.
 
     A token is the string it matched; a name starts with a letter or ``_``.
-    Line and column of a token are found, by scanning the text again, only
-    for an error.  ``points`` shares each distinct point of the document:
-    it is checked and built once per parse.
+    With ``runs`` a point must be one point-run token, and any failure
+    raises :class:`_Rescan`, so a document that parses this way parses to
+    the same result over atom tokens.  Without it, points are read atom by
+    atom, and the line and column of a failing token are found, by scanning
+    the text again, only for an error.  ``points`` shares each distinct
+    point of the document: it is checked and built once per parse.
     """
 
-    def __init__(self, schema: AttributeSchema | None = None):
+    def __init__(self, schema: AttributeSchema | None, runs: bool):
         self.schema = schema
-        self.points: dict[tuple[str, ...], PartialInstantiation] = {}
+        self.runs = runs
+        self.token_re = _TOKEN_RE if runs else _ATOM_TOKEN_RE
+        self.points: dict[str | tuple[str, ...], PartialInstantiation] = {}
         if schema is not None:
             self.use(schema)
 
@@ -101,7 +113,7 @@ class _Parser:
         input is reported at ``end_line``, column 1."""
         self.text, self.first_line, self.end_line = text, first_line, end_line
         # Padding after the end token keeps point's look-ahead in range.
-        self.toks = _TOKEN_RE.findall(text) + ["", "", ""]
+        self.toks = self.token_re.findall(text) + ["", "", ""]
         self.i = 0
         bad = [t for t in set(self.toks) if t and t[0] not in _NAME_START and t not in _SYMBOLS]
         if bad:
@@ -111,12 +123,16 @@ class _Parser:
     def use(self, schema: AttributeSchema) -> None:
         self.schema = schema
         self.values = {a.name: frozenset(a.values) for a in schema.attributes}
+        self.atoms = {f"{a.name}={v}": (a.name, v) for a in schema.attributes for v in a.values}
 
     def fail(self, message: str, i: int | None = None) -> NoReturn:
-        """Raise ParseError at token ``i`` (default: the current token)."""
+        """Raise ParseError at token ``i`` (default: the current token), or
+        :class:`_Rescan` when reading point runs."""
+        if self.runs:
+            raise _Rescan
         i = self.i if i is None else i
         if self.toks[i]:
-            offset = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None)).start(1)
+            offset = next(itertools.islice(self.token_re.finditer(self.text), i, None)).start(1)
             line = self.first_line + self.text.count("\n", 0, offset)
             column = offset - self.text.rfind("\n", 0, offset)
         else:
@@ -139,7 +155,7 @@ class _Parser:
 
     def name(self, what: str) -> str:
         tok = self.toks[self.i]
-        if tok[:1] not in _NAME_START:
+        if tok[:1] not in _NAME_START or "=" in tok:
             self.fail(f"expected {what}, found {self.found()}")
         if tok in RESERVED:
             self.fail(f"{tok!r} is a reserved word")
@@ -182,6 +198,10 @@ class _Parser:
     def atom(self) -> tuple[str, str]:
         """``X=x``, as its attribute and value."""
         toks, i = self.toks, self.i
+        atom = self.atoms.get(toks[i])
+        if atom is not None:
+            self.i = i + 1
+            return atom
         attr = toks[i]
         values = self.values.get(attr)
         if values is None:
@@ -198,6 +218,19 @@ class _Parser:
 
     def point(self) -> PartialInstantiation:
         """A comma-separated run of ``X=x`` assignments."""
+        if self.runs:
+            tok = self.toks[self.i]
+            point = self.points.get(tok)
+            if point is None:
+                atoms = [self.atoms.get(atom) for atom in tok.split(",")]
+                if None in atoms:
+                    raise _Rescan
+                bindings = dict(atoms)
+                if len(bindings) != len(atoms):
+                    raise _Rescan
+                point = self.points[tok] = self.schema.instantiation(bindings)
+            self.i += 1
+            return point
         toks, start = self.toks, self.i
         end = start + 3
         while toks[end] == ",":
@@ -334,12 +367,28 @@ class _Parser:
 # Theories
 
 
+T = TypeVar("T")
+
+
+def _parsed(parse: Callable[[bool], T]) -> T:
+    """``parse(runs=True)``, or, when that fails, ``parse(runs=False)``,
+    which raises the error with its line and column."""
+    try:
+        return parse(True)
+    except _Rescan:
+        return parse(False)
+
+
 def parse_theory(text: str) -> CPTheory:
     """Parse a theory document; raises ParseError with line/column on failure.
     Lines are those of ``str.splitlines``."""
+    return _parsed(functools.partial(_parse_theory, text))
+
+
+def _parse_theory(text: str, runs: bool) -> CPTheory:
     declared: dict[str, tuple[str, ...]] = {}
     statements: list[CPStatement] = []
-    parser = _Parser()
+    parser = _Parser(None, runs)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parser.load(raw, line_no, line_no)
         head = parser.toks[0]
@@ -366,7 +415,11 @@ def parse_theory(text: str) -> CPTheory:
 def parse_lptree(text: str) -> LPTree:
     """Parse a tree document; structural constraints beyond the grammar are
     left to lptree.validate."""
-    parser = _Parser()
+    return _parsed(functools.partial(_parse_lptree, text))
+
+
+def _parse_lptree(text: str, runs: bool) -> LPTree:
+    parser = _Parser(None, runs)
     parser.load(text, 1, text.count("\n") + 1)
     declared: dict[str, tuple[str, ...]] = {}
     while parser.toks[parser.i] == "attr":
@@ -382,18 +435,23 @@ def parse_lptree(text: str) -> LPTree:
 
 
 def parse_alternative(schema: AttributeSchema, text: str) -> PartialInstantiation:
-    return _Parser(schema).whole_point(text, 1)
+    return _parsed(lambda runs: _Parser(schema, runs).whole_point(text, 1))
 
 
 def parse_alternatives(schema: AttributeSchema, text: str) -> list[PartialInstantiation]:
     """One alternative per line, under the lexical rules of a theory line:
     blank and comment-only lines are skipped, and errors name the line."""
-    parser = _Parser(schema)
-    return [
-        parser.whole_point(raw, line_no)
+    lines = [
+        (line_no, raw)
         for line_no, raw in enumerate(text.splitlines(), start=1)
         if _TOKEN_RE.match(raw)[1]
     ]
+
+    def parse(runs: bool) -> list[PartialInstantiation]:
+        parser = _Parser(schema, runs)
+        return [parser.whole_point(raw, line_no) for line_no, raw in lines]
+
+    return _parsed(parse)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from cpref import (
     TRUE,
     strict_chain_rule,
 )
+from cpref.model import _bits
 
 
 def alt(schema, **bindings):
@@ -31,6 +32,26 @@ def alt(schema, **bindings):
 
 def inst(schema, **bindings):
     return schema.instantiation({k: str(v) for k, v in bindings.items()})
+
+
+def with_statements(theory, *extra):
+    """The theory with ``extra`` appended to its statements."""
+    return CPTheory(theory.schema, theory.statements + extra)
+
+
+def cpnet_edges(net):
+    """The parent-to-child edges of a CP-net's graph."""
+    return frozenset((p, t.attribute) for t in net.tables for p in t.parents)
+
+
+def is_antisymmetric(relation):
+    """True iff no two distinct alternatives are related both ways."""
+    rows = relation.rows
+    for i, row in enumerate(rows):
+        for j in _bits(row >> (i + 1)):
+            if rows[i + 1 + j] >> i & 1:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +351,20 @@ def random_lptree(rng: random.Random, schema, k=2, complete=False):
         return LPNode(label, rules, edges)
 
     return LPTree(schema, grow(list(schema.names), set()))
+
+
+def shuffled_lptree(tree, rng):
+    """A copy that stores each node's label and labelled edges in a random,
+    non-canonical order."""
+
+    def copy(node):
+        label = tuple(rng.sample(node.label, len(node.label)))
+        children = [(edge, copy(child)) for edge, child in node.children]
+        if children and children[0][0] is not None:
+            rng.shuffle(children)
+        return LPNode(label, node.rules, tuple(children))
+
+    return LPTree(tree.schema, copy(tree.root))
 
 
 def brute_force_sat(clauses, num_vars):

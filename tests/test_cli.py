@@ -9,13 +9,17 @@ import pytest
 from cpref import (
     closure_oracle,
     is_complete,
+    lptree_to_statements,
     parse_lptree,
     parse_theory,
+    serialize_lptree,
     serialize_theory,
+    strict_dominators,
     validate,
 )
 from cpref.cli import run
-from helpers import EX2_DSL, random_schema, random_theory
+from cpref.textio import format_instantiation
+from helpers import EX2_DSL, random_lptree, random_schema, random_theory, shuffled_lptree
 
 SINGLE = "attr A: a, na\nstmt true : A=a >= A=na\n"
 CYCLIC = "attr A: a, na\nstmt true : A=a >= A=na\nstmt true : A=na >= A=a\n"
@@ -53,6 +57,16 @@ attr B: b, nb
 node {A}
   rule true : A=a > A=na
 """
+
+# What `cut --count --strict` says about a partial tree, without and with
+# --enumerate.
+PARTIAL_REFUSAL = (
+    "error: strict-cut counting needs a complete tree; pass --enumerate to count "
+    "a partial tree by the block sums on the alternative's branch"
+)
+PARTIAL_WARNING = (
+    "warning: tree is not complete; counted by the block sums on the alternative's branch"
+)
 
 
 @pytest.fixture
@@ -182,12 +196,40 @@ def test_cut_count_paths(tmp_path, ex2_file):
     assert tree_count.diagnostics == ""
     partial = _write(tmp_path, "partial.lpt", PARTIAL_TREE)
     refused = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict"])
-    assert refused.status == 2
+    assert refused.status == 2 and refused.diagnostics == PARTIAL_REFUSAL
     allowed = run(
         ["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict", "--enumerate"]
     )
     assert allowed.status == 0 and allowed.report == "2"
-    assert "enumeration" in allowed.diagnostics
+    assert allowed.diagnostics == PARTIAL_WARNING
+
+
+def test_cut_count_on_partial_trees_equals_dominators_and_oracle(tmp_path):
+    # Seeded partial trees, with non-linear rules and unlabelled edges, and
+    # a copy of each that stores labels and labelled edges out of order.
+    rng = random.Random(163)
+    trees = [random_lptree(rng, random_schema(rng), k=2) for _ in range(25)]
+    counted = 0
+    for n, tree in enumerate(trees + [shuffled_lptree(tree, rng) for tree in trees]):
+        path = _write(tmp_path, f"t{n}.lpt", serialize_lptree(tree))
+        oracle = closure_oracle(lptree_to_statements(tree))
+        complete = is_complete(tree)
+        for o in rng.sample(list(oracle.universe), min(4, len(oracle.universe))):
+            argv = ["cut", path, "--alt", format_instantiation(o), "--count", "--strict"]
+            expected = sum(1 for o2 in oracle.universe if oracle.strictly_better(o2, o))
+            assert sum(1 for _ in strict_dominators(tree, o)) == expected
+            result = run(argv + ["--enumerate"])
+            assert (result.status, result.report) == (0, str(expected))
+            refused = run(argv)
+            if complete:
+                assert refused == result and result.diagnostics == ""
+            else:
+                assert result.diagnostics == PARTIAL_WARNING
+                assert (refused.status, refused.report, refused.diagnostics) == (
+                    2, "", PARTIAL_REFUSAL
+                )
+                counted += expected > 0
+    assert counted > 40
 
 
 def test_cut_strict_count_checks_completeness_once(tmp_path, monkeypatch):

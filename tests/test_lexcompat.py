@@ -304,8 +304,8 @@ def test_extends_check_closes_each_rule_once(monkeypatch):
         theory = lptree_to_statements(tree)
         calls.clear()
         assert extends_check(theory, tree)
-        # once in the completeness test, once in the extension walk
-        assert len(calls) == 2 * sum(len(node.rules) for node, _ in iter_nodes(tree))
+        # completeness is tested in the extension walk, on the same closures
+        assert len(calls) == sum(len(node.rules) for node, _ in iter_nodes(tree))
 
 
 def test_extends_check_empty_theory():
@@ -319,6 +319,19 @@ def test_extends_check_requires_complete_tree():
         s,
         LPNode(("W",), (strict_chain_rule(TRUE, list(s.instantiations(("W",)))),), ()),
     )
+    with pytest.raises(IncompleteTreeError):
+        extends_check(ex2_theory(), partial)
+
+
+def test_extends_check_refuses_an_incomplete_tree_after_a_violation():
+    # The root contradicts the theory's W statement; only the last branch,
+    # which the walk reaches after the root, stops short of P.
+    bad = _w_first_tree(("w", "nw"))
+    w_edge, (nw, c_node) = bad.root.children
+    cut_short = LPNode(c_node.label, c_node.rules, ())
+    partial = LPTree(bad.schema, LPNode(("W",), bad.root.rules, (w_edge, (nw, cut_short))))
+    assert validate(partial) == [] and not is_complete(partial)
+    assert not extends_check(ex2_theory(), bad)
     with pytest.raises(IncompleteTreeError):
         extends_check(ex2_theory(), partial)
 

@@ -33,6 +33,7 @@ from cpref import (
     serialize_theory,
     strict_chain_rule,
     strict_cut_count,
+    strict_dominator_count,
     strict_dominators,
     top_p_general,
     top_p_lptree,
@@ -40,7 +41,15 @@ from cpref import (
 )
 from cpref.cli import run
 from cpref.semantics import _dominators
-from helpers import alt, ex2_schema, inst, random_lptree, random_schema
+from helpers import (
+    alt,
+    ex2_schema,
+    inst,
+    is_antisymmetric,
+    random_lptree,
+    random_schema,
+    shuffled_lptree,
+)
 
 
 def _binary_schema():
@@ -400,7 +409,7 @@ def test_complete_iff_linear_order():
         total = all(
             oracle.geq(a, b) or oracle.geq(b, a) for a in universe for b in universe
         )
-        assert is_complete(tree) == (total and oracle.is_antisymmetric())
+        assert is_complete(tree) == (total and is_antisymmetric(oracle))
 
 
 def test_is_linearisable_examples():
@@ -502,7 +511,7 @@ def _classify_sample():
         for _ in range(40):
             schema = random_schema(rng, max_attrs=5, min_attrs=1)
             tree = random_lptree(rng, schema, k=rng.randint(1, 3), complete=complete)
-            out += [tree, _shuffled(tree, rng), _disguised(tree, rng)]
+            out += [tree, shuffled_lptree(tree, rng), _disguised(tree, rng)]
     return out
 
 
@@ -627,26 +636,12 @@ def test_strict_cut_count_corners():
     assert strict_cut_count(tree, alt(s, A="a", B="b")) == 0
 
 
-def _shuffled(tree, rng):
-    """A copy that stores each node's label and labelled edges in a random,
-    non-canonical order."""
-
-    def copy(node):
-        label = tuple(rng.sample(node.label, len(node.label)))
-        children = [(edge, copy(child)) for edge, child in node.children]
-        if children and children[0][0] is not None:
-            rng.shuffle(children)
-        return LPNode(label, node.rules, tuple(children))
-
-    return LPTree(tree.schema, copy(tree.root))
-
-
 def _with_oracle(seed, count, complete, max_attrs=4):
     """Seeded trees plus a shuffled copy of each, every one with the
     exhaustive relation of its translated statements."""
     trees = _tree_sample(seed=seed, count=count, complete=complete, max_attrs=max_attrs)
     rng = random.Random(seed)
-    copies = [_shuffled(tree, rng) for tree in trees]
+    copies = [shuffled_lptree(tree, rng) for tree in trees]
     assert any(copy != tree for copy, tree in zip(copies, trees))
     out = []
     for tree in trees + copies:
@@ -682,7 +677,7 @@ def test_strict_dominators_of_partial_trees_count_by_branch_blocks():
     pairs = 0
     trees = _tree_sample(seed=139, count=30, complete=False)
     rng = random.Random(139)
-    for tree in trees + [_shuffled(tree, rng) for tree in trees]:
+    for tree in trees + [shuffled_lptree(tree, rng) for tree in trees]:
         schema = tree.schema
         for o in schema.alternatives():
             expected = 0
@@ -691,6 +686,7 @@ def test_strict_dominators_of_partial_trees_count_by_branch_blocks():
                 rows = lptree_module._rule_rows(offsets, rule)
                 expected += sum(1 for _ in _dominators(rows, mine, True)) * block
             assert sum(1 for _ in strict_dominators(tree, o)) == expected
+            assert strict_dominator_count(tree, o) == expected
             pairs += expected > 0
     assert pairs > 500
 

@@ -27,6 +27,7 @@ from cpref import (
     preorder_to_cp,
 )
 from helpers import (
+    cpnet_edges,
     alt,
     ex2_schema,
     ex2_theory,
@@ -289,7 +290,7 @@ def test_cpnet_two_attributes():
     assert len(t) == 3
     profile = classify(t)
     assert profile.is_cpnet and profile.max_swap_width == 1
-    assert dependency_graph(t).edges == net.graph_edges() == frozenset({("A", "B")})
+    assert dependency_graph(t).edges == cpnet_edges(net) == frozenset({("A", "B")})
 
 
 def test_cpnet_ex8_statement_count():
@@ -333,7 +334,7 @@ def test_cpnet_roundtrip_invariants():
         net = ex8_net(n)
         t = cpnet_to_statements(net)
         assert classify(t).is_cpnet
-        assert dependency_graph(t).edges == net.graph_edges()
+        assert dependency_graph(t).edges == cpnet_edges(net)
         assert dependency_graph(t).vertices == net.schema.names
 
 
@@ -348,7 +349,7 @@ def test_cpnet_over_empty_schema():
 
 def test_preorder_to_cp_identity_is_empty():
     s = ex3_schema()
-    assert len(preorder_to_cp(ExplicitPreorder.identity(s))) == 0
+    assert len(preorder_to_cp(ExplicitPreorder.from_pairs(s, ()))) == 0
 
 
 def test_preorder_to_cp_ex3_statements():

@@ -231,7 +231,7 @@ def test_empty_theory_serializes_schema_only():
 
 def test_preorder_serialization():
     s = AttributeSchema.of([("A", ("a", "na"))])
-    identity = ExplicitPreorder.identity(s)
+    identity = ExplicitPreorder.from_pairs(s, ())
     assert serialize_preorder(identity) == "A=a >= A=a\nA=na >= A=na\n"
     assert serialize_preorder(identity, strict_only=True) == ""
     t = ex2_theory()
@@ -362,3 +362,21 @@ def test_error_positions_after_comments_and_form_feeds():
     with pytest.raises(ParseError) as err:
         parse_alternative(random_schema(random.Random(1)), "A=a0, B")
     assert (err.value.line, err.value.column) == (1, 1)
+
+
+def test_point_runs_in_declarations_are_refused():
+    # Nothing later names the mis-declared attribute or value, so only the
+    # declaration itself can refuse the run.
+    rest = "attr B: x, y\nstmt true : B=x >= B=y\n"
+    tree_rest = "attr B: x, y\nnode {B}\n  rule true : B=x > B=y\n"
+    cases = [
+        (parse_theory, "attr A=a: a, b\n" + rest, ("expected ':', found '='", 1, 7)),
+        (parse_theory, "attr A: a=b, c\n" + rest, ("attribute 'A' needs at least two values", 1, 6)),
+        (parse_theory, "attr A: a, c=d\n" + rest, ("unexpected '='", 1, 13)),
+        (parse_lptree, "attr A: a, b=c\n" + tree_rest, ("expected 'node', found '='", 1, 13)),
+        (parse_lptree, "attr A=a,B=b: a, b\n" + tree_rest, ("expected ':', found '='", 1, 7)),
+    ]
+    for parse, doc, expected in cases:
+        with pytest.raises(ParseError) as err:
+            parse(doc)
+        assert (err.value.message, err.value.line, err.value.column) == expected

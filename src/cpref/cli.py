@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import lexcompat, lptree, semantics, textio
-from .model import CPTheory, ValidationError, classify
+from . import lexcompat, lptree, queries, textio
+from .model import ValidationError
 from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP, OptimumKind, OracleTooLargeError
 
 EXIT_OK = 0
@@ -66,22 +66,12 @@ def _load_document(path: str):
     return textio.parse_theory(text)
 
 
-def _as_theory(doc) -> CPTheory:
-    if isinstance(doc, lptree.LPTree):
-        return lptree.lptree_to_statements(doc)
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_classify(args) -> CommandResult:
-    doc = _load_document(args.file)
-    if isinstance(doc, lptree.LPTree):
-        count, size, profile = lptree.classify_lptree(doc)
-    else:
-        count, size, profile = len(doc), doc.size(), classify(doc)
+    count, size, profile = queries.classify(_load_document(args.file))
     lines = [
         f"statements: {count}",
         f"size: {size}",
@@ -97,110 +87,70 @@ def _cmd_classify(args) -> CommandResult:
 
 def _cmd_compare(args) -> CommandResult:
     doc = _load_document(args.file)
-    schema = doc.schema
-    o = textio.parse_alternative(schema, args.o)
-    o_prime = textio.parse_alternative(schema, args.p)
-    if isinstance(doc, lptree.LPTree):
-        label = lptree.compare_lptree(doc, o, o_prime)
-    else:
-        label = semantics.compare(doc, o, o_prime, args.budget)
-        if label is BUDGET_EXHAUSTED:
-            return CommandResult(EXIT_EXHAUSTED, "budget-exhausted")
+    o = textio.parse_alternative(doc.schema, args.o)
+    o_prime = textio.parse_alternative(doc.schema, args.p)
+    label = queries.compare(doc, o, o_prime, args.budget)
+    if label is BUDGET_EXHAUSTED:
+        return CommandResult(EXIT_EXHAUSTED, "budget-exhausted")
     return CommandResult(EXIT_OK, label.value)
 
 
 def _cmd_linearisable(args) -> CommandResult:
-    doc = _load_document(args.file)
-    if isinstance(doc, lptree.LPTree):
-        answer = lptree.is_linearisable_lptree(doc)
-    else:
-        answer = semantics.linearisable(doc, args.cap)
+    answer = queries.linearisable(_load_document(args.file), args.cap)
     return CommandResult(EXIT_OK if answer else EXIT_NO, f"linearisable: {_yes_no(answer)}")
 
 
 def _cmd_equiv(args) -> CommandResult:
-    first = _as_theory(_load_document(args.file))
-    second = _as_theory(_load_document(args.other))
-    answer = semantics.equivalent(first, second, args.cap)
+    answer = queries.equivalent(_load_document(args.file), _load_document(args.other), args.cap)
     return CommandResult(EXIT_OK if answer else EXIT_NO, f"equivalent: {_yes_no(answer)}")
 
 
 def _cmd_top(args) -> CommandResult:
     doc = _load_document(args.file)
     candidates = textio.parse_alternatives(doc.schema, Path(args.set).read_text(encoding="utf-8"))
-    if isinstance(doc, lptree.LPTree):
-        sequence = lptree.top_p_lptree(doc, candidates, args.p)
-    elif args.lex_k is not None:
-        sequence = lexcompat.top_p_lexcompat(doc, args.lex_k, candidates, args.p)
-    else:
-        sequence = semantics.top_p_general(doc, candidates, args.p, args.cap)
+    sequence = queries.top(doc, candidates, args.p, args.cap, args.lex_k)
     return CommandResult(EXIT_OK, "\n".join(map(textio.format_instantiation, sequence)))
 
 
 def _cmd_optimal(args) -> CommandResult:
-    theory = _as_theory(_load_document(args.file))
+    doc = _load_document(args.file)
     kind = OptimumKind(args.kind)
-    if args.check:
-        o = textio.parse_alternative(theory.schema, args.check)
-        answer = semantics.optimum_check(theory, o, kind, args.cap)
-        return CommandResult(
-            EXIT_OK if answer else EXIT_NO, f"{kind.value}: {_yes_no(answer)}"
-        )
-    witness = semantics.optimum_exists(theory, kind, args.cap)
-    if witness is None:
+    check = textio.parse_alternative(doc.schema, args.check) if args.check else None
+    answer = queries.optimal(doc, kind, check, args.cap)
+    if check is not None:
+        return CommandResult(EXIT_OK if answer else EXIT_NO, f"{kind.value}: {_yes_no(answer)}")
+    if answer is None:
         return CommandResult(EXIT_NO, "none")
-    return CommandResult(EXIT_OK, textio.format_instantiation(witness))
+    return CommandResult(EXIT_OK, textio.format_instantiation(answer))
+
+
+# The warning of a strict cut, by the route that answered it and --extract.
+_CUT_WARNINGS = {
+    ("branch-blocks", False): (
+        "warning: tree is not complete; counted by the block sums on the alternative's branch"
+    ),
+    ("oracle", True): "warning: strict-cut extraction answers through the exhaustive relation",
+    ("oracle", False): (
+        "warning: strict-cut counting has no tractable path for plain theories; answering "
+        "through the exhaustive relation"
+    ),
+}
 
 
 def _cmd_cut(args) -> CommandResult:
     doc = _load_document(args.file)
     o = textio.parse_alternative(doc.schema, args.alt)
-    is_tree = isinstance(doc, lptree.LPTree)
-    warning = ""
-    if args.extract:
-        if args.geq:
-            witness = semantics.geq_cut_extract(_as_theory(doc), o)
-        else:
-            witness, warning = _strict_extract(doc, o, args)
-        if witness is None:
-            return CommandResult(EXIT_NO, "none", warning)
-        return CommandResult(EXIT_OK, textio.format_instantiation(witness), warning)
-    if args.strict and is_tree:
-        try:
-            count = lptree.strict_cut_count(doc, o)
-        except lptree.IncompleteTreeError:
-            if not args.enumerate:
-                raise lptree.IncompleteTreeError(
-                    "strict-cut counting needs a complete tree; pass --enumerate to "
-                    "count a partial tree by the block sums on the alternative's branch"
-                ) from None
-            count = lptree.strict_dominator_count(doc, o)
-            warning = (
-                "warning: tree is not complete; counted by the block sums on the "
-                "alternative's branch"
-            )
-    else:
-        if args.strict:
-            warning = (
-                "warning: strict-cut counting has no tractable path for plain "
-                "theories; answering through the exhaustive relation"
-            )
-        count = semantics.cut_count(_as_theory(doc), o, args.strict, args.cap)
-    return CommandResult(EXIT_OK, str(count), warning)
-
-
-def _strict_extract(doc, o, args):
-    if isinstance(doc, lptree.LPTree):
-        return next(lptree.strict_dominators(doc, o), None), ""
-    warning = (
-        "warning: strict-cut extraction answers through the exhaustive relation"
-    )
-    return semantics.strict_cut_extract(doc, o, args.cap), warning
+    answer, route = queries.cut(doc, o, args.strict, args.extract, args.enumerate, args.cap)
+    warning = _CUT_WARNINGS.get((route, args.extract), "") if args.strict else ""
+    if args.count:
+        return CommandResult(EXIT_OK, str(answer), warning)
+    if answer is None:
+        return CommandResult(EXIT_NO, "none", warning)
+    return CommandResult(EXIT_OK, textio.format_instantiation(answer), warning)
 
 
 def _cmd_compile(args) -> CommandResult:
-    theory = _as_theory(_load_document(args.file))
-    tree = lexcompat.build_complete_lptree(theory, args.k, args.node_budget)
+    tree = queries.compile(_load_document(args.file), args.k, args.node_budget)
     if tree is None:
         return CommandResult(EXIT_NO, f"FAILURE: not {args.k}-lexico-compatible")
     Path(args.out).write_text(textio.serialize_lptree(tree), encoding="utf-8")
@@ -208,8 +158,7 @@ def _cmd_compile(args) -> CommandResult:
 
 
 def _cmd_oracle(args) -> CommandResult:
-    theory = _as_theory(_load_document(args.file))
-    relation = semantics.closure_oracle(theory, args.cap)
+    relation = queries.oracle(_load_document(args.file), args.cap)
     return CommandResult(
         EXIT_OK, textio.serialize_preorder(relation, strict_only=args.strict).rstrip("\n")
     )
@@ -220,6 +169,8 @@ def _parse_dimacs(text: str) -> list[list[int]]:
     current: list[int] = []
     for line in text.splitlines():
         stripped = line.strip()
+        if stripped.startswith("%"):
+            break  # the end marker of SATLIB-style files
         if not stripped or stripped.startswith("c") or stripped.startswith("p"):
             continue
         for tok in stripped.split():

@@ -92,7 +92,7 @@ class _Parser:
     """Recursive descent over the tokens of one text at a time.
 
     A token is the string it matched; a name starts with a letter or ``_``.
-    With ``runs`` a point must be one point-run token, and any failure
+    With ``runs`` a space-free point run is one token, and any failure
     raises :class:`_Rescan`, so a document that parses this way parses to
     the same result over atom tokens.  Without it, points are read atom by
     atom, and the line and column of a failing token are found, by scanning
@@ -217,25 +217,12 @@ class _Parser:
         return attr, value
 
     def point(self) -> PartialInstantiation:
-        """A comma-separated run of ``X=x`` assignments."""
-        if self.runs:
-            tok = self.toks[self.i]
-            point = self.points.get(tok)
-            if point is None:
-                atoms = [self.atoms.get(atom) for atom in tok.split(",")]
-                if None in atoms:
-                    raise _Rescan
-                bindings = dict(atoms)
-                if len(bindings) != len(atoms):
-                    raise _Rescan
-                point = self.points[tok] = self.schema.instantiation(bindings)
-            self.i += 1
-            return point
+        """``,``-separated items, each an ``X=x`` atom or a run token ``X=x,Y=y``."""
         toks, start = self.toks, self.i
-        end = start + 3
+        end = start + (1 if "=" in toks[start] else 3)
         while toks[end] == ",":
-            end += 4
-        key = tuple(toks[start:end])
+            end += 2 if "=" in toks[end + 1] else 4
+        key = toks[start] if end == start + 1 else tuple(toks[start:end])
         point = self.points.get(key)
         if point is not None:
             self.i = end
@@ -243,10 +230,17 @@ class _Parser:
         bindings: dict[str, str] = {}
         while True:
             at = self.i
-            attr, value = self.atom()
-            if attr in bindings:
-                self.fail(f"attribute {attr!r} assigned twice", at)
-            bindings[attr] = value
+            if "=" in toks[at]:
+                pairs = [self.atoms.get(atom) for atom in toks[at].split(",")]
+                if None in pairs:
+                    self.atom()  # raises: no atom holds this token
+                self.i += 1
+            else:
+                pairs = [self.atom()]
+            for attr, value in pairs:
+                if attr in bindings:
+                    self.fail(f"attribute {attr!r} assigned twice", at)
+                bindings[attr] = value
             if toks[self.i] != ",":
                 break
             self.i += 1

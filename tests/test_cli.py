@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from cpref import (
+    OptimumKind,
     closure_oracle,
     is_complete,
     lptree_to_statements,
     parse_lptree,
     parse_theory,
+    queries,
     serialize_lptree,
+    serialize_preorder,
     serialize_theory,
     strict_dominators,
     validate,
@@ -323,6 +326,18 @@ def test_gen3sat_output_parses(tmp_path):
     assert theory.schema.names == ("X1", "X2", "Y0", "Y1", "Y2")
 
 
+def test_gen3sat_stops_at_the_satlib_end_marker(tmp_path):
+    body = "c uf3-01\np cnf 3 2\n 1 -2 3 0\n-1 2 -3 0\n"
+    written = []
+    for name, text in (("plain", body), ("satlib", body + "%\n0\n\n")):
+        out = tmp_path / f"{name}.cpt"
+        result = run(["gen3sat", _write(tmp_path, f"{name}.cnf", text), "-o", str(out)])
+        assert (result.status, result.diagnostics) == (0, "")
+        written.append(out.read_text(encoding="utf-8"))
+    assert written[0] == written[1]
+    assert len(parse_theory(written[0])) > 0
+
+
 def test_limits_exist_only_where_they_bound_something(tmp_path, ex2_file):
     out = tmp_path / "x.lpt"
     for argv in (
@@ -369,6 +384,76 @@ def test_cli_answers_match_library(tmp_path, ex2_file):
     assert run(
         ["cut", ex2_file, "--alt", "W=nw,C=c2,P=p", "--count", "--geq"]
     ).report == str(count)
+
+
+def _formatted_query_answers(doc, path, o, o2, candidates, set_file):
+    """``(argv, report)`` for each command on ``doc``, stored at ``path``,
+    with the report that the queries layer's answer formats to."""
+    f = format_instantiation
+    yes_no = {True: "yes", False: "no"}
+    count, size, profile = queries.classify(doc)
+    profile_lines = [
+        f"statements: {count}",
+        f"size: {size}",
+        f"max-swap-width: {profile.max_swap_width}",
+        f"conjunctive: {yes_no[profile.conjunctive]}",
+        f"free-empty: {yes_no[profile.free_empty]}",
+        f"acyclic: {yes_no[profile.acyclic]}",
+        f"polytree: {yes_no[profile.polytree]}",
+        f"cp-net: {yes_no[profile.is_cpnet]}",
+    ]
+    witness = queries.optimal(doc, OptimumKind.DOMINATING)
+    undominated = queries.optimal(doc, OptimumKind.UNDOMINATED, o)
+    ranked = queries.top(doc, candidates, 2)
+    strict_pairs = serialize_preorder(queries.oracle(doc), strict_only=True)
+    rows = [
+        (["classify", path], "\n".join(profile_lines)),
+        (["compare", path, "-o", f(o), "-p", f(o2)], queries.compare(doc, o, o2).value),
+        (["linearisable", path], f"linearisable: {yes_no[queries.linearisable(doc)]}"),
+        (["equiv", path, path], f"equivalent: {yes_no[queries.equivalent(doc, doc)]}"),
+        (["top", path, "--set", set_file, "-p", "2"], "\n".join(map(f, ranked))),
+        (["optimal", path, "--kind", "dominating"], "none" if witness is None else f(witness)),
+        (
+            ["optimal", path, "--kind", "undominated", "--check", f(o)],
+            f"undominated: {yes_no[undominated]}",
+        ),
+        (["oracle", path, "--strict"], strict_pairs.rstrip("\n")),
+    ]
+    for strict in (True, False):
+        for extract in (True, False):
+            answer, _ = queries.cut(doc, o, strict, extract, enumerate=True)
+            argv = ["cut", path, "--alt", f(o), "--enumerate"]
+            argv += ["--strict" if strict else "--geq", "--extract" if extract else "--count"]
+            if not extract:
+                rows.append((argv, str(answer)))
+            else:
+                rows.append((argv, "none" if answer is None else f(answer)))
+    return rows
+
+
+def test_cli_answers_are_the_formatted_query_answers(tmp_path, ex2_file):
+    rng = random.Random(1747)
+    docs = [(parse_theory(EX2_DSL), ex2_file)]
+    for n in range(6):
+        tree = random_lptree(rng, random_schema(rng, max_attrs=3), k=2, complete=n % 2 == 0)
+        docs.append((tree, _write(tmp_path, f"t{n}.lpt", serialize_lptree(tree))))
+        theory = lptree_to_statements(tree)
+        docs.append((theory, _write(tmp_path, f"t{n}.cpt", serialize_theory(theory))))
+    out = tmp_path / "out.lpt"
+    for doc, path in docs:
+        candidates = rng.sample(list(doc.schema.alternatives()), 3)
+        set_file = _write(tmp_path, "set.txt", "\n".join(map(format_instantiation, candidates)))
+        rows = _formatted_query_answers(doc, path, *candidates[:2], candidates, set_file)
+        for argv, report in rows:
+            result = run(argv)
+            assert result.status in (0, 1) and result.report == report, argv
+        tree = queries.compile(doc, 2)
+        result = run(["compile", path, "-k", "2", "-o", str(out)])
+        if tree is None:
+            assert result.report == "FAILURE: not 2-lexico-compatible" and not out.exists()
+        else:
+            assert out.read_text(encoding="utf-8") == serialize_lptree(tree)
+            out.unlink()
 
 
 def _child_env():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,33 @@ def test_tree_roundtrip_random():
         text = serialize_lptree(tree)
         assert parse_lptree(text) == tree
         assert serialize_lptree(parse_lptree(text)) == text
+
+
+def test_spaced_points_parse_in_one_pass(monkeypatch):
+    """A tree whose points are written with spaces parses equal to its
+    space-free text with one parser: only a malformed document is read
+    again atom by atom."""
+    from cpref import textio
+
+    rng = random.Random(313)
+    parsers = []
+
+    class Counted(textio._Parser):
+        def __init__(self, *args):
+            parsers.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(textio, "_Parser", Counted)
+    for _ in range(20):
+        text = serialize_lptree(random_lptree(rng, random_schema(rng), k=2))
+        for spaced in (
+            re.sub(r"(?<!>)=", " = ", text).replace(",", " , "),
+            text.replace(",", ", "),
+        ):
+            assert spaced != text
+            parsers.clear()
+            assert serialize_lptree(parse_lptree(spaced)) == text
+            assert len(parsers) == 1
 
 
 def test_roundtrip_preserves_semantics():

@@ -629,6 +629,23 @@ def strict_dominators(
                 break
 
 
+def first_strict_dominator(tree: LPTree, o: PartialInstantiation) -> PartialInstantiation | None:
+    """The first alternative :func:`strict_dominators` yields, or None,
+    without visiting the others: the first, over the steps of ``o``'s
+    branch, of ``o``'s values on the labels above the step, the smallest
+    label value the step's rule orders strictly above ``o``'s, and the
+    first value of every other attribute."""
+    schema = tree.schema
+    best = math.inf
+    above = 0  # index of o's values on the labels above the step
+    for _, label, mine, rule, _ in _branch(tree, o):
+        j = next(_strictly_above(schema, label, rule, mine), None)
+        if j is not None:
+            best = min(best, above + schema.offset(list(schema.instantiations(label))[j]))
+        above += schema.offset(o.restrict(label))
+    return None if best == math.inf else schema.alternative_at(best)
+
+
 def top_p_lptree(
     tree: LPTree, candidates: Iterable[PartialInstantiation], p: int
 ) -> tuple[PartialInstantiation, ...]:

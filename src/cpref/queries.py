@@ -1,15 +1,27 @@
 """The query catalogue over statement theories and LP-trees, one function
 per query.  Each picks its route from the document kind: a tree is answered
 off its nodes where a tractable route exists, and is otherwise translated
-to statements for the theory route.  Routes are called through their
+to statements for the theory route; a theory of several independent blocks
+(:func:`semantics.blocks`) is answered block by block where a route says
+so, each limit applying per block.  Routes are called through their
 modules, so a function replaced there is the one that runs."""
 
 from . import lexcompat, lptree, model, semantics
-from .semantics import DEFAULT_ORACLE_CAP as CAP
+from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP as CAP, OptimumKind
 
 
 def _theory(doc):
     return lptree.lptree_to_statements(doc) if isinstance(doc, lptree.LPTree) else doc
+
+
+def _projections(parts, o):
+    """``o``'s values on each block's attributes, as alternatives of the
+    blocks (``parts``: the blocks or their relations)."""
+    where = {a: k for k, part in enumerate(parts) for a in part.schema.names}
+    values = [[] for _ in parts]
+    for binding in o.bindings:
+        values[where[binding[0]]].append(binding)
+    return [model.PartialInstantiation(p.schema, tuple(v)) for p, v in zip(parts, values)]
 
 
 def classify(doc):
@@ -21,20 +33,61 @@ def classify(doc):
 
 def compare(doc, o, o_prime, budget=None):
     """Four-way label of a distinct pair, or BUDGET_EXHAUSTED when a
-    theory's dominance search ran out of ``budget``."""
+    theory's dominance search ran out of ``budget``.  Over several blocks,
+    each direction holds iff it holds on every block where the pair
+    differs, and ``budget`` bounds the states stored per direction summed
+    over those blocks' searches."""
     if isinstance(doc, lptree.LPTree):
         return lptree.compare_lptree(doc, o, o_prime)
-    return semantics.compare(doc, o, o_prime, budget)
+    parts = semantics.blocks(doc)
+    if len(parts) == 1:
+        return semantics.compare(doc, o, o_prime, budget)
+    if o == o_prime:
+        raise model.ValidationError("compare is defined for distinct alternatives only")
+    pairs = zip(parts, _projections(parts, o), _projections(parts, o_prime))
+    searches = [(p, semantics._index_statements(p), a, b) for p, a, b in pairs if a != b]
+    forward = _dominates_on_blocks(searches, budget)
+    backward = _dominates_on_blocks([(p, s, b, a) for p, s, a, b in searches], budget)
+    if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
+        return BUDGET_EXHAUSTED
+    return semantics._label_from(forward, backward)
+
+
+def _dominates_on_blocks(searches, budget):
+    """Whether ``a >= b`` on every ``(block, index form, a, b)`` of
+    ``searches``, false at the first block that refutes it; ``budget``
+    bounds the states stored over all the searches."""
+    stored = []
+    for part, statements, a, b in searches:
+        left = None if budget is None else budget - sum(stored)
+        if stored and left == 0:
+            return BUDGET_EXHAUSTED
+        answer = semantics.dominates(part, a, b, left, _statements=statements, _stored=stored)
+        if answer is not True:
+            return answer
+    return True
 
 
 def linearisable(doc, cap=CAP):
+    """Over several blocks: whether every block is linearisable."""
     if isinstance(doc, lptree.LPTree):
         return lptree.is_linearisable_lptree(doc)
-    return semantics.linearisable(doc, cap)
+    return all(semantics.linearisable(part, cap) for part in semantics.blocks(doc))
 
 
 def equivalent(doc, other, cap=CAP):
-    return semantics.equivalent(_theory(doc), _theory(other), cap)
+    """Two complete trees by one extension check: a linear order that
+    extends another over the same universe equals it.  Theories, over the
+    blocks of both theories' statements: each block's two relations equal."""
+    trees = isinstance(doc, lptree.LPTree) and isinstance(other, lptree.LPTree)
+    if trees and doc.schema == other.schema and all(map(lptree.is_complete, (doc, other))):
+        return lexcompat.extends_check(lptree.lptree_to_statements(doc), other)
+    theory, other = _theory(doc), _theory(other)
+    if theory.schema != other.schema:
+        return semantics.equivalent(theory, other, cap)  # refused
+    mine = semantics.blocks(theory, other.statements)
+    pairs = zip(mine, semantics.blocks(other, theory.statements))
+    return all(semantics.equivalent(a, b, cap) for a, b in pairs)
 
 
 def top(doc, candidates, p, cap=CAP, lex_k=None):
@@ -45,15 +98,36 @@ def top(doc, candidates, p, cap=CAP, lex_k=None):
         return lptree.top_p_lptree(doc, candidates, p)
     if lex_k is not None:
         return lexcompat.top_p_lexcompat(doc, lex_k, candidates, p)
-    return semantics.top_p_general(doc, candidates, p, cap)
+    parts = semantics.blocks(doc)
+    if len(parts) == 1:
+        return semantics.top_p_general(doc, candidates, p, cap)
+    items = list(dict.fromkeys(candidates))
+    semantics.check_top_p(items, p)
+    relations = [semantics.closure_oracle(part, cap) for part in parts]
+
+    def label(a, b):
+        pairs = zip(relations, _projections(parts, a), _projections(parts, b))
+        both = [(r.geq(x, y), r.geq(y, x)) for r, x, y in pairs]
+        return semantics._label_from(all(f for f, _ in both), all(g for _, g in both))
+
+    return semantics.assemble_top_p(items, label, p, doc.schema)
 
 
 def optimal(doc, kind, check=None, cap=CAP):
     """Whether ``check`` is optimal of ``kind``; without it, the canonically
-    first alternative that is, or None."""
-    if check is None:
-        return semantics.optimum_exists(_theory(doc), kind, cap)
-    return semantics.optimum_check(_theory(doc), check, kind, cap)
+    first alternative that is, or None.  An alternative is optimal iff its
+    projection on every block is, so the first combines each block's first."""
+    theory = _theory(doc)
+    if check is not None and kind is OptimumKind.UNDOMINATED:
+        return semantics.optimum_check(theory, check, kind, cap)
+    parts = semantics.blocks(theory)
+    if check is not None:
+        mine = _projections(parts, check)
+        return all(semantics.optimum_check(p, c, kind, cap) for p, c in zip(parts, mine))
+    witnesses = [semantics.optimum_exists(part, kind, cap) for part in parts]
+    if None in witnesses:
+        return None
+    return theory.schema.alternative({a: v for w in witnesses for a, v in w.bindings})
 
 
 def cut(doc, o, strict, extract, enumerate=False, cap=CAP):
@@ -62,16 +136,29 @@ def cut(doc, o, strict, extract, enumerate=False, cap=CAP):
     first or None.  Returns the answer and its route: ``"tree"``, ``o``'s
     branch (strict only); ``"branch-blocks"``, the block sums on a partial
     tree's branch, for a strict count only with ``enumerate``;
-    ``"statements"``, a statement sanctioning a swap into ``o``; or
-    ``"oracle"``, the exhaustive relation."""
+    ``"statements"``, a statement sanctioning a swap into ``o``;
+    ``"blocks"``, for a count on a theory of several blocks, each block's
+    exhaustive relation; or ``"oracle"``, the exhaustive relation."""
     if extract and not strict:
         return semantics.geq_cut_extract(_theory(doc), o), "statements"
     if not (strict and isinstance(doc, lptree.LPTree)):
         if extract:
             return semantics.strict_cut_extract(doc, o, cap), "oracle"
-        return semantics.cut_count(_theory(doc), o, strict, cap), "oracle"
+        theory = _theory(doc)
+        parts = semantics.blocks(theory)
+        if len(parts) == 1:
+            return semantics.cut_count(theory, o, strict, cap), "oracle"
+        # at least as good as o, itself included: the product over the
+        # blocks; as good and not better: the product of the classes' sizes
+        at_least = equal = 1
+        for part, mine in zip(parts, _projections(parts, o)):
+            relation = semantics.closure_oracle(part, cap)
+            above = 1 + sum(1 for _ in relation.dominators(mine))
+            at_least *= above
+            equal *= above - sum(1 for _ in relation.dominators(mine, strict=True))
+        return at_least - (equal if strict else 1), "blocks"
     if extract:
-        return next(lptree.strict_dominators(doc, o), None), "tree"
+        return lptree.first_strict_dominator(doc, o), "tree"
     try:
         return lptree.strict_cut_count(doc, o), "tree"
     except lptree.IncompleteTreeError:

@@ -13,6 +13,7 @@ whole-universe query.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
 from functools import cached_property
@@ -340,6 +341,7 @@ def dominates(
     budget: int | None = None,
     *,
     _statements: Sequence[tuple] | None = None,
+    _stored: list[int] | None = None,
 ):
     """Decide ``o >= o'``: reflexively, or through a chain of worsening swaps.
 
@@ -349,7 +351,9 @@ def dominates(
     else.  Returns True, False, or BUDGET_EXHAUSTED when the search was
     truncated; with no budget the answer is exact.  :func:`compare` passes
     ``_statements``, the theory's index form, so that both of its
-    directions share one.
+    directions share one.  A caller that spreads one budget over several
+    searches passes ``_stored``, a list that gets the number of states this
+    search stored appended.
     """
     if budget is not None and budget <= 0:
         raise ValidationError("search budget must be positive")
@@ -361,12 +365,13 @@ def dominates(
     limit = math.inf if budget is None else budget
     seen = {source}
     frontier: deque[int] = deque((source,))
-    truncated = False
-    while frontier:
+    truncated = found = False
+    while frontier and not found:
         current = frontier.popleft()
         for successor in _index_successors(statements, current):
             if successor == target:
-                return True
+                found = True
+                break
             if successor in seen:
                 continue
             if len(seen) >= limit:
@@ -374,7 +379,9 @@ def dominates(
                 continue
             seen.add(successor)
             frontier.append(successor)
-    return BUDGET_EXHAUSTED if truncated else False
+    if _stored is not None:
+        _stored.append(len(seen))
+    return True if found else BUDGET_EXHAUSTED if truncated else False
 
 
 def compare(
@@ -396,6 +403,50 @@ def compare(
     if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
         return BUDGET_EXHAUSTED
     return _label_from(forward, backward)
+
+
+# ---------------------------------------------------------------------------
+# Independent blocks
+
+
+def blocks(theory: CPTheory, joined: Iterable[CPStatement] = ()) -> tuple[CPTheory, ...]:
+    """The theory split into independent blocks, or itself if it has one:
+    two attributes share a block when one statement, of the theory or of
+    ``joined``, mentions both in its condition, swapped or free parts.  So
+    ``o >= o'`` iff it holds on every block's projection.  One theory per
+    block, by first attribute, over its attributes in schema order and its
+    statements in theory order; an attribute that no statement mentions is
+    a block with no statements."""
+    schema = theory.schema
+    parent = {a: a for a in schema.names}
+
+    def root(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    left = len(parent)  # blocks, until one is all that is left
+    for s in itertools.chain(theory.statements, joined):
+        if left == 1:
+            return (theory,)
+        r = root(next(iter(s.swapped)))
+        for a in (*s.condition_vars, *s.free, *s.swapped):
+            if (ra := root(a)) != r:
+                parent[ra] = r
+                left -= 1
+    if left <= 1:
+        return (theory,)
+    members = {}
+    for a in schema.attributes:
+        members.setdefault(root(a.name), []).append(a)
+    grouped = {r: (AttributeSchema(tuple(attrs)), []) for r, attrs in members.items()}
+    for s in theory.statements:
+        part, statements = grouped[root(next(iter(s.swapped)))]
+        better = PartialInstantiation(part, s.better.bindings)
+        worse = PartialInstantiation(part, s.worse.bindings)
+        statements.append(CPStatement._trusted(s.condition, s.free, better, worse))
+    return tuple(CPTheory(part, tuple(statements)) for part, statements in grouped.values())
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,48 @@ def random_theory(rng: random.Random, schema, max_statements=6):
     return CPTheory(schema, tuple(statements))
 
 
+def decomposable_theory(rng: random.Random, schema, blocks=4):
+    """A random theory whose statements each stay inside one of 2 to
+    ``blocks`` groups of the schema's attributes; a group may get no
+    statements at all, so that no statement mentions its attributes."""
+    names = list(schema.names)
+    rng.shuffle(names)
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randint(1, min(blocks, len(names)) - 1)))
+    groups = [names[i:j] for i, j in zip([0, *cuts], [*cuts, len(names)])]
+    statements = []
+    for group in groups:
+        if len(group) == 1 and rng.random() < 0.4:
+            continue
+        part = AttributeSchema(tuple(a for a in schema.attributes if a.name in group))
+        for st in random_theory(rng, part, max_statements=4).statements:
+            statements.append(
+                CPStatement.make(
+                    schema,
+                    dict(st.better.bindings),
+                    dict(st.worse.bindings),
+                    condition=st.condition,
+                    free=st.free,
+                )
+            )
+    return CPTheory(schema, tuple(statements))
+
+
+def separable_theory(rng: random.Random, n):
+    """Unconditional value chains over ``n`` attributes, a third of them
+    ternary, and each attribute's rank of each value: ``o >= o'`` iff ``o``
+    ranks at most as high as ``o'`` on every attribute."""
+    schema = AttributeSchema.of(
+        (f"X{i}", tuple(f"x{i}{v}" for v in "abc"[: 3 if i % 3 == 2 else 2])) for i in range(n)
+    )
+    statements, ranks = [], {}
+    for a in schema.attributes:
+        order = rng.sample(a.values, len(a.values))
+        ranks[a.name] = {v: r for r, v in enumerate(order)}
+        for better, worse in zip(order, order[1:]):
+            statements.append(CPStatement.make(schema, {a.name: better}, {a.name: worse}))
+    return CPTheory(schema, tuple(statements)), ranks
+
+
 def random_preorder(rng: random.Random, schema, max_pairs=14):
     universe = list(schema.alternatives())
     pairs = [

@@ -24,6 +24,7 @@ from cpref import (
     closure_oracle,
     compare_lptree,
     decide,
+    first_strict_dominator,
     is_complete,
     is_linearisable_lptree,
     linearisable,
@@ -689,6 +690,21 @@ def test_strict_dominators_of_partial_trees_count_by_branch_blocks():
             assert strict_dominator_count(tree, o) == expected
             pairs += expected > 0
     assert pairs > 500
+
+
+def test_first_strict_dominator_is_the_first_dominator():
+    # read off o's branch, without the alternatives, on complete, partial
+    # and shuffled trees alike
+    found = 0
+    rng = random.Random(149)
+    for complete in (True, False):
+        trees = _tree_sample(seed=149, count=50, complete=complete)
+        for tree in trees + [shuffled_lptree(tree, rng) for tree in trees]:
+            for o in rng.sample(list(tree.schema.alternatives()), 3):
+                first = next(strict_dominators(tree, o), None)
+                assert first_strict_dominator(tree, o) == first
+                found += first is not None
+    assert found > 300
 
 
 def test_strict_cut_count_rejects_incomplete_trees():

@@ -134,10 +134,6 @@ _CUT_WARNINGS = {
         "warning: strict-cut counting has no tractable path for plain theories; answering "
         "through the exhaustive relation"
     ),
-    ("blocks", False): (
-        "warning: strict-cut counting has no tractable path for plain theories; answering "
-        "through the exhaustive relation of each independent block"
-    ),
 }
 
 
@@ -213,9 +209,9 @@ def _build_parser() -> _Parser:
         "--cap",
         type=_positive_int,
         default=DEFAULT_ORACLE_CAP,
-        help="largest universe the exhaustive relation may enumerate, per independent "
-        "block of a theory; its reach bitsets take at most N*ceil(N/8) bytes for N "
-        "alternatives (default 65536: at most 512 MiB)",
+        help="largest universe the exhaustive relation may enumerate; its reach "
+        "bitsets take at most N*ceil(N/8) bytes for N alternatives "
+        "(default 65536: at most 512 MiB)",
     )
 
     parser = _Parser(prog="cpref", description=__doc__)

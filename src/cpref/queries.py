@@ -1,13 +1,13 @@
 """The query catalogue over statement theories and LP-trees, one function
 per query.  Each picks its route from the document kind: a tree is answered
 off its nodes where a tractable route exists, and is otherwise translated
-to statements for the theory route; a theory of several independent blocks
-(:func:`semantics.blocks`) is answered block by block where a route says
-so, each limit applying per block.  Routes are called through their
-modules, so a function replaced there is the one that runs."""
+to statements for the theory route; a theory's dominance search runs on
+each of its independent blocks (:func:`semantics.blocks`).  Routes are
+called through their modules, so a function replaced there is the one that
+runs."""
 
 from . import lexcompat, lptree, model, semantics
-from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP as CAP, OptimumKind
+from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP as CAP
 
 
 def _theory(doc):
@@ -16,7 +16,7 @@ def _theory(doc):
 
 def _projections(parts, o):
     """``o``'s values on each block's attributes, as alternatives of the
-    blocks (``parts``: the blocks or their relations)."""
+    blocks."""
     where = {a: k for k, part in enumerate(parts) for a in part.schema.names}
     values = [[] for _ in parts]
     for binding in o.bindings:
@@ -33,19 +33,20 @@ def classify(doc):
 
 def compare(doc, o, o_prime, budget=None):
     """Four-way label of a distinct pair, or BUDGET_EXHAUSTED when a
-    theory's dominance search ran out of ``budget``.  Over several blocks,
-    each direction holds iff it holds on every block where the pair
-    differs, and ``budget`` bounds the states stored per direction summed
-    over those blocks' searches."""
+    theory's dominance search ran out of ``budget``.  Each direction holds
+    iff it holds on every block where the pair differs, and ``budget``
+    bounds the states stored per direction summed over those blocks'
+    searches, the smallest block first."""
     if isinstance(doc, lptree.LPTree):
         return lptree.compare_lptree(doc, o, o_prime)
-    parts = semantics.blocks(doc)
-    if len(parts) == 1:
-        return semantics.compare(doc, o, o_prime, budget)
     if o == o_prime:
         raise model.ValidationError("compare is defined for distinct alternatives only")
+    parts = semantics.blocks(doc)
     pairs = zip(parts, _projections(parts, o), _projections(parts, o_prime))
-    searches = [(p, semantics._index_statements(p), a, b) for p, a, b in pairs if a != b]
+    searches = sorted(
+        ((p, a, b) for p, a, b in pairs if a != b), key=lambda s: s[0].schema.universe_size()
+    )
+    searches = [(p, semantics._index_statements(p), a, b) for p, a, b in searches]
     forward = _dominates_on_blocks(searches, budget)
     backward = _dominates_on_blocks([(p, s, b, a) for p, s, a, b in searches], budget)
     if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
@@ -69,25 +70,22 @@ def _dominates_on_blocks(searches, budget):
 
 
 def linearisable(doc, cap=CAP):
-    """Over several blocks: whether every block is linearisable."""
     if isinstance(doc, lptree.LPTree):
         return lptree.is_linearisable_lptree(doc)
-    return all(semantics.linearisable(part, cap) for part in semantics.blocks(doc))
+    return semantics.linearisable(doc, cap)
 
 
 def equivalent(doc, other, cap=CAP):
     """Two complete trees by one extension check: a linear order that
-    extends another over the same universe equals it.  Theories, over the
-    blocks of both theories' statements: each block's two relations equal."""
+    extends another over the same universe equals it."""
+    theory = _theory(doc)
     trees = isinstance(doc, lptree.LPTree) and isinstance(other, lptree.LPTree)
-    if trees and doc.schema == other.schema and all(map(lptree.is_complete, (doc, other))):
-        return lexcompat.extends_check(lptree.lptree_to_statements(doc), other)
-    theory, other = _theory(doc), _theory(other)
-    if theory.schema != other.schema:
-        return semantics.equivalent(theory, other, cap)  # refused
-    mine = semantics.blocks(theory, other.statements)
-    pairs = zip(mine, semantics.blocks(other, theory.statements))
-    return all(semantics.equivalent(a, b, cap) for a, b in pairs)
+    if trees and doc.schema == other.schema and lptree.is_complete(doc):
+        try:
+            return lexcompat.extends_check(theory, other)
+        except lptree.IncompleteTreeError:
+            pass  # ``other`` is partial
+    return semantics.equivalent(theory, _theory(other), cap)
 
 
 def top(doc, candidates, p, cap=CAP, lex_k=None):
@@ -98,36 +96,15 @@ def top(doc, candidates, p, cap=CAP, lex_k=None):
         return lptree.top_p_lptree(doc, candidates, p)
     if lex_k is not None:
         return lexcompat.top_p_lexcompat(doc, lex_k, candidates, p)
-    parts = semantics.blocks(doc)
-    if len(parts) == 1:
-        return semantics.top_p_general(doc, candidates, p, cap)
-    items = list(dict.fromkeys(candidates))
-    semantics.check_top_p(items, p)
-    relations = [semantics.closure_oracle(part, cap) for part in parts]
-
-    def label(a, b):
-        pairs = zip(relations, _projections(parts, a), _projections(parts, b))
-        both = [(r.geq(x, y), r.geq(y, x)) for r, x, y in pairs]
-        return semantics._label_from(all(f for f, _ in both), all(g for _, g in both))
-
-    return semantics.assemble_top_p(items, label, p, doc.schema)
+    return semantics.top_p_general(doc, candidates, p, cap)
 
 
 def optimal(doc, kind, check=None, cap=CAP):
     """Whether ``check`` is optimal of ``kind``; without it, the canonically
-    first alternative that is, or None.  An alternative is optimal iff its
-    projection on every block is, so the first combines each block's first."""
-    theory = _theory(doc)
-    if check is not None and kind is OptimumKind.UNDOMINATED:
-        return semantics.optimum_check(theory, check, kind, cap)
-    parts = semantics.blocks(theory)
-    if check is not None:
-        mine = _projections(parts, check)
-        return all(semantics.optimum_check(p, c, kind, cap) for p, c in zip(parts, mine))
-    witnesses = [semantics.optimum_exists(part, kind, cap) for part in parts]
-    if None in witnesses:
-        return None
-    return theory.schema.alternative({a: v for w in witnesses for a, v in w.bindings})
+    first alternative that is, or None."""
+    if check is None:
+        return semantics.optimum_exists(_theory(doc), kind, cap)
+    return semantics.optimum_check(_theory(doc), check, kind, cap)
 
 
 def cut(doc, o, strict, extract, enumerate=False, cap=CAP):
@@ -136,27 +113,14 @@ def cut(doc, o, strict, extract, enumerate=False, cap=CAP):
     first or None.  Returns the answer and its route: ``"tree"``, ``o``'s
     branch (strict only); ``"branch-blocks"``, the block sums on a partial
     tree's branch, for a strict count only with ``enumerate``;
-    ``"statements"``, a statement sanctioning a swap into ``o``;
-    ``"blocks"``, for a count on a theory of several blocks, each block's
-    exhaustive relation; or ``"oracle"``, the exhaustive relation."""
+    ``"statements"``, a statement sanctioning a swap into ``o``; or
+    ``"oracle"``, the exhaustive relation."""
     if extract and not strict:
         return semantics.geq_cut_extract(_theory(doc), o), "statements"
     if not (strict and isinstance(doc, lptree.LPTree)):
         if extract:
             return semantics.strict_cut_extract(doc, o, cap), "oracle"
-        theory = _theory(doc)
-        parts = semantics.blocks(theory)
-        if len(parts) == 1:
-            return semantics.cut_count(theory, o, strict, cap), "oracle"
-        # at least as good as o, itself included: the product over the
-        # blocks; as good and not better: the product of the classes' sizes
-        at_least = equal = 1
-        for part, mine in zip(parts, _projections(parts, o)):
-            relation = semantics.closure_oracle(part, cap)
-            above = 1 + sum(1 for _ in relation.dominators(mine))
-            at_least *= above
-            equal *= above - sum(1 for _ in relation.dominators(mine, strict=True))
-        return at_least - (equal if strict else 1), "blocks"
+        return semantics.cut_count(_theory(doc), o, strict, cap), "oracle"
     if extract:
         return lptree.first_strict_dominator(doc, o), "tree"
     try:

@@ -13,7 +13,6 @@ whole-universe query.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections import deque
 from functools import cached_property
@@ -409,14 +408,13 @@ def compare(
 # Independent blocks
 
 
-def blocks(theory: CPTheory, joined: Iterable[CPStatement] = ()) -> tuple[CPTheory, ...]:
+def blocks(theory: CPTheory) -> tuple[CPTheory, ...]:
     """The theory split into independent blocks, or itself if it has one:
-    two attributes share a block when one statement, of the theory or of
-    ``joined``, mentions both in its condition, swapped or free parts.  So
-    ``o >= o'`` iff it holds on every block's projection.  One theory per
-    block, by first attribute, over its attributes in schema order and its
-    statements in theory order; an attribute that no statement mentions is
-    a block with no statements."""
+    two attributes share a block when one statement mentions both in its
+    condition, swapped or free parts.  So ``o >= o'`` iff it holds on every
+    block's projection.  One theory per block, by first attribute, over its
+    attributes in schema order and its statements in theory order; an
+    attribute that no statement mentions is a block with no statements."""
     schema = theory.schema
     parent = {a: a for a in schema.names}
 
@@ -427,7 +425,7 @@ def blocks(theory: CPTheory, joined: Iterable[CPStatement] = ()) -> tuple[CPTheo
         return a
 
     left = len(parent)  # blocks, until one is all that is left
-    for s in itertools.chain(theory.statements, joined):
+    for s in theory.statements:
         if left == 1:
             return (theory,)
         r = root(next(iter(s.swapped)))

@@ -11,7 +11,9 @@ import pytest
 
 from cpref import (
     AttributeSchema,
+    Atom,
     BUDGET_EXHAUSTED,
+    CPStatement,
     CPTheory,
     LPNode,
     LPTree,
@@ -22,7 +24,6 @@ from cpref import (
     lexcompat,
     lptree,
     lptree_to_statements,
-    preorder_to_cp,
     queries,
     semantics,
     strict_chain_rule,
@@ -90,20 +91,17 @@ def test_tree_rows_answer_as_the_theory_route_on_the_translation():
         # tree's strict count is the branch-block sum.
         complete = is_complete(tree)
         partial += not complete
-        # a count on a translation that splits into blocks goes block by block
-        split = len(semantics.blocks(theory)) > 1
-        geq_count = "blocks" if split else "oracle"
         assert {row: route for row, (_, route) in on_tree.items()} == {
             (True, True): "tree",
             (True, False): "tree" if complete else "branch-blocks",
             (False, True): "statements",
-            (False, False): geq_count,
+            (False, False): "oracle",
         }
         assert {row: route for row, (_, route) in on_theory.items()} == {
             (True, True): "oracle",
-            (True, False): geq_count,
+            (True, False): "oracle",
             (False, True): "statements",
-            (False, False): geq_count,
+            (False, False): "oracle",
         }
     assert partial >= 10
 
@@ -177,33 +175,9 @@ def test_tractable_tree_rows_build_no_swap_graph_and_translate_nothing(monkeypat
     assert [_answers(r) for r in rows] == expected
 
 
-def _oracle_answers(relation):
-    """Per alternative index: whether it is optimal of each kind, and how
-    many others are at least as good (strictly better), read off the
-    relation's rows."""
-    rows, n = relation.rows, len(relation.rows)
-    above = [0] * n  # bit j of above[i]: universe[j] >= universe[i]
-    for j, row in enumerate(rows):
-        for i in range(n):
-            if row >> i & 1:
-                above[i] |= 1 << j
-    full = (1 << n) - 1
-    optimal = {
-        OptimumKind.WEAKLY_UNDOMINATED: [above[i] & ~rows[i] == 0 for i in range(n)],
-        OptimumKind.UNDOMINATED: [above[i] == 1 << i for i in range(n)],
-        OptimumKind.DOMINATING: [rows[i] == full for i in range(n)],
-        OptimumKind.STRONGLY_DOMINATING: [rows[i] == full and above[i] == 1 << i for i in range(n)],
-    }
-    counts = {
-        False: [above[i].bit_count() - 1 for i in range(n)],
-        True: [(above[i] & ~rows[i]).bit_count() for i in range(n)],
-    }
-    return optimal, counts
-
-
-def test_block_routes_answer_as_the_oracle_on_decomposable_theories():
+def test_block_compare_answers_as_the_oracle_on_decomposable_theories():
     rng = random.Random(1801)
-    seen = {"empty block": 0, "exhausted": 0, "budgeted answer": 0, "equivalent": 0, "split": 0}
+    seen = {"empty block": 0, "exhausted": 0, "budgeted answer": 0}
     for _ in range(40):
         schema = random_schema(rng, max_attrs=5, min_attrs=3)
         theory = decomposable_theory(rng, schema)
@@ -218,22 +192,7 @@ def test_block_routes_answer_as_the_oracle_on_decomposable_theories():
         seen["empty block"] += any(not p.statements for p in parts)
         relation = closure_oracle(theory)
         universe = relation.universe
-        optimal, counts = _oracle_answers(relation)
-
-        assert queries.linearisable(theory) == all(
-            not (row >> j & 1 and relation.rows[j] >> i & 1)
-            for i, row in enumerate(relation.rows)
-            for j in range(i)
-        )
-        for kind, flags in optimal.items():
-            first = next((universe[i] for i, ok in enumerate(flags) if ok), None)
-            assert queries.optimal(theory, kind) == first
-        for i in rng.sample(range(len(universe)), min(8, len(universe))):
-            o = universe[i]
-            for kind, flags in optimal.items():
-                assert queries.optimal(theory, kind, o) is flags[i]
-            for strict in (False, True):
-                assert queries.cut(theory, o, strict, False) == (counts[strict][i], "blocks")
+        for o in rng.sample(universe, min(8, len(universe))):
             o2 = rng.choice([u for u in universe if u != o])
             want = relation.label(o, o2)
             assert queries.compare(theory, o, o2) is want
@@ -241,67 +200,50 @@ def test_block_routes_answer_as_the_oracle_on_decomposable_theories():
                 got = queries.compare(theory, o, o2, budget)
                 assert got is want or got is BUDGET_EXHAUSTED
                 seen["exhausted" if got is BUDGET_EXHAUSTED else "budgeted answer"] += 1
-        candidates = rng.sample(universe, min(6, len(universe)))
-        for p in (1, len(candidates) - 1):
-            want = semantics.top_p_general(theory, candidates, p)
-            assert queries.top(theory, candidates, p) == want
-
-        # equivalence, also against theories whose blocks are not these
-        others = [
-            preorder_to_cp(relation),
-            decomposable_theory(rng, schema),
-            CPTheory(schema, theory.statements[1:]),
-        ]
-        for other in others:
-            want = relation == closure_oracle(other)
-            assert queries.equivalent(theory, other) is want
-            assert queries.equivalent(other, theory) is want
-            seen["equivalent"] += want
-            seen["split"] += len(semantics.blocks(theory, other.statements)) < len(parts)
     assert all(seen.values()), seen
 
 
-def test_block_routes_close_no_universe_beyond_the_largest_block(monkeypatch):
+def test_block_compare_closes_and_searches_no_universe_beyond_a_block(monkeypatch):
     rng = random.Random(1811)
     theory, _ = separable_theory(rng, 10)  # 3456 alternatives, blocks of 2 or 3
-    other = CPTheory(theory.schema, theory.statements[1:])
     universe = list(theory.schema.alternatives())
-    o, o2, o3 = rng.sample(universe, 3)
-    rows = {
-        "compare": lambda: queries.compare(theory, o, o2),
-        "compare --budget": lambda: queries.compare(theory, o, o2, 30),
-        "linearisable": lambda: queries.linearisable(theory),
-        "cut --count --strict": lambda: queries.cut(theory, o, True, False),
-        "cut --count --geq": lambda: queries.cut(theory, o, False, False),
-        "equiv": lambda: queries.equivalent(theory, theory),
-        "equiv other": lambda: queries.equivalent(theory, other),
-        "top": lambda: queries.top(theory, [o, o2, o3], 2),
-    }
-    for kind in OptimumKind:
-        rows[f"optimal {kind.value}"] = lambda kind=kind: queries.optimal(theory, kind)
-        rows[f"optimal {kind.value} --check"] = lambda kind=kind: queries.optimal(theory, kind, o)
-    expected = {
-        "compare": semantics.compare(theory, o, o2),
-        "compare --budget": semantics.compare(theory, o, o2),
-        "linearisable": True,
-        "cut --count --strict": (semantics.cut_count(theory, o, True), "blocks"),
-        "cut --count --geq": (semantics.cut_count(theory, o, False), "blocks"),
-        "equiv": True,
-        "equiv other": False,
-        "top": semantics.top_p_general(theory, [o, o2, o3], 2),
-    }
-    for kind in OptimumKind:
-        expected[f"optimal {kind.value}"] = semantics.optimum_exists(theory, kind)
-        expected[f"optimal {kind.value} --check"] = semantics.optimum_check(theory, o, kind)
+    pairs = [tuple(rng.sample(universe, 2)) for _ in range(20)]
+    expected = [semantics.compare(theory, o, o2) for o, o2 in pairs]
+    dominates = semantics.dominates
 
-    check_cap = semantics._check_cap
+    def block_sized(part, *args, **kwargs):
+        size = part.schema.universe_size()
+        assert size <= 3, f"searched a universe of {size}"
+        return dominates(part, *args, **kwargs)
 
-    def block_sized(schema, cap):
-        assert schema.universe_size() <= 3, f"closed a universe of {schema.universe_size()}"
-        check_cap(schema, cap)
+    monkeypatch.setattr(semantics, "_check_cap", _refuse("_check_cap"))
+    monkeypatch.setattr(semantics, "dominates", block_sized)
+    assert [queries.compare(theory, o, o2) for o, o2 in pairs] == expected
+    assert [queries.compare(theory, o, o2, 30) for o, o2 in pairs] == expected
 
-    monkeypatch.setattr(semantics, "_check_cap", block_sized)
-    assert _answers(rows) == expected
+
+def test_a_compare_budget_is_spent_on_the_smallest_blocks_first():
+    # X0..X11 form one block of 4096 alternatives; Y and Z are blocks of
+    # one statement each.  Y refutes o >= o' and Z refutes o' >= o, each
+    # after storing one state, however far the X search would run.
+    xs = [f"X{i}" for i in range(12)]
+    schema = AttributeSchema.of([(a, ("a", "b")) for a in [*xs, "Y", "Z"]])
+    statements = [
+        CPStatement.make(schema, {"X0": "a"}, {"X0": "b"}),
+        *(
+            CPStatement.make(schema, {y: "a"}, {y: "b"}, condition=Atom(x, "a"))
+            for x, y in zip(xs, xs[1:])
+        ),
+        CPStatement.make(schema, {"Y": "a"}, {"Y": "b"}),
+        CPStatement.make(schema, {"Z": "a"}, {"Z": "b"}),
+    ]
+    theory = CPTheory(schema, tuple(statements))
+    assert [len(p.schema.names) for p in semantics.blocks(theory)] == [12, 1, 1]
+    o = schema.alternative({**{x: "a" for x in xs}, "Y": "b", "Z": "a"})
+    o2 = schema.alternative({**{x: "b" for x in xs}, "Y": "a", "Z": "b"})
+    assert semantics.compare(theory, o, o2) is semantics.Relation.INCOMPARABLE
+    for budget in (2, 50, 400):
+        assert queries.compare(theory, o, o2, budget) is semantics.Relation.INCOMPARABLE
 
 
 def test_a_compare_budget_bounds_the_states_stored_over_all_blocks():
@@ -342,17 +284,22 @@ def test_tree_strict_extract_reads_no_universe(monkeypatch):
 
 def test_equiv_of_complete_trees_matches_the_oracle_without_the_universe(monkeypatch):
     rng = random.Random(1831)
-    pairs = []
+    pairs, mixed = [], []
     for _ in range(25):
         schema = random_schema(rng)
         tree = random_lptree(rng, schema, k=2, complete=True)
         pairs.append((tree, shuffled_lptree(tree, rng)))
         pairs.append((tree, random_lptree(rng, schema, k=2, complete=True)))
-    expected = [
-        closure_oracle(lptree_to_statements(a)) == closure_oracle(lptree_to_statements(b))
-        for a, b in pairs
-    ]
+        mixed.append((tree, random_lptree(rng, schema, k=2, complete=False)))
+
+    def oracle_equivalent(a, b):
+        return closure_oracle(lptree_to_statements(a)) == closure_oracle(lptree_to_statements(b))
+
+    expected = [oracle_equivalent(a, b) for a, b in pairs]
     assert 25 <= sum(expected) < len(pairs)
+    # a partial second tree takes the oracle route
+    assert sum(not is_complete(b) for _, b in mixed) >= 10
+    assert [queries.equivalent(a, b) for a, b in mixed] == [oracle_equivalent(*m) for m in mixed]
     monkeypatch.setattr(semantics, "_swap_graph", _refuse("_swap_graph"))
     assert [queries.equivalent(a, b) for a, b in pairs] == expected
     assert [queries.equivalent(b, a) for a, b in pairs] == expected

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import heapq
 import itertools
 import math
 
@@ -92,16 +93,15 @@ def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | 
         if j not in succ[i]:
             succ[i].add(j)
             indegree[j] += 1
-    ready = sorted(i for i in range(n) if indegree[i] == 0)
+    ready = [i for i in range(n) if indegree[i] == 0]  # ascending, so a heap
     out: list[int] = []
     while ready:
-        current = ready.pop(0)
+        current = heapq.heappop(ready)
         out.append(current)
-        for j in sorted(succ[current]):
+        for j in succ[current]:
             indegree[j] -= 1
             if indegree[j] == 0:
-                ready.append(j)
-        ready.sort()
+                heapq.heappush(ready, j)
     return out if len(out) == n else None
 
 

@@ -586,16 +586,6 @@ def _strictly_above(
 
 
 def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
-    """How many alternatives are strictly better than ``o``, by
-    :func:`strict_dominator_count`.  Requires a complete tree, the case the
-    tractable counting path is stated for.
-    """
-    if not is_complete(tree):
-        raise IncompleteTreeError("strict-cut counting requires a complete tree")
-    return strict_dominator_count(tree, o)
-
-
-def strict_dominator_count(tree: LPTree, o: PartialInstantiation) -> int:
     """How many alternatives :func:`strict_dominators` yields, without
     visiting them; for trees that need not be complete.
 

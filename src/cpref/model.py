@@ -699,19 +699,21 @@ class DependencyGraph:
         """True iff the underlying undirected graph is a forest: union-find
         over the undirected edges never joins two already connected vertices."""
         parent = {v: v for v in self.vertices}
-
-        def root(v: str) -> str:
-            while parent.setdefault(v, v) != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         for x, y in {tuple(sorted(e)) for e in self.edges}:
-            rx, ry = root(x), root(y)
+            rx, ry = _find(parent, x), _find(parent, y)
             if rx == ry:
                 return False
             parent[rx] = ry
         return True
+
+
+def _find(parent: dict, v):
+    """``v``'s root in the union-find forest ``parent``, halving the path on
+    the way; a vertex not yet in ``parent`` becomes its own root."""
+    while parent.setdefault(v, v) != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def dependency_graph(theory: CPTheory) -> DependencyGraph:

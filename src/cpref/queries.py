@@ -107,12 +107,11 @@ def optimal(doc, kind, check=None, cap=CAP):
     return semantics.optimum_check(_theory(doc), check, kind, cap)
 
 
-def cut(doc, o, strict, extract, enumerate=False, cap=CAP):
+def cut(doc, o, strict, extract, cap=CAP):
     """The alternatives other than ``o`` at least as good as it (``strict``:
     strictly better): their number, or with ``extract`` the canonically
-    first or None.  Returns the answer and its route: ``"tree"``, ``o``'s
-    branch (strict only); ``"branch-blocks"``, the block sums on a partial
-    tree's branch, for a strict count only with ``enumerate``;
+    first or None.  Returns the answer and its route: ``"tree"``, the block
+    sums on ``o``'s branch of a tree, complete or not (strict only);
     ``"statements"``, a statement sanctioning a swap into ``o``; or
     ``"oracle"``, the exhaustive relation."""
     if extract and not strict:
@@ -123,15 +122,7 @@ def cut(doc, o, strict, extract, enumerate=False, cap=CAP):
         return semantics.cut_count(_theory(doc), o, strict, cap), "oracle"
     if extract:
         return lptree.first_strict_dominator(doc, o), "tree"
-    try:
-        return lptree.strict_cut_count(doc, o), "tree"
-    except lptree.IncompleteTreeError:
-        if not enumerate:
-            raise lptree.IncompleteTreeError(
-                "strict-cut counting needs a complete tree; pass --enumerate to "
-                "count a partial tree by the block sums on the alternative's branch"
-            ) from None
-    return lptree.strict_dominator_count(doc, o), "branch-blocks"
+    return lptree.strict_cut_count(doc, o), "tree"
 
 
 def compile(doc, k, node_budget=lexcompat.DEFAULT_NODE_BUDGET):

@@ -27,6 +27,7 @@ from .model import (
     ValidationError,
     _bits,
     _consistent,
+    _find,
     eval_formula,
     strong_components,
 )
@@ -417,30 +418,23 @@ def blocks(theory: CPTheory) -> tuple[CPTheory, ...]:
     attribute that no statement mentions is a block with no statements."""
     schema = theory.schema
     parent = {a: a for a in schema.names}
-
-    def root(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     left = len(parent)  # blocks, until one is all that is left
     for s in theory.statements:
         if left == 1:
             return (theory,)
-        r = root(next(iter(s.swapped)))
+        r = _find(parent, next(iter(s.swapped)))
         for a in (*s.condition_vars, *s.free, *s.swapped):
-            if (ra := root(a)) != r:
+            if (ra := _find(parent, a)) != r:
                 parent[ra] = r
                 left -= 1
     if left <= 1:
         return (theory,)
     members = {}
     for a in schema.attributes:
-        members.setdefault(root(a.name), []).append(a)
+        members.setdefault(_find(parent, a.name), []).append(a)
     grouped = {r: (AttributeSchema(tuple(attrs)), []) for r, attrs in members.items()}
     for s in theory.statements:
-        part, statements = grouped[root(next(iter(s.swapped)))]
+        part, statements = grouped[_find(parent, next(iter(s.swapped)))]
         better = PartialInstantiation(part, s.better.bindings)
         worse = PartialInstantiation(part, s.worse.bindings)
         statements.append(CPStatement._trusted(s.condition, s.free, better, worse))

@@ -70,16 +70,6 @@ node {A}
   rule true : A=a > A=na
 """
 
-# What `cut --count --strict` says about a partial tree, without and with
-# --enumerate.
-PARTIAL_REFUSAL = (
-    "error: strict-cut counting needs a complete tree; pass --enumerate to count "
-    "a partial tree by the block sums on the alternative's branch"
-)
-PARTIAL_WARNING = (
-    "warning: tree is not complete; counted by the block sums on the alternative's branch"
-)
-
 
 @pytest.fixture
 def ex2_file(tmp_path):
@@ -207,13 +197,12 @@ def test_cut_count_paths(tmp_path, ex2_file):
     assert tree_count.status == 0 and tree_count.report == "3"
     assert tree_count.diagnostics == ""
     partial = _write(tmp_path, "partial.lpt", PARTIAL_TREE)
-    refused = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict"])
-    assert refused.status == 2 and refused.diagnostics == PARTIAL_REFUSAL
-    allowed = run(
+    partial_count = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict"])
+    assert partial_count.status == 0 and partial_count.report == "2"
+    assert partial_count.diagnostics == ""
+    assert run(
         ["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict", "--enumerate"]
-    )
-    assert allowed.status == 0 and allowed.report == "2"
-    assert allowed.diagnostics == PARTIAL_WARNING
+    ) == partial_count
 
 
 def test_cut_count_on_partial_trees_equals_dominators_and_oracle(tmp_path):
@@ -230,35 +219,41 @@ def test_cut_count_on_partial_trees_equals_dominators_and_oracle(tmp_path):
             argv = ["cut", path, "--alt", format_instantiation(o), "--count", "--strict"]
             expected = sum(1 for o2 in oracle.universe if oracle.strictly_better(o2, o))
             assert sum(1 for _ in strict_dominators(tree, o)) == expected
-            result = run(argv + ["--enumerate"])
-            assert (result.status, result.report) == (0, str(expected))
-            refused = run(argv)
-            if complete:
-                assert refused == result and result.diagnostics == ""
-            else:
-                assert result.diagnostics == PARTIAL_WARNING
-                assert (refused.status, refused.report, refused.diagnostics) == (
-                    2, "", PARTIAL_REFUSAL
-                )
-                counted += expected > 0
+            result = run(argv)
+            assert (result.status, result.report, result.diagnostics) == (0, str(expected), "")
+            assert run(argv + ["--enumerate"]) == result
+            counted += not complete and expected > 0
     assert counted > 40
 
 
-def test_cut_strict_count_checks_completeness_once(tmp_path, monkeypatch):
-    from cpref import lptree
+def test_tree_strict_cut_walks_only_the_branch(tmp_path, monkeypatch):
+    # counted and extracted off the alternative's branch, on complete and
+    # partial trees alike, with no completeness walk and no universe scan
+    from cpref import AttributeSchema, lptree
 
-    calls = []
-    original = lptree.is_complete
+    rng = random.Random(167)
+    docs = [parse_lptree(LEX_TREE), parse_lptree(PARTIAL_TREE)]
+    docs += [random_lptree(rng, random_schema(rng), k=2, complete=n % 2 == 0) for n in range(6)]
+    cases = []
+    for n, tree in enumerate(docs):
+        path = _write(tmp_path, f"t{n}.lpt", serialize_lptree(tree))
+        for o in rng.sample(list(tree.schema.alternatives()), 2):
+            better = list(strict_dominators(tree, o))
+            first = format_instantiation(better[0]) if better else "none"
+            argv = ["cut", path, "--alt", format_instantiation(o), "--strict"]
+            cases.append((argv + ["--count"], (0, str(len(better)), "")))
+            cases.append((argv + ["--extract"], (0 if better else 1, first, "")))
+    assert {is_complete(tree) for tree in docs} == {True, False}
 
-    def counted(tree):
-        calls.append(tree)
-        return original(tree)
+    def refuse(*args):
+        raise AssertionError("walked more than the alternative's branch")
 
-    monkeypatch.setattr(lptree, "is_complete", counted)
-    tree_file = _write(tmp_path, "lex.lpt", LEX_TREE)
-    result = run(["cut", tree_file, "--alt", "A=na,B=nb", "--count", "--strict"])
-    assert result.status == 0 and result.report == "3"
-    assert len(calls) == 1
+    monkeypatch.setattr(lptree, "is_complete", refuse)
+    monkeypatch.setattr(AttributeSchema, "alternatives", refuse)
+    for argv, expected in cases:
+        result = run(argv)
+        assert (result.status, result.report, result.diagnostics) == expected
+        assert run(argv + ["--enumerate"]) == result
 
 
 def test_cut_geq_count(ex2_file):
@@ -430,7 +425,7 @@ def _formatted_query_answers(doc, path, o, o2, candidates, set_file):
     ]
     for strict in (True, False):
         for extract in (True, False):
-            answer, _ = queries.cut(doc, o, strict, extract, enumerate=True)
+            answer, _ = queries.cut(doc, o, strict, extract)
             argv = ["cut", path, "--alt", f(o), "--enumerate"]
             argv += ["--strict" if strict else "--geq", "--extract" if extract else "--count"]
             if not extract:
@@ -655,8 +650,8 @@ def test_consecutive_runs_share_no_parsed_state(tmp_path, ex2_file):
 
     partial = _write(tmp_path, "partial.lpt", PARTIAL_TREE)
     enumerated = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict", "--enumerate"])
-    refused = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict"])
-    assert enumerated.status == 0 and refused.status == 2
+    plain = run(["cut", partial, "--alt", "A=na,B=nb", "--count", "--strict"])
+    assert enumerated.status == 0 and plain == enumerated
 
     usage = run(["compare", ex2_file, "-o", "W=w,C=c1,P=p"])
     assert usage.status == 2 and "-p" in usage.diagnostics

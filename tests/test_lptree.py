@@ -8,7 +8,6 @@ from cpref import (
     Atom,
     AttributeSchema,
     ExplicitPreorder,
-    IncompleteTreeError,
     LinkKind,
     LPNode,
     LPRule,
@@ -34,7 +33,6 @@ from cpref import (
     serialize_theory,
     strict_chain_rule,
     strict_cut_count,
-    strict_dominator_count,
     strict_dominators,
     top_p_general,
     top_p_lptree,
@@ -687,7 +685,7 @@ def test_strict_dominators_of_partial_trees_count_by_branch_blocks():
                 rows = lptree_module._rule_rows(offsets, rule)
                 expected += sum(1 for _ in _dominators(rows, mine, True)) * block
             assert sum(1 for _ in strict_dominators(tree, o)) == expected
-            assert strict_dominator_count(tree, o) == expected
+            assert strict_cut_count(tree, o) == expected
             pairs += expected > 0
     assert pairs > 500
 
@@ -705,13 +703,6 @@ def test_first_strict_dominator_is_the_first_dominator():
                 assert first_strict_dominator(tree, o) == first
                 found += first is not None
     assert found > 300
-
-
-def test_strict_cut_count_rejects_incomplete_trees():
-    s = _binary_schema()
-    partial = LPTree(s, LPNode(("A",), (_chain(s, "A", "a", "na"),), ()))
-    with pytest.raises(IncompleteTreeError):
-        strict_cut_count(partial, alt(s, A="a", B="b"))
 
 
 # ---------------------------------------------------------------------------

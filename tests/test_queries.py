@@ -7,8 +7,6 @@ import ast
 import random
 from pathlib import Path
 
-import pytest
-
 from cpref import (
     AttributeSchema,
     Atom,
@@ -27,7 +25,6 @@ from cpref import (
     queries,
     semantics,
     strict_chain_rule,
-    strict_dominator_count,
 )
 from helpers import (
     decomposable_theory,
@@ -62,7 +59,7 @@ def _seeded_trees(seed, count):
 
 def _cut_rows(doc, o):
     return {
-        (strict, extract): queries.cut(doc, o, strict, extract, enumerate=True)
+        (strict, extract): queries.cut(doc, o, strict, extract)
         for strict in (True, False)
         for extract in (True, False)
     }
@@ -87,13 +84,12 @@ def test_tree_rows_answer_as_the_theory_route_on_the_translation():
         assert {row: answer for row, (answer, _) in on_tree.items()} == {
             row: answer for row, (answer, _) in on_theory.items()
         }
-        # Only the strict rows take another route on the tree; a partial
-        # tree's strict count is the branch-block sum.
-        complete = is_complete(tree)
-        partial += not complete
+        # Only the strict rows take another route on the tree, complete or
+        # partial: the branch-block sums.
+        partial += not is_complete(tree)
         assert {row: route for row, (_, route) in on_tree.items()} == {
             (True, True): "tree",
-            (True, False): "tree" if complete else "branch-blocks",
+            (True, False): "tree",
             (False, True): "statements",
             (False, False): "oracle",
         }
@@ -104,15 +100,6 @@ def test_tree_rows_answer_as_the_theory_route_on_the_translation():
             (False, False): "oracle",
         }
     assert partial >= 10
-
-
-def test_a_partial_tree_strict_count_needs_enumerate():
-    _, trees = _seeded_trees(1709, 20)
-    tree = next(t for t in trees if not is_complete(t))
-    o = next(tree.schema.alternatives())
-    with pytest.raises(lptree.IncompleteTreeError, match="pass --enumerate"):
-        queries.cut(tree, o, strict=True, extract=False)
-    assert queries.cut(tree, o, True, False, enumerate=True)[1] == "branch-blocks"
 
 
 def _theory_rows(theory, o, o2, candidates):
@@ -138,7 +125,7 @@ def _tree_rows(tree, o, o2, candidates):
         "compare": lambda: queries.compare(tree, o, o2),
         "linearisable": lambda: queries.linearisable(tree),
         "top": lambda: queries.top(tree, candidates, 2),
-        "cut --strict --count": lambda: queries.cut(tree, o, True, False, enumerate=True),
+        "cut --strict --count": lambda: queries.cut(tree, o, True, False),
         "cut --strict --extract": lambda: queries.cut(tree, o, True, True),
     }
 
@@ -279,7 +266,7 @@ def test_tree_strict_extract_reads_no_universe(monkeypatch):
     monkeypatch.setattr(AttributeSchema, "alternatives", refuse)
     assert queries.cut(tree, bottom, True, True) == (schema.alternative_at(1), "tree")
     assert queries.cut(tree, top, True, True) == (None, "tree")
-    assert strict_dominator_count(tree, bottom) == 2**30 - 1
+    assert lptree.strict_cut_count(tree, bottom) == 2**30 - 1
 
 
 def test_equiv_of_complete_trees_matches_the_oracle_without_the_universe(monkeypatch):
@@ -311,7 +298,6 @@ def test_equiv_of_complete_trees_matches_the_oracle_without_the_universe(monkeyp
 _CLI_MAY_READ = {
     "validate",
     "gen_3sat_reduction",
-    "IncompleteTreeError",
     "NodeBudgetError",
     "NotLexicoCompatibleError",
     "OracleTooLargeError",
@@ -332,6 +318,10 @@ def test_the_command_line_routes_nothing_itself():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in _ROUTING_MODULES:
                 read.add(node.attr)
+            # --enumerate is accepted and ignored: no route depends on it
+            assert (node.value.id, node.attr) != ("args", "enumerate"), (
+                f"args.enumerate read on line {node.lineno}"
+            )
         if isinstance(node, ast.ImportFrom) and node.module in _ROUTING_MODULES:
             read.update(alias.name for alias in node.names)
     assert read and read <= _CLI_MAY_READ, sorted(read - _CLI_MAY_READ)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import heapq
 import itertools
 import math
 
@@ -29,6 +28,7 @@ from .model import (
     AttributeSchema,
     ValidationError,
     _consistent,
+    _deterministic_toposort,
 )
 from .lptree import (
     IncompleteTreeError,
@@ -83,26 +83,6 @@ def phi_at_node(
         if not (s.swapped & ctx.ancestors)
         and _consistent(s.condition, values, schema)
     )
-
-
-def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
-    """Total order respecting the edges, smallest index first; None on cycle."""
-    succ: dict[int, set[int]] = {i: set() for i in range(n)}
-    indegree = [0] * n
-    for i, j in edges:
-        if j not in succ[i]:
-            succ[i].add(j)
-            indegree[j] += 1
-    ready = [i for i in range(n) if indegree[i] == 0]  # ascending, so a heap
-    out: list[int] = []
-    while ready:
-        current = heapq.heappop(ready)
-        out.append(current)
-        for j in succ[current]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(ready, j)
-    return out if len(out) == n else None
 
 
 def choose_attribute(

@@ -8,6 +8,7 @@ dependency graph drives the sublanguage classification.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -673,6 +674,26 @@ def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]
     return comp, components
 
 
+def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
+    """Total order respecting the edges, smallest index first; None on cycle."""
+    succ: dict[int, set[int]] = {i: set() for i in range(n)}
+    indegree = [0] * n
+    for i, j in edges:
+        if j not in succ[i]:
+            succ[i].add(j)
+            indegree[j] += 1
+    ready = [i for i in range(n) if indegree[i] == 0]  # ascending, so a heap
+    out: list[int] = []
+    while ready:
+        current = heapq.heappop(ready)
+        out.append(current)
+        for j in succ[current]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
+    return out if len(out) == n else None
+
+
 # ---------------------------------------------------------------------------
 # Dependency graph and classification
 
@@ -685,15 +706,17 @@ class DependencyGraph:
     edges: frozenset[tuple[str, str]]
 
     def is_acyclic(self) -> bool:
-        """No self-loop, and every strongly connected component is a singleton."""
-        nodes = [*self.vertices, *(v for e in self.edges for v in e)]
-        index = {v: i for i, v in enumerate(dict.fromkeys(nodes))}
-        succ: list[list[int]] = [[] for _ in index]
-        for x, y in self.edges:
-            if x == y:
-                return False
-            succ[index[x]].append(index[y])
-        return len(strong_components(succ)[1]) == len(succ)
+        """No cycle, and no self-loop."""
+        return self.topological_order() is not None
+
+    def topological_order(self) -> tuple[str, ...] | None:
+        """The vertices, each after every vertex with an edge into it and
+        otherwise in vertex order, or None when the graph has a cycle (a
+        self-loop included)."""
+        nodes = tuple(dict.fromkeys([*self.vertices, *(v for e in self.edges for v in e)]))
+        index = {v: i for i, v in enumerate(nodes)}
+        order = _deterministic_toposort(len(nodes), {(index[x], index[y]) for x, y in self.edges})
+        return None if order is None else tuple(nodes[i] for i in order)
 
     def is_polytree(self) -> bool:
         """True iff the underlying undirected graph is a forest: union-find
@@ -766,24 +789,67 @@ def _is_hamiltonian_chain(pairs: list[tuple[str, str]], values: tuple[str, ...])
 
 
 def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
-    # Unary conjunctive statements, no free parts, and per attribute exactly
-    # one Hamiltonian value chain for every instantiation of its parents.
+    """Unary conjunctive statements, no free parts, and per attribute exactly
+    one Hamiltonian value chain for every instantiation of its parents in
+    ``graph``.
+
+    Each statement's condition is expanded over the parent instantiations
+    that satisfy it, and its value pair goes into one bucket per
+    instantiation.  The instantiations the statements cover must number
+    those of a full table times ``|domain| - 1``, and no bucket may hold
+    more; so every instantiation has a full bucket, and the test takes time
+    linear in the table the statements spell out.
+    """
     for s in theory.statements:
-        if len(s.swapped) != 1 or s.free or _literal_table(s.condition) is None:
+        if len(s.swapped) != 1 or s.free or s.condition._literals is None:
             return False
     schema = theory.schema
-    for x in schema.names:
-        parents = schema.ordered(p for p, y in graph.edges if y == x)
-        rows = [s for s in theory.statements if s.swapped == {x}]
-        for u in schema.instantiations(parents):
-            pairs = [
-                (s.better[x], s.worse[x])
-                for s in rows
-                if eval_formula(u, s.condition)
-            ]
-            if not _is_hamiltonian_chain(pairs, schema.domain(x)):
-                return False
+    parents: dict[str, list[str]] = {x: [] for x in schema.names}
+    for p, y in graph.edges:
+        parents[y].append(p)
+    rows: dict[str, list[CPStatement]] = {x: [] for x in schema.names}
+    for s in theory.statements:
+        rows[next(iter(s.swapped))].append(s)
+    for x, statements in rows.items():
+        domain = schema.domain(x)
+        attrs = [(p, schema.domain(p)) for p in schema.ordered(parents[x])]
+        allowed = [_allowed_digits(s.condition, attrs) for s in statements]
+        table = math.prod(len(values) for _, values in attrs) * (len(domain) - 1)
+        if sum(math.prod(map(len, digits)) for digits in allowed) != table:
+            return False
+        buckets: dict[int, list[tuple[str, str]]] = {}
+        for s, digits in zip(statements, allowed):
+            pair = (s.better[x], s.worse[x])
+            keys = [0]
+            for (_, values), ds in zip(attrs, digits):
+                keys = [k * len(values) + d for k in keys for d in ds]
+            for k in keys:
+                bucket = buckets.setdefault(k, [])
+                bucket.append(pair)
+                if len(bucket) == len(domain):
+                    return False
+        if not all(_is_hamiltonian_chain(b, domain) for b in buckets.values()):
+            return False
     return True
+
+
+def _allowed_digits(
+    condition: Formula, attrs: list[tuple[str, tuple[str, ...]]]
+) -> list[list[int]]:
+    """For each ``(name, domain)`` of ``attrs``, the positions of the values
+    that the conjunction of literals ``condition`` allows the attribute."""
+    literals = {a: (required, excluded) for a, required, excluded in condition._literals}
+    out = []
+    for name, domain in attrs:
+        required, excluded = literals.get(name, (None, ()))
+        out.append(
+            [
+                d
+                for d, v in enumerate(domain)
+                if v not in excluded and (required is None or v == required)
+            ]
+        )
+    return out
 
 
 def classify(theory: CPTheory) -> LanguageProfile:
@@ -791,7 +857,7 @@ def classify(theory: CPTheory) -> LanguageProfile:
     graph = dependency_graph(theory)
     return LanguageProfile(
         max_swap_width=max((len(s.swapped) for s in theory.statements), default=0),
-        conjunctive=all(_literal_table(s.condition) is not None for s in theory.statements),
+        conjunctive=all(s.condition._literals is not None for s in theory.statements),
         free_empty=all(not s.free for s in theory.statements),
         acyclic=graph.is_acyclic(),
         polytree=graph.is_polytree(),

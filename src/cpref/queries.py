@@ -69,10 +69,24 @@ def _dominates_on_blocks(searches, budget):
     return True
 
 
+def _cpnet_optimum(theory, cap):
+    """The forward sweep's alternative when the theory's statements form an
+    acyclic CP-net, else None.  A universe beyond ``cap`` is refused first,
+    as the exhaustive route refuses it."""
+    semantics._check_cap(theory.schema, cap)
+    graph = model.dependency_graph(theory)
+    order = graph.topological_order()
+    if order is None or not model._is_cpnet_shape(theory, graph):
+        return None
+    return semantics.forward_sweep(theory, order)
+
+
 def linearisable(doc, cap=CAP):
+    """Whether the induced relation is antisymmetric: always on an acyclic
+    CP-net."""
     if isinstance(doc, lptree.LPTree):
         return lptree.is_linearisable_lptree(doc)
-    return semantics.linearisable(doc, cap)
+    return _cpnet_optimum(doc, cap) is not None or semantics.linearisable(doc, cap)
 
 
 def equivalent(doc, other, cap=CAP):
@@ -101,10 +115,23 @@ def top(doc, candidates, p, cap=CAP, lex_k=None):
 
 def optimal(doc, kind, check=None, cap=CAP):
     """Whether ``check`` is optimal of ``kind``; without it, the canonically
-    first alternative that is, or None."""
+    first alternative that is, or None.  ``--kind undominated --check``
+    scans the statements, with no cap.  Otherwise a universe beyond ``cap``
+    is refused; an acyclic CP-net's one optimum, of every kind, is its
+    forward sweep; and any other theory is answered off the swap graph's
+    condensation."""
+    theory = _theory(doc)
+    if check is not None and kind is semantics.OptimumKind.UNDOMINATED:
+        return semantics.undominated_check(theory, check)
+    best = _cpnet_optimum(theory, cap)
+    if best is None:
+        if check is None:
+            return semantics.optimum_exists(theory, kind, cap)
+        return semantics.optimum_check(theory, check, kind, cap)
     if check is None:
-        return semantics.optimum_exists(_theory(doc), kind, cap)
-    return semantics.optimum_check(_theory(doc), check, kind, cap)
+        return best
+    semantics._alternative_index(theory.schema, check)  # refuse a non-alternative
+    return check == best
 
 
 def cut(doc, o, strict, extract, cap=CAP):

@@ -632,6 +632,28 @@ def optimum_exists(
     return None
 
 
+def forward_sweep(theory: CPTheory, order: Sequence[str]) -> PartialInstantiation:
+    """The optimum of a theory whose statements form an acyclic CP-net
+    (:func:`model._is_cpnet_shape`), with ``order`` a topological order of
+    its dependency graph: each attribute in turn takes the value that heads
+    its chain under the values its parents took.  That alternative is
+    strictly better than every other (Boutilier et al., "CP-nets", JAIR 21,
+    2004), so it is the one witness of every optimum kind, and the induced
+    relation is antisymmetric.  Each statement is read once."""
+    rows: dict[str, list[CPStatement]] = {x: [] for x in order}
+    for s in theory.statements:
+        rows[next(iter(s.swapped))].append(s)
+    values: dict[str, str] = {}
+    for x in order:
+        better, worse = set(), set()
+        for s in rows[x]:
+            if s.condition.evaluate(values):
+                better.add(s.better[x])
+                worse.add(s.worse[x])
+        (values[x],) = better - worse
+    return theory.schema.alternative(values)
+
+
 def cut_count(
     theory: CPTheory,
     o: PartialInstantiation,

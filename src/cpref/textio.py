@@ -47,7 +47,6 @@ from .model import (
     PartialInstantiation,
     TRUE,
     ValidationError,
-    _bits,
 )
 from .lptree import Edge, LinkKind, LPNode, LPRule, LPTree, OrderLink
 from .semantics import ExplicitPreorder
@@ -543,16 +542,27 @@ def serialize_lptree(tree: LPTree) -> str:
 
 
 def serialize_preorder(relation: ExplicitPreorder, strict_only: bool = False) -> str:
-    """Related pairs, one per line, in row-major universe order."""
+    """Related pairs, one per line, in row-major universe order.
+
+    ``strict_only`` keeps the pairs not related back, and needs ``relation``
+    to be a preorder: there ``i >= j >= i`` holds iff rows ``i`` and ``j``
+    are equal, so a row's strict part is the row minus its equal rows.
+    """
     rows = relation.rows
     names = [format_instantiation(o) for o in relation.universe]
-    lines = [
-        f"{names[i]} >= {names[j]}"
-        for i, row in enumerate(rows)
-        for j in _bits(row)
-        if not (strict_only and rows[j] >> i & 1)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    equal: dict[int, int] = {}
+    if strict_only:
+        for i, row in enumerate(rows):
+            equal[row] = equal.get(row, 0) | 1 << i
+    chunks = []
+    for name, row in zip(names, rows):
+        if strict_only:
+            row &= ~equal[row]
+        if row:
+            head = f"{name} >= "
+            picked = itertools.compress(names, map("1".__eq__, bin(row)[:1:-1]))
+            chunks.append(head + f"\n{head}".join(picked))
+    return "\n".join(chunks) + ("\n" if chunks else "")
 
 
 def serialize(x) -> str:

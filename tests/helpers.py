@@ -21,9 +21,10 @@ from cpref import (
     Or,
     OrderLink,
     TRUE,
+    eval_formula,
     strict_chain_rule,
 )
-from cpref.model import _bits
+from cpref.model import _bits, _is_hamiltonian_chain, _literal_table, conjunction
 
 
 def alt(schema, **bindings):
@@ -315,6 +316,118 @@ def separable_theory(rng: random.Random, n):
         for better, worse in zip(order, order[1:]):
             statements.append(CPStatement.make(schema, {a.name: better}, {a.name: worse}))
     return CPTheory(schema, tuple(statements)), ranks
+
+
+def random_cpnet(rng: random.Random, max_attrs=5, cyclic=False):
+    """A CP-net over 1 to ``max_attrs`` attributes of 2 or 3 values.  Each
+    attribute's parents are a random set of the attributes before it in a
+    shuffled order, and each rule's order is random.  With ``cyclic`` two
+    attributes are also made parents of each other."""
+    n = rng.randint(2 if cyclic else 1, max_attrs)
+    schema = random_schema(rng, max_attrs=n, min_attrs=n)
+    order = rng.sample(schema.names, n)
+    parents = {x: {p for p in order[:i] if rng.random() < 0.5} for i, x in enumerate(order)}
+    if cyclic:
+        x, y = rng.sample(order, 2)
+        parents[x].add(y)
+        parents[y].add(x)
+    tables = []
+    for x, ps in parents.items():
+        values = schema.domain(x)
+        rules = tuple(
+            (u, tuple(rng.sample(values, len(values)))) for u in schema.instantiations(ps)
+        )
+        tables.append(CPNetTable(x, schema.ordered(ps), rules))
+    return CPNet(schema, tuple(tables))
+
+
+def random_cpnet_shaped(rng: random.Random, schema):
+    """Unary statements shaped as a CP-net whose tables are written compactly:
+    each attribute's parent instantiations are split by a random decision
+    tree over up to three other attributes, and each leaf's conjunction of
+    literals (``A=a``, or ``not A=a`` for the other values) conditions one
+    value chain."""
+    statements = []
+
+    def grow(x, path, candidates):
+        if not candidates or rng.random() < 0.3:
+            values = rng.sample(schema.domain(x), len(schema.domain(x)))
+            for better, worse in zip(values, values[1:]):
+                statements.append(
+                    CPStatement.make(schema, {x: better}, {x: worse}, condition=conjunction(path))
+                )
+            return
+        a = rng.choice(candidates)
+        rest = [c for c in candidates if c != a]
+        if rng.random() < 0.5:
+            for v in schema.domain(a):
+                grow(x, [*path, Atom(a, v)], rest)
+        else:
+            v = rng.choice(schema.domain(a))
+            grow(x, [*path, Atom(a, v)], rest)
+            grow(x, [*path, Not(Atom(a, v))], rest)
+
+    for x in schema.names:
+        others = [a for a in schema.names if a != x]
+        grow(x, [], rng.sample(others, min(3, len(others))))
+    return CPTheory(schema, tuple(statements))
+
+
+def near_cpnet_theory(rng: random.Random):
+    """A theory on either side of the CP-net shape: a compactly written
+    CP-net (:func:`random_cpnet_shaped`), perhaps with one statement
+    dropped, repeated under an overlapping or equivalent condition,
+    reversed, negated in one literal, or added; or a random theory."""
+    schema = random_schema(rng, max_attrs=4)
+    if rng.random() < 0.1:
+        return random_theory(rng, schema)
+    statements = list(random_cpnet_shaped(rng, schema).statements)
+    k = rng.randrange(len(statements))
+    s = statements[k]
+    x = next(iter(s.swapped))
+    literals = [] if s.condition == TRUE else _conjuncts(s.condition)
+    change = rng.randrange(7)
+    if change == 0:
+        del statements[k]
+    elif change == 1:
+        weaker = conjunction(rng.sample(literals, len(literals) - 1)) if literals else TRUE
+        statements.append(CPStatement(And(weaker, TRUE), s.free, s.better, s.worse))
+    elif change == 2:
+        statements[k] = CPStatement(s.condition, s.free, s.worse, s.better)
+    elif change == 3 and literals:
+        i = rng.randrange(len(literals))
+        flipped = literals[i].operand if isinstance(literals[i], Not) else Not(literals[i])
+        literals[i] = flipped
+        statements[k] = CPStatement(conjunction(literals), s.free, s.better, s.worse)
+    elif change == 4:
+        others = [a for a in schema.names if a != x]
+        u = rng.sample(others, rng.randint(0, min(2, len(others))))
+        condition = conjunction(Atom(a, rng.choice(schema.domain(a))) for a in u)
+        better, worse = rng.sample(schema.domain(x), 2)
+        statements.append(CPStatement.make(schema, {x: better}, {x: worse}, condition=condition))
+    return CPTheory(schema, tuple(statements))
+
+
+def _conjuncts(f):
+    return [*_conjuncts(f.left), *_conjuncts(f.right)] if isinstance(f, And) else [f]
+
+
+def cpnet_shape_by_scan(theory, graph):
+    """The CP-net shape test by evaluating every statement of an attribute at
+    every instantiation of its parents in ``graph``: the reference for
+    ``model._is_cpnet_shape``."""
+    for s in theory.statements:
+        if len(s.swapped) != 1 or s.free or _literal_table(s.condition) is None:
+            return False
+    schema = theory.schema
+    for x in schema.names:
+        parents = schema.ordered(p for p, y in graph.edges if y == x)
+        rows = [s for s in theory.statements if s.swapped == {x}]
+        for u in schema.instantiations(parents):
+            pairs = [(s.better[x], s.worse[x]) for s in rows if eval_formula(u, s.condition)]
+            if not _is_hamiltonian_chain(pairs, schema.domain(x)):
+                return False
+    return True
 
 
 def random_preorder(rng: random.Random, schema, max_pairs=14):

@@ -12,6 +12,7 @@ from cpref import (
     closure_oracle,
     is_complete,
     lptree_to_statements,
+    model,
     parse_lptree,
     parse_theory,
     queries,
@@ -22,7 +23,7 @@ from cpref import (
     strict_dominators,
     validate,
 )
-from cpref.cli import run
+from cpref.cli import CommandResult, run
 from cpref.textio import format_instantiation
 from helpers import (
     EX2_DSL,
@@ -319,6 +320,33 @@ def test_oracle_dump_lists_the_pairs_geq_relates(tmp_path):
 def test_oracle_cap_exhaustion(ex2_file):
     result = run(["oracle", ex2_file, "--cap", "4"])
     assert result.status == 3 and "exceeds the cap" in result.diagnostics
+
+
+def test_a_cpnet_beyond_the_cap_is_refused_before_the_cpnet_test(tmp_path, monkeypatch):
+    # X0 -> X1 -> ... -> X11: an acyclic CP-net of 4096 alternatives
+    lines = [f"attr X{i}: a, b" for i in range(12)] + ["stmt true : X0=a >= X0=b"]
+    for i in range(1, 12):
+        lines += [f"stmt X{i - 1}=a : X{i}=a >= X{i}=b", f"stmt X{i - 1}=b : X{i}=b >= X{i}=a"]
+    path = _write(tmp_path, "chain.cpt", "\n".join(lines) + "\n")
+    best = ",".join(f"X{i}=a" for i in range(12))
+    assert run(["classify", path]).report.endswith("acyclic: yes\npolytree: yes\ncp-net: yes")
+    assert run(["optimal", path, "--kind", "dominating"]).report == best
+
+    def refuse(*args):
+        raise AssertionError("the CP-net test ran")
+
+    monkeypatch.setattr(model, "_is_cpnet_shape", refuse)
+    refused = "error: universe of 4096 alternatives exceeds the cap of 2048"
+    commands = [["linearisable", path]]
+    for kind in OptimumKind:
+        commands.append(["optimal", path, "--kind", kind.value])
+        if kind is not OptimumKind.UNDOMINATED:
+            commands.append(["optimal", path, "--kind", kind.value, "--check", best])
+    for argv in commands:
+        assert run(argv + ["--cap", "2048"]) == CommandResult(3, "", refused)
+    # undominatedness is read off the statements, so no cap refuses it
+    checked = run(["optimal", path, "--kind", "undominated", "--check", best, "--cap", "2048"])
+    assert checked == CommandResult(0, "undominated: yes")
 
 
 def test_gen3sat_output_parses(tmp_path):

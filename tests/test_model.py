@@ -25,9 +25,12 @@ from cpref import (
     dependency_graph,
     eval_formula,
     preorder_to_cp,
+    serialize_theory,
 )
+from cpref.model import _is_cpnet_shape
 from helpers import (
     cpnet_edges,
+    cpnet_shape_by_scan,
     alt,
     ex2_schema,
     ex2_theory,
@@ -38,6 +41,8 @@ from helpers import (
     ex7_theory,
     ex8_net,
     ex8_theory,
+    near_cpnet_theory,
+    random_cpnet,
     random_preorder,
     random_schema,
 )
@@ -341,6 +346,31 @@ def test_cpnet_roundtrip_invariants():
 def test_cpnet_over_empty_schema():
     net = CPNet(AttributeSchema.of([]), ())
     assert classify(cpnet_to_statements(net)).is_cpnet
+
+
+def test_cpnet_shape_equals_the_per_instantiation_scan():
+    rng = random.Random(2141)
+    shaped = 0
+    for _ in range(1000):
+        theory = near_cpnet_theory(rng)
+        graph = dependency_graph(theory)
+        answer = _is_cpnet_shape(theory, graph)
+        assert answer == cpnet_shape_by_scan(theory, graph), serialize_theory(theory)
+        shaped += answer
+    assert 250 <= shaped <= 750
+
+
+def test_topological_order_puts_every_parent_first():
+    rng = random.Random(2143)
+    for n in range(40):
+        net = random_cpnet(rng, cyclic=n % 4 == 0)
+        graph = dependency_graph(cpnet_to_statements(net))
+        order = graph.topological_order()
+        assert (order is not None) == graph.is_acyclic() == (n % 4 != 0)
+        if order is not None:
+            assert sorted(order) == sorted(net.schema.names)
+            place = {v: i for i, v in enumerate(order)}
+            assert all(place[x] < place[y] for x, y in cpnet_edges(net))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ itself."""
 
 import ast
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 from cpref import (
+    And,
     AttributeSchema,
     Atom,
     BUDGET_EXHAUSTED,
@@ -18,10 +21,12 @@ from cpref import (
     OptimumKind,
     TRUE,
     closure_oracle,
+    cpnet_to_statements,
     is_complete,
     lexcompat,
     lptree,
     lptree_to_statements,
+    model,
     queries,
     semantics,
     strict_chain_rule,
@@ -29,6 +34,8 @@ from cpref import (
 from helpers import (
     decomposable_theory,
     ex2_theory,
+    ex8_net,
+    random_cpnet,
     random_lptree,
     random_schema,
     random_theory,
@@ -325,3 +332,125 @@ def test_the_command_line_routes_nothing_itself():
         if isinstance(node, ast.ImportFrom) and node.module in _ROUTING_MODULES:
             read.update(alias.name for alias in node.names)
     assert read and read <= _CLI_MAY_READ, sorted(read - _CLI_MAY_READ)
+
+
+# ---------------------------------------------------------------------------
+# Acyclic CP-nets: the forward sweep
+
+
+def _routed_rows(theory, alternatives):
+    """``linearisable``, and ``optimal`` of every kind, existence and
+    ``--check`` of each of ``alternatives``."""
+    rows = {"linearisable": queries.linearisable(theory)}
+    for kind in OptimumKind:
+        rows[kind, None] = queries.optimal(theory, kind)
+        for o in alternatives:
+            rows[kind, o] = queries.optimal(theory, kind, o)
+    return rows
+
+
+def _oracle_rows(theory, alternatives, rng):
+    """The rows of :func:`_routed_rows` off the swap graph.  Each kind's
+    verdict on every alternative is read off one condensation, as
+    ``optimum_check`` reads it, and ``optimum_check`` itself answers a
+    sample."""
+    rows = {"linearisable": semantics.linearisable(theory)}
+    for kind in OptimumKind:
+        rows[kind, None] = semantics.optimum_exists(theory, kind)
+        comp, optimal = semantics._optimal_components(theory, kind, semantics.DEFAULT_ORACLE_CAP)
+        for o in alternatives:
+            rows[kind, o] = optimal[comp[theory.schema.offset(o)]]
+        for o in rng.sample(alternatives, min(3, len(alternatives))):
+            assert semantics.optimum_check(theory, o, kind) is rows[kind, o]
+    return rows
+
+
+def test_acyclic_cpnets_are_answered_by_the_sweep_without_the_universe(monkeypatch):
+    rng = random.Random(2111)
+    cases = []
+    for _ in range(100):
+        theory = cpnet_to_statements(random_cpnet(rng))
+        alternatives = list(theory.schema.alternatives())
+        cases.append((theory, alternatives, _oracle_rows(theory, alternatives, rng)))
+    assert sum(len(a) for _, a, _ in cases) > 2000
+    assert {len(t.schema.names) for t, _, _ in cases} == {1, 2, 3, 4, 5}
+    monkeypatch.setattr(semantics, "_swap_graph", _refuse("_swap_graph"))
+    monkeypatch.setattr(AttributeSchema, "alternatives", _refuse("alternatives"))
+    for theory, alternatives, expected in cases:
+        assert _routed_rows(theory, alternatives) == expected
+
+
+def _near_misses(rng, theory):
+    """Copies of a CP-net's statements that are no CP-net: one statement
+    dropped, repeated under an equivalent condition, or reversed in a chain
+    of three values (reversing a chain of two leaves a CP-net)."""
+    statements = list(theory.statements)
+    k = rng.randrange(len(statements))
+    s = statements[k]
+    repeated = CPStatement(And(s.condition, TRUE), s.free, s.better, s.worse)
+    yield statements[:k] + statements[k + 1 :]
+    yield statements + [repeated]
+    ternary = [i for i, t in enumerate(statements) if len(theory.schema.domain(*t.swapped)) > 2]
+    if ternary:
+        k = rng.choice(ternary)
+        s = statements[k]
+        reversed_ = CPStatement(s.condition, s.free, s.worse, s.better)
+        yield statements[:k] + [reversed_] + statements[k + 1 :]
+
+
+def test_near_miss_cpnets_answer_as_before():
+    rng = random.Random(2113)
+    seen = 0
+    for n in range(60):
+        net = random_cpnet(rng, cyclic=n % 3 == 0)
+        theory = cpnet_to_statements(net)
+        misses = [theory.statements] if n % 3 == 0 else list(_near_misses(rng, theory))
+        for statements in misses:
+            miss = CPTheory(theory.schema, tuple(statements))
+            profile = model.classify(miss)
+            assert not (profile.is_cpnet and profile.acyclic)
+            alternatives = _sample(rng, miss, min(4, miss.schema.universe_size()))
+            assert _routed_rows(miss, alternatives) == _oracle_rows(miss, alternatives, rng)
+            seen += 1
+    assert seen >= 100
+
+
+def test_a_thirty_attribute_cpnet_is_answered_in_little_memory(monkeypatch):
+    # X0 -> X1 -> ... -> X29, each rule seeded: 2**30 alternatives
+    rng = random.Random(2131)
+    names = [f"X{i}" for i in range(30)]
+    schema = AttributeSchema.of((a, ("a", "b")) for a in names)
+    statements, best = [], {}
+    for i, x in enumerate(names):
+        for u in [None] if i == 0 else ["a", "b"]:
+            better, worse = rng.sample(["a", "b"], 2)
+            condition = TRUE if u is None else Atom(names[i - 1], u)
+            statements.append(CPStatement.make(schema, {x: better}, {x: worse}, condition))
+            if u is None or best[names[i - 1]] == u:
+                best[x] = better
+    theory = CPTheory(schema, tuple(statements))
+    optimum = schema.alternative(best)
+    worse = schema.alternative({**best, "X29": "b" if best["X29"] == "a" else "a"})
+    monkeypatch.setattr(semantics, "_swap_graph", _refuse("_swap_graph"))
+    monkeypatch.setattr(AttributeSchema, "alternatives", _refuse("alternatives"))
+    tracemalloc.start()
+    try:
+        assert queries.linearisable(theory, cap=1 << 30)
+        for kind in OptimumKind:
+            assert queries.optimal(theory, kind, cap=1 << 30) == optimum
+            assert queries.optimal(theory, kind, optimum, cap=1 << 30)
+            assert not queries.optimal(theory, kind, worse, cap=1 << 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_the_cpnet_test_is_linear_in_the_tables():
+    # Y's table has 2**11 rules; scanning every rule at every parent
+    # instantiation took about 47 s
+    theory = cpnet_to_statements(ex8_net(11))
+    start = time.perf_counter()
+    profile = queries.classify(theory)[2]
+    assert time.perf_counter() - start < 10
+    assert profile.is_cpnet and profile.acyclic

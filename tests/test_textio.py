@@ -25,6 +25,7 @@ from cpref import (
     validate,
 )
 from cpref.model import ValidationError
+from cpref.textio import format_instantiation
 from cpref.lexcompat import build_complete_lptree
 from helpers import (
     EX2_DSL,
@@ -265,6 +266,24 @@ def test_preorder_serialization():
     t = ex2_theory()
     dump = serialize_preorder(closure_oracle(t))
     assert "W=nw,C=c2,P=p >= W=w,C=c3,P=np" in dump
+
+
+def test_preorder_dump_lists_the_pairs_one_by_one():
+    rng = random.Random(2137)
+    strict_pairs = 0
+    for _ in range(40):
+        relation = closure_oracle(random_theory(rng, random_schema(rng)))
+        universe, rows = relation.universe, relation.rows
+        for strict in (False, True):
+            lines = [
+                f"{format_instantiation(universe[i])} >= {format_instantiation(universe[j])}\n"
+                for i in range(len(rows))
+                for j in range(len(rows))
+                if rows[i] >> j & 1 and not (strict and rows[j] >> i & 1)
+            ]
+            assert serialize_preorder(relation, strict_only=strict) == "".join(lines)
+            strict_pairs += strict and len(lines)
+    assert strict_pairs > 100
 
 
 def test_serialize_dispatch():

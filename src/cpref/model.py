@@ -767,24 +767,13 @@ class LanguageProfile:
 
 def _is_hamiltonian_chain(pairs: list[tuple[str, str]], values: tuple[str, ...]) -> bool:
     # A chain x1>x2, x2>x3, ... visiting every domain value exactly once.
-    if len(pairs) != len(values) - 1 or len(set(pairs)) != len(pairs):
+    succ = dict(pairs)
+    heads = succ.keys() - succ.values()
+    if len(succ) != len(pairs) or len(pairs) != len(values) - 1 or len(heads) != 1:
         return False
-    succ: dict[str, str] = {}
-    for left, right in pairs:
-        if left in succ:
-            return False
-        succ[left] = right
-    rights = set(succ.values())
-    if len(rights) != len(pairs):
-        return False
-    starts = [v for v in values if v in succ and v not in rights]
-    if len(starts) != 1:
-        return False
-    seen = [starts[0]]
-    while seen[-1] in succ:
+    seen = list(heads)
+    while seen[-1] in succ and len(seen) < len(values):
         seen.append(succ[seen[-1]])
-        if len(seen) > len(values):
-            return False
     return len(seen) == len(values) and set(seen) == set(values)
 
 

@@ -1,27 +1,18 @@
 """The query catalogue over statement theories and LP-trees, one function
 per query.  Each picks its route from the document kind: a tree is answered
 off its nodes where a tractable route exists, and is otherwise translated
-to statements for the theory route; a theory's dominance search runs on
-each of its independent blocks (:func:`semantics.blocks`).  Routes are
-called through their modules, so a function replaced there is the one that
-runs."""
+to statements; a theory is answered by one :mod:`semantics` function per
+query, which picks its own route.  Only the routes that need two modules
+live here: ``equiv`` of two complete trees, ``top`` with ``lex_k`` and the
+translation of a tree.  Routes are called through their modules, so a
+function replaced there is the one that runs."""
 
 from . import lexcompat, lptree, model, semantics
-from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP as CAP
+from .semantics import DEFAULT_ORACLE_CAP as CAP
 
 
 def _theory(doc):
     return lptree.lptree_to_statements(doc) if isinstance(doc, lptree.LPTree) else doc
-
-
-def _projections(parts, o):
-    """``o``'s values on each block's attributes, as alternatives of the
-    blocks."""
-    where = {a: k for k, part in enumerate(parts) for a in part.schema.names}
-    values = [[] for _ in parts]
-    for binding in o.bindings:
-        values[where[binding[0]]].append(binding)
-    return [model.PartialInstantiation(p.schema, tuple(v)) for p, v in zip(parts, values)]
 
 
 def classify(doc):
@@ -33,52 +24,10 @@ def classify(doc):
 
 def compare(doc, o, o_prime, budget=None):
     """Four-way label of a distinct pair, or BUDGET_EXHAUSTED when a
-    theory's dominance search ran out of ``budget``.  Each direction holds
-    iff it holds on every block where the pair differs, and ``budget``
-    bounds the states stored per direction summed over those blocks'
-    searches, the smallest block first."""
+    theory's dominance search, block by block, ran out of ``budget``."""
     if isinstance(doc, lptree.LPTree):
         return lptree.compare_lptree(doc, o, o_prime)
-    if o == o_prime:
-        raise model.ValidationError("compare is defined for distinct alternatives only")
-    parts = semantics.blocks(doc)
-    pairs = zip(parts, _projections(parts, o), _projections(parts, o_prime))
-    searches = sorted(
-        ((p, a, b) for p, a, b in pairs if a != b), key=lambda s: s[0].schema.universe_size()
-    )
-    searches = [(p, semantics._index_statements(p), a, b) for p, a, b in searches]
-    forward = _dominates_on_blocks(searches, budget)
-    backward = _dominates_on_blocks([(p, s, b, a) for p, s, a, b in searches], budget)
-    if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
-        return BUDGET_EXHAUSTED
-    return semantics._label_from(forward, backward)
-
-
-def _dominates_on_blocks(searches, budget):
-    """Whether ``a >= b`` on every ``(block, index form, a, b)`` of
-    ``searches``, false at the first block that refutes it; ``budget``
-    bounds the states stored over all the searches."""
-    stored = []
-    for part, statements, a, b in searches:
-        left = None if budget is None else budget - sum(stored)
-        if stored and left == 0:
-            return BUDGET_EXHAUSTED
-        answer = semantics.dominates(part, a, b, left, _statements=statements, _stored=stored)
-        if answer is not True:
-            return answer
-    return True
-
-
-def _cpnet_optimum(theory, cap):
-    """The forward sweep's alternative when the theory's statements form an
-    acyclic CP-net, else None.  A universe beyond ``cap`` is refused first,
-    as the exhaustive route refuses it."""
-    semantics._check_cap(theory.schema, cap)
-    graph = model.dependency_graph(theory)
-    order = graph.topological_order()
-    if order is None or not model._is_cpnet_shape(theory, graph):
-        return None
-    return semantics.forward_sweep(theory, order)
+    return semantics.compare(doc, o, o_prime, budget)
 
 
 def linearisable(doc, cap=CAP):
@@ -86,7 +35,7 @@ def linearisable(doc, cap=CAP):
     CP-net."""
     if isinstance(doc, lptree.LPTree):
         return lptree.is_linearisable_lptree(doc)
-    return _cpnet_optimum(doc, cap) is not None or semantics.linearisable(doc, cap)
+    return semantics.linearisable(doc, cap)
 
 
 def equivalent(doc, other, cap=CAP):
@@ -115,23 +64,10 @@ def top(doc, candidates, p, cap=CAP, lex_k=None):
 
 def optimal(doc, kind, check=None, cap=CAP):
     """Whether ``check`` is optimal of ``kind``; without it, the canonically
-    first alternative that is, or None.  ``--kind undominated --check``
-    scans the statements, with no cap.  Otherwise a universe beyond ``cap``
-    is refused; an acyclic CP-net's one optimum, of every kind, is its
-    forward sweep; and any other theory is answered off the swap graph's
-    condensation."""
-    theory = _theory(doc)
-    if check is not None and kind is semantics.OptimumKind.UNDOMINATED:
-        return semantics.undominated_check(theory, check)
-    best = _cpnet_optimum(theory, cap)
-    if best is None:
-        if check is None:
-            return semantics.optimum_exists(theory, kind, cap)
-        return semantics.optimum_check(theory, check, kind, cap)
+    first alternative that is, or None."""
     if check is None:
-        return best
-    semantics._alternative_index(theory.schema, check)  # refuse a non-alternative
-    return check == best
+        return semantics.optimum_exists(_theory(doc), kind, cap)
+    return semantics.optimum_check(_theory(doc), check, kind, cap)
 
 
 def cut(doc, o, strict, extract, cap=CAP):

@@ -3,11 +3,13 @@
 A statement sanctions worsening swaps between alternatives; the induced
 preference relation is the reflexive-transitive closure of all sanctioned
 swaps.  Swaps are index arithmetic over the alternatives' mixed-radix
-indices.  Dominance is decided by budgeted breadth-first reachability over
-those indices, and the exhaustive closure oracle materialises the whole
-relation at desk scale to answer the query catalogue exactly: one
-strongly-connected-component pass with bitset reach sets serves every
-whole-universe query.
+indices.  Each theory query is one function here, which picks its route.
+Dominance is decided by budgeted breadth-first reachability over those
+indices, one search per independent block where a pair differs.  The
+exhaustive closure oracle materialises the whole relation at desk scale to
+answer the query catalogue exactly: one strongly-connected-component pass
+with bitset reach sets serves every whole-universe query.  An acyclic
+CP-net is linearisable, and its forward sweep is its optimum.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ from .model import (
     Formula,
     PartialInstantiation,
     ValidationError,
+    _allowed_digits,
     _bits,
     _consistent,
     _find,
+    _is_cpnet_shape,
+    dependency_graph,
     eval_formula,
     strong_components,
 )
@@ -384,27 +389,6 @@ def dominates(
     return True if found else BUDGET_EXHAUSTED if truncated else False
 
 
-def compare(
-    theory: CPTheory,
-    o: PartialInstantiation,
-    o_prime: PartialInstantiation,
-    budget: int | None = None,
-):
-    """Four-way label for a distinct pair, from the two dominance directions,
-    which share one compilation of the statements.
-
-    Returns a Relation, or BUDGET_EXHAUSTED if either direction was truncated.
-    """
-    if o == o_prime:
-        raise ValidationError("compare is defined for distinct alternatives only")
-    statements = _index_statements(theory)
-    forward = dominates(theory, o, o_prime, budget, _statements=statements)
-    backward = dominates(theory, o_prime, o, budget, _statements=statements)
-    if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
-        return BUDGET_EXHAUSTED
-    return _label_from(forward, backward)
-
-
 # ---------------------------------------------------------------------------
 # Independent blocks
 
@@ -439,6 +423,62 @@ def blocks(theory: CPTheory) -> tuple[CPTheory, ...]:
         worse = PartialInstantiation(part, s.worse.bindings)
         statements.append(CPStatement._trusted(s.condition, s.free, better, worse))
     return tuple(CPTheory(part, tuple(statements)) for part, statements in grouped.values())
+
+
+def compare(
+    theory: CPTheory,
+    o: PartialInstantiation,
+    o_prime: PartialInstantiation,
+    budget: int | None = None,
+):
+    """Four-way label for a distinct pair, or BUDGET_EXHAUSTED when a
+    dominance search ran out of ``budget``.
+
+    Each direction holds iff it holds on every block where the pair
+    differs, and ``budget`` bounds the states stored per direction summed
+    over those blocks' searches, the smallest block first.  Both directions
+    share one compilation of each block's statements.
+    """
+    if o == o_prime:
+        raise ValidationError("compare is defined for distinct alternatives only")
+    for alt in (o, o_prime):
+        _alternative_index(theory.schema, alt)  # refuse a non-alternative before the split
+    parts = blocks(theory)
+    pairs = zip(parts, _projections(parts, o), _projections(parts, o_prime))
+    searches = sorted(
+        ((p, a, b) for p, a, b in pairs if a != b), key=lambda s: s[0].schema.universe_size()
+    )
+    searches = [(p, _index_statements(p), a, b) for p, a, b in searches]
+    forward = _dominates_on_blocks(searches, budget)
+    backward = _dominates_on_blocks([(p, s, b, a) for p, s, a, b in searches], budget)
+    if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
+        return BUDGET_EXHAUSTED
+    return _label_from(forward, backward)
+
+
+def _projections(parts: Sequence[CPTheory], o: PartialInstantiation) -> list[PartialInstantiation]:
+    """``o``'s values on each block's attributes, as alternatives of the
+    blocks."""
+    where = {a: k for k, part in enumerate(parts) for a in part.schema.names}
+    values = [[] for _ in parts]
+    for binding in o.bindings:
+        values[where[binding[0]]].append(binding)
+    return [PartialInstantiation(p.schema, tuple(v)) for p, v in zip(parts, values)]
+
+
+def _dominates_on_blocks(searches: list[tuple], budget: int | None):
+    """Whether ``a >= b`` on every ``(block, index form, a, b)`` of
+    ``searches``, false at the first block that refutes it; ``budget``
+    bounds the states stored over all the searches."""
+    stored: list[int] = []
+    for part, statements, a, b in searches:
+        left = None if budget is None else budget - sum(stored)
+        if stored and left == 0:
+            return BUDGET_EXHAUSTED
+        answer = dominates(part, a, b, left, _statements=statements, _stored=stored)
+        if answer is not True:
+            return answer
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +527,10 @@ def _swaps(
         elif a in statement.free:
             free = [f + step for step in steps for f in free]
         elif a in (u := condition.variables() if u is None else u):
-            points = [(o + step, ((a, v), *p)) for step, v in zip(steps, domain) for o, p in points]
+            digits = range(len(domain))
+            if condition._literals is not None:  # only the values a conjunction allows
+                (digits,) = _allowed_digits(condition, [(a, domain)])
+            points = [(o + d * stride, ((a, domain[d]), *p)) for d in digits for o, p in points]
         else:
             shared = [r + step for step in steps for r in shared]
         stride *= len(domain)
@@ -529,8 +572,11 @@ def closure_oracle(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> ExplicitP
 
 
 def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """True iff the induced relation is antisymmetric, i.e. every strongly
-    connected component of the sanctioned-swap graph is a singleton."""
+    """True iff the induced relation is antisymmetric: always on an acyclic
+    CP-net, and otherwise iff every strongly connected component of the
+    sanctioned-swap graph is a singleton."""
+    if _cpnet_optimum(theory, cap) is not None:
+        return True
     succ = _swap_graph(theory, cap)
     return len(strong_components(succ)[1]) == len(succ)
 
@@ -609,12 +655,17 @@ def optimum_check(
     kind: OptimumKind,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
-    """Evaluate one of the optimality notions; undominatedness is read off
-    the statements, the others off the exhaustive relation."""
+    """Evaluate one of the optimality notions: undominatedness off the
+    statements, under any cap; the others, within the cap, off an acyclic
+    CP-net's forward sweep or else off the exhaustive relation."""
     if kind is OptimumKind.UNDOMINATED:
         return undominated_check(theory, o)
+    best = _cpnet_optimum(theory, cap)
+    i = _alternative_index(theory.schema, o)
+    if best is not None:
+        return o == best
     comp, optimal = _optimal_components(theory, kind, cap)
-    return optimal[comp[_alternative_index(theory.schema, o)]]
+    return optimal[comp[i]]
 
 
 def optimum_exists(
@@ -623,13 +674,29 @@ def optimum_exists(
     """The canonically first witness alternative of the requested kind, or None.
 
     A weakly undominated witness always exists: the condensation is acyclic,
-    so it has a source component.
+    so it has a source component.  An acyclic CP-net's forward sweep is its
+    one witness of every kind.
     """
+    best = _cpnet_optimum(theory, cap)
+    if best is not None:
+        return best
     comp, optimal = _optimal_components(theory, kind, cap)
     for i in range(theory.schema.universe_size()):
         if optimal[comp[i]]:
             return theory.schema.alternative_at(i)
     return None
+
+
+def _cpnet_optimum(theory: CPTheory, cap: int) -> PartialInstantiation | None:
+    """The forward sweep's alternative when the theory's statements form an
+    acyclic CP-net, else None.  A universe beyond ``cap`` is refused first,
+    as the exhaustive route refuses it."""
+    _check_cap(theory.schema, cap)
+    graph = dependency_graph(theory)
+    order = graph.topological_order()
+    if order is None or not _is_cpnet_shape(theory, graph):
+        return None
+    return forward_sweep(theory, order)
 
 
 def forward_sweep(theory: CPTheory, order: Sequence[str]) -> PartialInstantiation:

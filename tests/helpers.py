@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from cpref import (
@@ -24,7 +25,7 @@ from cpref import (
     eval_formula,
     strict_chain_rule,
 )
-from cpref.model import _bits, _is_hamiltonian_chain, _literal_table, conjunction
+from cpref.model import _bits, _consistent, _literal_table, conjunction
 
 
 def alt(schema, **bindings):
@@ -412,6 +413,13 @@ def _conjuncts(f):
     return [*_conjuncts(f.left), *_conjuncts(f.right)] if isinstance(f, And) else [f]
 
 
+def _is_value_chain(pairs, values):
+    """Whether ``pairs`` are the links of some ordering of ``values``, each
+    link once: tried on every permutation of the domain."""
+    links = sorted(pairs)
+    return any(links == sorted(zip(p, p[1:])) for p in itertools.permutations(values))
+
+
 def cpnet_shape_by_scan(theory, graph):
     """The CP-net shape test by evaluating every statement of an attribute at
     every instantiation of its parents in ``graph``: the reference for
@@ -425,9 +433,36 @@ def cpnet_shape_by_scan(theory, graph):
         rows = [s for s in theory.statements if s.swapped == {x}]
         for u in schema.instantiations(parents):
             pairs = [(s.better[x], s.worse[x]) for s in rows if eval_formula(u, s.condition)]
-            if not _is_hamiltonian_chain(pairs, schema.domain(x)):
+            if not _is_value_chain(pairs, schema.domain(x)):
                 return False
     return True
+
+
+def swaps_by_enumeration(statement, schema, attrs, fixed, condition=None):
+    """``semantics._swaps`` by its former enumeration: every value
+    combination of the condition's variables among ``attrs`` is a point,
+    and the points on which the condition is satisfiable are kept."""
+    if condition is None:
+        condition = statement.condition
+    u = condition.variables()
+    better = worse = 0
+    shared, free, points = [0], [0], [(0, ())]
+    stride = 1
+    for a in reversed(attrs):
+        domain = schema.domain(a)
+        steps = range(0, len(domain) * stride, stride)
+        if a in statement.swapped:
+            better += domain.index(statement.better[a]) * stride
+            worse += domain.index(statement.worse[a]) * stride
+        elif a in statement.free:
+            free = [f + step for step in steps for f in free]
+        elif a in u:
+            points = [(o + step, ((a, v), *p)) for step, v in zip(steps, domain) for o, p in points]
+        else:
+            shared = [r + step for step in steps for r in shared]
+        stride *= len(domain)
+    kept = [o for o, p in points if _consistent(condition, {**fixed, **dict(p)}, schema)]
+    return [c + r for c in kept for r in shared], better, worse, free
 
 
 def random_preorder(rng: random.Random, schema, max_pairs=14):

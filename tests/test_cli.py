@@ -9,6 +9,7 @@ import pytest
 from cpref import (
     BUDGET_EXHAUSTED,
     OptimumKind,
+    Relation,
     closure_oracle,
     is_complete,
     lptree_to_statements,
@@ -335,7 +336,7 @@ def test_a_cpnet_beyond_the_cap_is_refused_before_the_cpnet_test(tmp_path, monke
     def refuse(*args):
         raise AssertionError("the CP-net test ran")
 
-    monkeypatch.setattr(model, "_is_cpnet_shape", refuse)
+    monkeypatch.setattr(semantics, "_is_cpnet_shape", refuse)
     refused = "error: universe of 4096 alternatives exceeds the cap of 2048"
     commands = [["linearisable", path]]
     for kind in OptimumKind:
@@ -712,9 +713,10 @@ def test_a_separable_compare_is_answered_block_by_block(tmp_path):
     o_prime = {**o, lifted[16]: best[lifted[16]]}
 
     # o' is better on one attribute; the search over the whole space runs
-    # out of its budget below o
-    whole = semantics.compare(theory, schema.alternative(o), schema.alternative(o_prime), 400)
-    assert whole is BUDGET_EXHAUSTED
+    # out of its budget below o, while compare searches each block apart
+    o_alt, o_prime_alt = schema.alternative(o), schema.alternative(o_prime)
+    assert semantics.dominates(theory, o_alt, o_prime_alt, 400) is BUDGET_EXHAUSTED
+    assert semantics.compare(theory, o_alt, o_prime_alt, 400) is Relation.STRICTLY_WORSE
     pair = ["-o", alternative(o), "-p", alternative(o_prime)]
     result = run(["compare", path, *pair, "--budget", "400"])
     assert (result.status, result.report) == (0, "strictly-worse")

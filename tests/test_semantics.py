@@ -1,9 +1,11 @@
 import random
+import time
 from collections import Counter, deque
 
 import pytest
 
 from cpref import (
+    And,
     Atom,
     AttributeSchema,
     BUDGET_EXHAUSTED,
@@ -20,6 +22,8 @@ from cpref import (
     ValidationError,
     closure_oracle,
     compare,
+    cpnet_to_statements,
+    cut_count,
     dominates,
     equivalent,
     geq_cut_extract,
@@ -32,7 +36,8 @@ from cpref import (
     worsening_successors,
 )
 from cpref import semantics
-from cpref.semantics import _index_statements, _index_successors
+from cpref.model import _CLASH, conjunction
+from cpref.semantics import _index_statements, _index_successors, _swaps
 from helpers import (
     is_antisymmetric,
     with_statements,
@@ -43,10 +48,13 @@ from helpers import (
     ex3_theory,
     ex5_theory,
     ex7_theory,
+    ex8_net,
     ex9_extra,
     ex9_theory,
+    random_condition,
     random_schema,
     random_theory,
+    swaps_by_enumeration,
 )
 
 
@@ -199,6 +207,20 @@ def test_compare_rejects_equal_alternatives():
     o = alt(t.schema, A="a", B="b")
     with pytest.raises(ValidationError):
         compare(t, o, o)
+
+
+def test_compare_refuses_a_non_alternative_before_splitting_the_theory():
+    theory, _ = _separable_theory(random.Random(67), 6)
+    assert len(semantics.blocks(theory)) == 6
+    schema = theory.schema
+    o = schema.alternative_at(0)
+    partial = schema.instantiation({"X0": "v0"})
+    foreign = AttributeSchema.of([("Z", ("z", "nz"))]).alternative({"Z": "z"})
+    for other in (partial, foreign):
+        with pytest.raises(ValidationError):
+            compare(theory, o, other)
+        with pytest.raises(ValidationError):
+            compare(theory, other, o)
 
 
 def test_compare_budget_exhausted():
@@ -357,7 +379,8 @@ def test_budgeted_search_beyond_the_cap_agrees_with_the_closed_form():
     o, o_prime = schema.alternative(o), schema.alternative(o_prime)
     assert dominates(theory, o_prime, o, 400) is True
     assert dominates(theory, o, o_prime, 400) is BUDGET_EXHAUSTED
-    assert compare(theory, o, o_prime, 400) is BUDGET_EXHAUSTED
+    # compare searches each one-attribute block apart, so it stays exact
+    assert compare(theory, o, o_prime, 400) is Relation.STRICTLY_WORSE
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +431,65 @@ def test_oracle_agrees_with_search():
 def test_oracle_cap():
     with pytest.raises(OracleTooLargeError):
         closure_oracle(ex2_theory(), cap=11)
+
+
+def _random_conjunction(rng, schema, attrs):
+    """Literals over ``attrs``, some negated; an attribute may be named
+    twice, so some conjunctions clash."""
+    picks = [rng.choice(attrs) for _ in range(rng.randint(1, len(attrs) + 1))]
+    literals = [Atom(a, rng.choice(schema.domain(a))) for a in picks]
+    return conjunction(Not(f) if rng.random() < 0.3 else f for f in literals)
+
+
+def test_swaps_match_the_enumeration_of_every_condition_point():
+    rng = random.Random(2203)
+    seen = Counter()
+    for _ in range(600):
+        schema = random_schema(rng, max_attrs=5, max_domain=3)
+        names = rng.sample(schema.names, len(schema.names))
+        w, v = names[: rng.randint(1, 2)], names[2:3] if rng.random() < 0.3 else []
+        u = [a for a in names if a not in w and a not in v][: rng.randint(0, 3)]
+        if not u:
+            condition = random_condition(rng, schema, u)  # true
+        elif rng.random() < 0.3:
+            condition = Or(_random_conjunction(rng, schema, u), random_condition(rng, schema, u))
+        else:
+            condition = _random_conjunction(rng, schema, u)
+        better, worse = {}, {}
+        for a in w:
+            better[a], worse[a] = rng.sample(schema.domain(a), 2)
+        s = CPStatement.make(schema, better, worse, condition=condition, free=v)
+        attrs = schema.ordered(rng.sample(schema.names, rng.randint(1, len(schema.names))))
+        outside = [a for a in schema.names if a not in attrs]
+        fixed = {a: rng.choice(schema.domain(a)) for a in outside if rng.random() < 0.6}
+        given = None
+        if rng.random() < 0.3:
+            given = And(condition, _random_conjunction(rng, schema, names))
+        got = _swaps(s, schema, attrs, fixed, given)
+        assert got == swaps_by_enumeration(s, schema, attrs, fixed, given)
+        literals = (condition if given is None else given)._literals
+        seen["conjunctive" if literals is not None else "other"] += 1
+        seen["clash"] += literals is not None and any(r is _CLASH for _, r, _ in literals)
+        seen["negated"] += literals is not None and any(e for _, _, e in literals)
+        seen["label subset"] += bool(outside)
+        seen["fixed"] += bool(fixed)
+        seen["condition="] += given is not None
+        seen["kept bases"] += bool(got[0])
+        seen["no base"] += not got[0]
+    assert min(seen.values()) >= 30, seen
+
+
+def test_a_full_table_cpnet_builds_its_swap_graph_in_time_linear_in_the_table():
+    # Y's table spells out 2**10 rules over 10 parents: enumerating every
+    # parent value per rule took 4 to 6 s
+    theory = cpnet_to_statements(ex8_net(10))
+    schema = theory.schema
+    worst = schema.alternative({**{a: "nx" for a in schema.names}, "Y": "y"})
+    start = time.perf_counter()
+    count = cut_count(theory, worst, strict=True)
+    assert time.perf_counter() - start < 1
+    # an acyclic CP-net's worst alternative is worse than every other
+    assert count == schema.universe_size() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,9 @@ def _build_parser() -> _Parser:
         type=_positive_int,
         default=DEFAULT_ORACLE_CAP,
         help="largest universe the exhaustive relation may enumerate; its reach "
-        "bitsets take at most N*ceil(N/8) bytes for N alternatives "
-        "(default 65536: at most 512 MiB)",
+        "bitsets take at most N*ceil(N/8) bytes for N alternatives (default "
+        "65536: at most 512 MiB), plus ceil(N/8) for each relay of free values "
+        "that its sources have not all read",
     )
 
     parser = _Parser(prog="cpref", description=__doc__)

@@ -579,22 +579,25 @@ def classify_lptree(tree: LPTree) -> tuple[int, int, LanguageProfile]:
 
 
 def _strictly_above(
-    schema: AttributeSchema, label: tuple[str, ...], rule: LPRule, mine: int
+    schema: AttributeSchema, label: tuple[str, ...], rule: LPRule, mine: int, strict: bool = True
 ) -> Iterator[int]:
-    """The label offsets that ``rule`` orders strictly above offset ``mine``."""
-    return _dominators(_rule_rows(_label_offsets(schema, label), rule), mine, True)
+    """The label offsets other than ``mine`` that ``rule`` orders at least as
+    high as offset ``mine`` (``strict``: strictly above it)."""
+    return _dominators(_rule_rows(_label_offsets(schema, label), rule), mine, strict)
 
 
-def strict_cut_count(tree: LPTree, o: PartialInstantiation) -> int:
-    """How many alternatives :func:`strict_dominators` yields, without
-    visiting them; for trees that need not be complete.
+def strict_cut_count(tree: LPTree, o: PartialInstantiation, strict: bool = True) -> int:
+    """How many alternatives other than ``o`` are strictly better than it
+    (not ``strict``: at least as good), without visiting them; for trees
+    that need not be complete.
 
-    Walks ``o``'s branch; at each node the strictly-better label values each
-    account for a full block of alternatives over the attributes not yet
-    encountered.
+    Walks ``o``'s branch; at each node the label values the rule orders
+    above ``o``'s each account for a full block of alternatives over the
+    attributes not yet encountered.  The alternatives that agree with ``o``
+    on every label of the branch are incomparable to it.
     """
     return sum(
-        sum(1 for _ in _strictly_above(tree.schema, label, rule, mine)) * block
+        sum(1 for _ in _strictly_above(tree.schema, label, rule, mine, strict)) * block
         for _, label, mine, rule, block in _branch(tree, o)
     )
 

@@ -627,16 +627,24 @@ def _bits(x: int) -> Iterator[int]:
 
 
 def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components of the graph with nodes 0..n-1, by an
-    iterative Tarjan search: the component id of every node, and the members
-    of every component in completion order, each after all it reaches."""
+    """Strongly connected components of the graph with nodes 0..n-1: the
+    component id of every node, and the members of every component in
+    completion order, each after all it reaches."""
+    comp = [-1] * len(succ)
+    return comp, list(_completed_components(succ, comp))
+
+
+def _completed_components(succ: list[list[int]], comp: list[int]) -> Iterator[list[int]]:
+    """The members of each strongly connected component of the graph with
+    nodes 0..n-1, by an iterative Tarjan search, yielded as the component
+    completes, so each after all it reaches.  ``comp`` holds -1 for every
+    node and gets each member's component id, counted from 0 in completion
+    order, before its component is yielded."""
     n = len(succ)
     number = [0] * n  # DFS preorder number, 0 = unvisited
     low = [0] * n
-    comp = [-1] * n  # -1 while visited nodes are still on the stack
     stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    c = counter = 0
     for root in range(n):
         if number[root]:
             continue
@@ -654,7 +662,7 @@ def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]
                     work.append((w, iter(succ[w])))
                     break
                 if comp[w] < 0 and number[w] < low[v]:
-                    low[v] = number[w]
+                    low[v] = number[w]  # still on the stack
             else:
                 work.pop()
                 if work:
@@ -662,7 +670,6 @@ def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                 if low[v] == number[v]:
-                    c = len(components)
                     members = []
                     while True:
                         w = stack.pop()
@@ -670,8 +677,8 @@ def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]
                         members.append(w)
                         if w == v:
                             break
-                    components.append(members)
-    return comp, components
+                    c += 1
+                    yield members
 
 
 def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | None:

@@ -74,18 +74,18 @@ def cut(doc, o, strict, extract, cap=CAP):
     """The alternatives other than ``o`` at least as good as it (``strict``:
     strictly better): their number, or with ``extract`` the canonically
     first or None.  Returns the answer and its route: ``"tree"``, the block
-    sums on ``o``'s branch of a tree, complete or not (strict only);
-    ``"statements"``, a statement sanctioning a swap into ``o``; or
-    ``"oracle"``, the exhaustive relation."""
+    sums on ``o``'s branch of a tree, complete or not; ``"statements"``, a
+    statement sanctioning a swap into ``o``; or ``"oracle"``, within the cap,
+    ``o``'s ancestors and descendants in the theory's swap graph."""
     if extract and not strict:
         return semantics.geq_cut_extract(_theory(doc), o), "statements"
-    if not (strict and isinstance(doc, lptree.LPTree)):
+    if not isinstance(doc, lptree.LPTree):
         if extract:
             return semantics.strict_cut_extract(doc, o, cap), "oracle"
-        return semantics.cut_count(_theory(doc), o, strict, cap), "oracle"
+        return semantics.cut_count(doc, o, strict, cap), "oracle"
     if extract:
         return lptree.first_strict_dominator(doc, o), "tree"
-    return lptree.strict_cut_count(doc, o), "tree"
+    return lptree.strict_cut_count(doc, o, strict), "tree"
 
 
 def compile(doc, k, node_budget=lexcompat.DEFAULT_NODE_BUDGET):

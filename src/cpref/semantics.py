@@ -8,8 +8,9 @@ Dominance is decided by budgeted breadth-first reachability over those
 indices, one search per independent block where a pair differs.  The
 exhaustive closure oracle materialises the whole relation at desk scale to
 answer the query catalogue exactly: one strongly-connected-component pass
-with bitset reach sets serves every whole-universe query.  An acyclic
-CP-net is linearisable, and its forward sweep is its optimum.
+with bitset reach sets serves every whole-universe query.  A cut of one
+alternative is read off two searches from it, within the same cap.  An
+acyclic CP-net is linearisable, and its forward sweep is its optimum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .model import (
     ValidationError,
     _allowed_digits,
     _bits,
+    _completed_components,
     _consistent,
     _find,
     _is_cpnet_shape,
@@ -37,7 +39,8 @@ from .model import (
     strong_components,
 )
 
-# Reach bitsets for N alternatives take at most N·ceil(N/8) bytes: 512 MiB here.
+# Reach bitsets for N alternatives take at most N·ceil(N/8) bytes, 512 MiB
+# here, plus ceil(N/8) for each relay whose sources have not all read it.
 DEFAULT_ORACLE_CAP = 1 << 16
 
 
@@ -86,30 +89,39 @@ BUDGET_EXHAUSTED = _BudgetExhausted()
 #
 # Alternatives are nodes 0..N-1, numbered by mixed-radix index.  One Tarjan
 # pass condenses a successor-list graph into strongly connected components,
-# emitted sinks first; OR-ing Python-int bitsets over the components in that
-# order gives every node's reach set (Nuutila 1995).
+# completing sinks first; OR-ing Python-int bitsets over each component as
+# it completes gives every node's reach set (Nuutila 1995).  A query about
+# one alternative searches from it instead.
 
 
 def _closed_rows(succ: list[list[int]], n: int) -> tuple[int, ...]:
-    """Reach bitset of each of the first ``n`` nodes, itself included.
+    """Reach bitset of each of the first ``n`` nodes, itself included, in
+    one Tarjan pass.
 
-    Nodes past ``n`` relay to nodes below ``n`` and hold no bit of their own.
-    A relay that forms a component alone stores no bitset either: its
-    predecessors read its targets' bitsets directly.  So at most one bitset
-    of at most ``n`` bits is stored per alternative.
+    Nodes past ``n`` relay to nodes below ``n`` and hold no bit of their
+    own; each has as many predecessors as targets, as :func:`_swap_graph`
+    builds them.  A relay that forms a component alone stores the OR of its
+    targets' bitsets once, and drops it when its last predecessor has read
+    it.  So one bitset of at most ``n`` bits is kept per component of
+    alternatives, and one per relay that is complete while a predecessor is
+    not.
     """
-    comp, components = strong_components(succ)
+    comp = [-1] * len(succ)
+    unread = [len(targets) for targets in succ[n:]]  # each relay's in-edges left
     reach: list[int] = []
-    for c, members in enumerate(components):
+    for c, members in enumerate(_completed_components(succ, comp)):
         bits = 0
-        if members[0] < n or len(members) > 1:
-            for v in members:
-                if v < n:
-                    bits |= 1 << v
-                for w in succ[v]:
-                    if comp[w] != c:
-                        for t in succ[w] if w >= n else (w,):
-                            bits |= reach[comp[t]]
+        for v in members:
+            if v < n:
+                bits |= 1 << v
+            for w in succ[v]:
+                d = comp[w]
+                if d != c:
+                    bits |= reach[d]
+                    if w >= n:
+                        unread[w - n] -= 1
+                        if not unread[w - n]:  # a relay on a cycle keeps one in-edge unread
+                            reach[d] = 0
         reach.append(bits)
     return tuple(reach[comp[v]] for v in range(n))
 
@@ -728,16 +740,55 @@ def cut_count(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> int:
     """How many alternatives other than ``o`` are at least as good as it
-    (``strict``: strictly better), read off the exhaustive relation."""
-    return sum(1 for _ in closure_oracle(theory, cap).dominators(o, strict))
+    (``strict``: strictly better), within the cap: ``o``'s ancestors in the
+    swap graph, less ``o`` (``strict``: less its descendants)."""
+    above = _cut_marks(theory, o, strict, cap).count(_ABOVE, 0, theory.schema.universe_size())
+    return above if strict else above - 1  # o is its own ancestor, and descendant
 
 
 def strict_cut_extract(
     theory: CPTheory, o: PartialInstantiation, cap: int = DEFAULT_ORACLE_CAP
 ) -> PartialInstantiation | None:
-    """The canonically first alternative strictly better than ``o``, or None."""
-    first = next(closure_oracle(theory, cap).dominators(o, strict=True), None)
-    return None if first is None else theory.schema.alternative_at(first)
+    """The canonically first alternative strictly better than ``o``, or None,
+    within the cap: the smallest ancestor of ``o`` in the swap graph that is
+    not also its descendant."""
+    first = _cut_marks(theory, o, True, cap).find(_ABOVE, 0, theory.schema.universe_size())
+    return None if first < 0 else theory.schema.alternative_at(first)
+
+
+_ABOVE, _BELOW = 2, 1  # marks of o's ancestors and descendants
+
+
+def _cut_marks(
+    theory: CPTheory, o: PartialInstantiation, strict: bool, cap: int
+) -> bytearray:
+    """One mark per node of the swap graph: ``_ABOVE`` on ``o``'s ancestors,
+    ``o`` included, and (``strict``) ``_BELOW`` added on its descendants.
+    Two searches from ``o``, the ancestors' over predecessor lists derived
+    from the successor lists; no reach bitset is built."""
+    succ = _swap_graph(theory, cap)
+    i = _alternative_index(theory.schema, o)
+    marks = bytearray(len(succ))
+    if strict:
+        _mark_reached(succ, i, marks, _BELOW)
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            pred[w].append(v)
+    _mark_reached(pred, i, marks, _ABOVE)
+    return marks
+
+
+def _mark_reached(graph: list[list[int]], start: int, marks: bytearray, mark: int) -> None:
+    """Add ``mark`` to every node that ``graph`` reaches from ``start``,
+    ``start`` included."""
+    marks[start] |= mark
+    stack = [start]
+    while stack:
+        for w in graph[stack.pop()]:
+            if not marks[w] & mark:
+                marks[w] |= mark
+                stack.append(w)
 
 
 def check_top_p(candidates: Sequence[PartialInstantiation], p: int) -> None:

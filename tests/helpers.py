@@ -25,7 +25,7 @@ from cpref import (
     eval_formula,
     strict_chain_rule,
 )
-from cpref.model import _bits, _consistent, _literal_table, conjunction
+from cpref.model import _bits, _consistent, _literal_table, conjunction, strong_components
 
 
 def alt(schema, **bindings):
@@ -231,6 +231,27 @@ def ex9_extra():
 
 # ---------------------------------------------------------------------------
 # Random instances
+
+
+def closed_rows_two_pass(succ, n):
+    """Reach bitset of each of the first ``n`` nodes: one Tarjan pass, then
+    a second over the components, in which each predecessor of a relay (a
+    node past ``n`` that forms a component alone) reads the relay's targets
+    itself; the reference for :func:`semantics._closed_rows`."""
+    comp, components = strong_components(succ)
+    reach = []
+    for c, members in enumerate(components):
+        bits = 0
+        if members[0] < n or len(members) > 1:
+            for v in members:
+                if v < n:
+                    bits |= 1 << v
+                for w in succ[v]:
+                    if comp[w] != c:
+                        for t in succ[w] if w >= n else (w,):
+                            bits |= reach[comp[t]]
+        reach.append(bits)
+    return tuple(reach[comp[v]] for v in range(n))
 
 
 def random_schema(rng: random.Random, max_attrs=4, max_domain=3, min_attrs=2):

@@ -258,6 +258,79 @@ def test_tree_strict_cut_walks_only_the_branch(tmp_path, monkeypatch):
         assert run(argv + ["--enumerate"]) == result
 
 
+def test_tree_geq_cut_count_walks_only_the_branch(tmp_path, monkeypatch):
+    # the branch-block sums again, on complete and partial trees alike: no
+    # translation and no swap graph
+    from cpref import lptree
+
+    rng = random.Random(173)
+    docs = [parse_lptree(LEX_TREE), parse_lptree(PARTIAL_TREE)]
+    docs += [random_lptree(rng, random_schema(rng), k=2, complete=n % 2 == 0) for n in range(6)]
+    cases = []
+    for n, tree in enumerate(docs):
+        path = _write(tmp_path, f"t{n}.lpt", serialize_lptree(tree))
+        oracle = closure_oracle(lptree_to_statements(tree))
+        for o in rng.sample(oracle.universe, 3):
+            argv = ["cut", path, "--alt", format_instantiation(o), "--count", "--geq"]
+            cases.append((argv, (0, str(sum(1 for _ in oracle.dominators(o))), "")))
+    assert {is_complete(tree) for tree in docs} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("translated the tree or built its swap graph")
+
+    monkeypatch.setattr(lptree, "lptree_to_statements", refuse)
+    monkeypatch.setattr(semantics, "_swap_graph", refuse)
+    for argv, expected in cases:
+        result = run(argv)
+        assert (result.status, result.report, result.diagnostics) == expected
+
+
+def test_tree_geq_cut_count_answers_beyond_the_cap(tmp_path):
+    # as the tree's strict cut does; the translation is still refused
+    tree = _write(tmp_path, "lex.lpt", LEX_TREE)
+    translation = lptree_to_statements(parse_lptree(LEX_TREE))
+    theory = _write(tmp_path, "lex.cpt", serialize_theory(translation))
+    argv = ["--alt", "A=na,B=b", "--count", "--geq", "--cap", "2"]
+    assert run(["cut", tree, *argv]) == CommandResult(0, "2", "")
+    refused = run(["cut", theory, *argv])
+    assert refused.status == 3 and "exceeds the cap of 2" in refused.diagnostics
+
+
+def test_theory_cuts_build_no_closure(tmp_path, monkeypatch, ex2_file):
+    # counted and extracted off two searches from the alternative, with the
+    # strict cuts' warnings as before
+    rng = random.Random(179)
+    paths = [ex2_file]
+    for n in range(6):
+        schema = random_schema(rng)
+        path = _write(tmp_path, f"r{n}.cpt", serialize_theory(random_theory(rng, schema, 7)))
+        paths.append(path)
+    cases = []
+    for path in paths:
+        theory = parse_theory(Path(path).read_text())
+        oracle = closure_oracle(theory)
+        for o in rng.sample(oracle.universe, 2):
+            geq, strict = list(oracle.dominators(o)), list(oracle.dominators(o, strict=True))
+            first = format_instantiation(oracle.universe[strict[0]]) if strict else "none"
+            argv = ["cut", path, "--alt", format_instantiation(o)]
+            cases += [
+                (argv + ["--count", "--geq"], (0, str(len(geq)))),
+                (argv + ["--count", "--strict"], (0, str(len(strict)))),
+                (argv + ["--extract", "--strict"], (0 if strict else 1, first)),
+            ]
+    results = [run(argv) for argv, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("closed the whole relation")
+
+    monkeypatch.setattr(semantics, "_closed_rows", refuse)
+    for (argv, expected), before in zip(cases, results):
+        result = run(argv)
+        assert (result.status, result.report) == expected
+        assert result == before
+        assert ("warning" in result.diagnostics) == ("--strict" in argv)
+
+
 def test_cut_geq_count(ex2_file):
     result = run(["cut", ex2_file, "--alt", "W=w,C=c2,P=np", "--count", "--geq"])
     assert result.status == 0 and result.report.isdigit()
@@ -532,6 +605,36 @@ def test_default_cap_refuses_before_allocating(tmp_path):
             tracemalloc.stop()
         assert result.status == 3 and "exceeds the cap of 65536" in result.diagnostics
         assert peak < 2**20  # the refusal comes before any per-alternative array
+
+
+def test_theory_cut_count_allocates_no_row_per_alternative(tmp_path):
+    # 4096 alternatives, each of which reaches the worst one: a reach bitset
+    # per alternative would take 4096 * 512 bytes beyond the swap graph
+    import tracemalloc
+
+    attrs = "".join(f"attr X{i}: a, b\n" for i in range(12))
+    text = attrs + "".join(f"stmt true : X{i}=a >= X{i}=b\n" for i in range(12))
+    path = _write(tmp_path, "wide.cpt", text)
+    alt = ",".join(f"X{i}={'ab'[i % 2]}" for i in range(12))
+    theory = parse_theory(text)
+    semantics._swap_graph(theory, 4096)  # fills the statements' lazy caches
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, graph = peak(lambda: semantics._swap_graph(theory, 4096))
+    for argv, answer in (
+        (["--count", "--geq"], "63"),
+        (["--count", "--strict"], "63"),
+        (["--extract", "--strict"], ",".join(f"X{i}=a" for i in range(12))),
+    ):
+        result, used = peak(lambda: run(["cut", path, "--alt", alt, *argv]))
+        assert (result.status, result.report) == (0, answer)
+        assert used - graph < 4096 * 512 // 2
 
 
 def test_cli_import_loads_no_numerical_libraries(tmp_path):

@@ -29,6 +29,7 @@ from cpref import (
     linearisable,
     lptree_to_statements,
     parse_theory,
+    queries,
     serialize_lptree,
     serialize_theory,
     strict_chain_rule,
@@ -658,6 +659,20 @@ def test_strict_cut_count_matches_enumeration():
     for tree, oracle in _with_oracle(seed=113, count=20, complete=True):
         for o in oracle.universe:
             assert strict_cut_count(tree, o) == len(_oracle_dominators(oracle, o))
+
+
+def test_geq_cut_count_matches_the_oracle_on_the_translation():
+    # the branch-block sums of the label values at least as good as o's,
+    # equivalent ones included, on complete, partial and shuffled trees
+    partial = 0
+    for complete, seed in ((True, 151), (False, 157)):
+        for tree, oracle in _with_oracle(seed=seed, count=15, complete=complete):
+            partial += not is_complete(tree)
+            for o in oracle.universe:
+                expected = sum(1 for o2 in oracle.universe if o2 != o and oracle.geq(o2, o))
+                assert strict_cut_count(tree, o, strict=False) == expected
+                assert queries.cut(tree, o, False, False) == (expected, "tree")
+    assert partial >= 20
 
 
 def test_strict_dominators_match_enumeration_and_count():

@@ -91,14 +91,14 @@ def test_tree_rows_answer_as_the_theory_route_on_the_translation():
         assert {row: answer for row, (answer, _) in on_tree.items()} == {
             row: answer for row, (answer, _) in on_theory.items()
         }
-        # Only the strict rows take another route on the tree, complete or
-        # partial: the branch-block sums.
+        # The counts and the strict extraction take another route on the
+        # tree, complete or partial: the branch-block sums.
         partial += not is_complete(tree)
         assert {row: route for row, (_, route) in on_tree.items()} == {
             (True, True): "tree",
             (True, False): "tree",
             (False, True): "statements",
-            (False, False): "oracle",
+            (False, False): "tree",
         }
         assert {row: route for row, (_, route) in on_theory.items()} == {
             (True, True): "oracle",

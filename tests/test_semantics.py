@@ -28,17 +28,20 @@ from cpref import (
     equivalent,
     geq_cut_extract,
     linearisable,
+    lptree_to_statements,
     optimum_check,
     optimum_exists,
     sanctions,
+    strict_cut_extract,
     top_p_general,
     undominated_check,
     worsening_successors,
 )
 from cpref import semantics
-from cpref.model import _CLASH, conjunction
+from cpref.model import _CLASH, conjunction, strong_components
 from cpref.semantics import _index_statements, _index_successors, _swaps
 from helpers import (
+    closed_rows_two_pass,
     is_antisymmetric,
     with_statements,
     alt,
@@ -52,6 +55,7 @@ from helpers import (
     ex9_extra,
     ex9_theory,
     random_condition,
+    random_lptree,
     random_schema,
     random_theory,
     swaps_by_enumeration,
@@ -431,6 +435,92 @@ def test_oracle_agrees_with_search():
 def test_oracle_cap():
     with pytest.raises(OracleTooLargeError):
         closure_oracle(ex2_theory(), cap=11)
+
+
+def _closure_cases(rng, count):
+    """Swap graphs, with the universe size, of random theories, whose free
+    attributes give relay nodes, and of random complete and partial trees'
+    translations; then random graphs of 1 to 30 nodes with no relay."""
+    for k in range(count):
+        schema = random_schema(rng)
+        if k % 3:
+            theory = random_theory(rng, schema, max_statements=7)
+        else:
+            theory = lptree_to_statements(random_lptree(rng, schema, complete=k % 2 == 0))
+        yield semantics._swap_graph(theory, DEFAULT_ORACLE_CAP), schema.universe_size()
+    for _ in range(count):
+        n = rng.randint(1, 30)
+        yield [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)], n
+
+
+def test_closed_rows_equal_the_two_pass_reference():
+    rng = random.Random(2207)
+    relays = relays_on_cycles = 0
+    for succ, n in _closure_cases(rng, 150):
+        assert semantics._closed_rows(succ, n) == closed_rows_two_pass(succ, n)
+        comp, components = strong_components(succ)
+        relays += len(succ) > n
+        relays_on_cycles += any(len(components[comp[r]]) > 1 for r in range(n, len(succ)))
+    assert relays > 60 and relays_on_cycles > 10
+
+
+def test_closure_drops_each_relay_bitset_once_read():
+    # A 4096-alternative tree translation with thousands of relays: beyond
+    # the swap graph and the rows it returns, the closure keeps only a few
+    # words per node; a bitset kept for every relay would take about three
+    # times that.
+    import sys
+    import tracemalloc
+
+    rng = random.Random(227)
+    schema = AttributeSchema.of([(f"X{i}", ("a", "b")) for i in range(12)])
+    theory = lptree_to_statements(random_lptree(rng, schema, k=2, complete=True))
+    n = schema.universe_size()
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    semantics._swap_graph(theory, n)  # fills the statements' lazy caches
+    succ, graph = peak(lambda: semantics._swap_graph(theory, n))
+    assert len(succ) - n > n // 2
+    oracle, closure = peak(lambda: closure_oracle(theory))
+    distinct = {id(row): row for row in oracle.rows}.values()
+    assert sum((row.bit_length() + 7) // 8 for row in distinct) <= n * -(-n // 8)
+    rows = sys.getsizeof(oracle.rows) + sum(map(sys.getsizeof, distinct))
+    assert closure - graph - rows < 128 * len(succ)
+
+
+def test_theory_cuts_equal_the_oracle_dominators():
+    # o's ancestors and descendants in the swap graph, on random theories
+    # with relay nodes and cycles, and refused beyond the cap as the oracle is
+    rng = random.Random(2209)
+    relays = cyclic = 0
+    for _ in range(150):
+        schema = random_schema(rng)
+        theory = random_theory(rng, schema, max_statements=7)
+        n = schema.universe_size()
+        relays += len(semantics._swap_graph(theory, n)) > n
+        oracle = closure_oracle(theory)
+        cyclic += not is_antisymmetric(oracle)
+        for o in rng.sample(oracle.universe, min(4, n)):
+            geq, strict = list(oracle.dominators(o)), list(oracle.dominators(o, strict=True))
+            assert cut_count(theory, o) == len(geq)
+            assert cut_count(theory, o, strict=True) == len(strict)
+            first = schema.alternative_at(strict[0]) if strict else None
+            assert strict_cut_extract(theory, o) == first
+            assert cut_count(theory, o, cap=n) == len(geq)
+        for refused in (
+            lambda: cut_count(theory, o, cap=n - 1),
+            lambda: cut_count(theory, o, strict=True, cap=n - 1),
+            lambda: strict_cut_extract(theory, o, cap=n - 1),
+        ):
+            with pytest.raises(OracleTooLargeError, match=f"universe of {n} alternatives"):
+                refused()
+    assert relays > 60 and cyclic > 20
 
 
 def _random_conjunction(rng, schema, attrs):

@@ -29,7 +29,6 @@ from .model import (
     ValidationError,
     _bits,
     _is_cpnet_shape,
-    _literal_table,
     conjunction,
     eval_formula,
     formula_size,
@@ -538,7 +537,7 @@ def classify_lptree(tree: LPTree) -> tuple[int, int, LanguageProfile]:
             if sum(map(int.bit_count, rows)) == len(rows):
                 continue  # no pair beyond the reflexive ones
             if conjunctive and condition != TRUE:
-                conjunctive = _literal_table(condition) is not None
+                conjunctive = condition._literals is not None
             free_empty = free_empty and not free
             # formula sizes of the condition's parts: the rule condition,
             # the path values, then the shared label values

@@ -251,6 +251,7 @@ class Formula:
 # Required value of an attribute that two atoms of a conjunction pin to
 # different values: equal to no value, so no instantiation satisfies it.
 _CLASH = object()
+_NONE_EXCLUDED = frozenset()  # shared by every attribute no negated atom names
 
 
 def _literal_table(f: Formula) -> tuple[tuple[str, object, frozenset[str]], ...] | None:
@@ -267,14 +268,17 @@ def _literal_table(f: Formula) -> tuple[tuple[str, object, frozenset[str]], ...]
             stack += (g.right, g.left)
         elif isinstance(g, Atom):
             required.setdefault(g.attribute, set()).add(g.value)
-            excluded.setdefault(g.attribute, set())
         elif isinstance(g, Not) and isinstance(g.operand, Atom):
             required.setdefault(g.operand.attribute, set())
             excluded.setdefault(g.operand.attribute, set()).add(g.operand.value)
         elif g != TRUE:
             return None
     return tuple(
-        (a, _CLASH if len(vs) > 1 else next(iter(vs), None), frozenset(excluded[a]))
+        (
+            a,
+            _CLASH if len(vs) > 1 else next(iter(vs), None),
+            frozenset(excluded[a]) if a in excluded else _NONE_EXCLUDED,
+        )
         for a, vs in required.items()
     )
 

@@ -273,9 +273,9 @@ def worsening_successors(
     return tuple(out)
 
 
-def _index_statements(theory: CPTheory) -> list[tuple]:
-    """The theory's statements as arithmetic on alternatives' mixed-radix
-    indices, in theory order.
+def _index_statements(schema: AttributeSchema, statements: Iterable[CPStatement]) -> list[tuple]:
+    """``statements`` as arithmetic on the mixed-radix indices of the
+    schema's alternatives, in the given order.
 
     Each is ``(swap, delta, free, free_offsets, condition)``.  The statement
     applies to index ``o`` when ``o // stride % radix == digit`` for every
@@ -287,15 +287,13 @@ def _index_statements(theory: CPTheory) -> list[tuple]:
     variables and is false sanctions nothing and is left out.  Nothing
     compiled here outlives its caller.
     """
-    schema = theory.schema
-
     def digits(attrs):
         for a in schema.ordered(attrs):
             i = schema.position(a)
             yield a, schema.strides[i], schema.attributes[i].values
 
     out = []
-    for s in theory.statements:
+    for s in statements:
         swap, delta = [], 0
         for a, stride, values in digits(s.swapped):
             better = values.index(s.better[a])
@@ -357,84 +355,91 @@ def dominates(
     o_prime: PartialInstantiation,
     budget: int | None = None,
     *,
-    _statements: Sequence[tuple] | None = None,
-    _stored: list[int] | None = None,
+    _blocks: Sequence[tuple] | None = None,
 ):
     """Decide ``o >= o'``: reflexively, or through a chain of worsening swaps.
 
-    Breadth-first reachability over mixed-radix indices with a visited set,
-    expanding states in the order of :func:`worsening_successors`.
-    ``budget`` bounds the stored states, the source included, and nothing
-    else.  Returns True, False, or BUDGET_EXHAUSTED when the search was
+    ``o >= o'`` holds iff it holds on every independent block where the
+    pair differs (:func:`_partition`), so each such block is searched
+    apart, the smallest first, false at the first that refutes it.  A
+    block's search is breadth-first reachability over mixed-radix indices
+    with a visited set: from ``o`` to ``o`` with the block's digits taken
+    from ``o'``, through the block's statements alone, expanding states in
+    the order of :func:`worsening_successors`.  ``budget`` bounds the
+    states stored over the searches, each source included, and nothing
+    else.  Returns True, False, or BUDGET_EXHAUSTED when a search was
     truncated; with no budget the answer is exact.  :func:`compare` passes
-    ``_statements``, the theory's index form, so that both of its
-    directions share one.  A caller that spreads one budget over several
-    searches passes ``_stored``, a list that gets the number of states this
-    search stored appended.
+    ``_blocks``, the theory's partition, so that both of its directions
+    share one.
     """
     if budget is not None and budget <= 0:
         raise ValidationError("search budget must be positive")
-    if o == o_prime:
-        return True
     schema = theory.schema
     source, target = _alternative_index(schema, o), _alternative_index(schema, o_prime)
-    statements = _index_statements(theory) if _statements is None else _statements
+    if source == target:
+        return True
     limit = math.inf if budget is None else budget
-    seen = {source}
-    frontier: deque[int] = deque((source,))
-    truncated = found = False
-    while frontier and not found:
-        current = frontier.popleft()
-        for successor in _index_successors(statements, current):
-            if successor == target:
-                found = True
-                break
-            if successor in seen:
-                continue
-            if len(seen) >= limit:
-                truncated = True
-                continue
-            seen.add(successor)
-            frontier.append(successor)
-    if _stored is not None:
-        _stored.append(len(seen))
-    return True if found else BUDGET_EXHAUSTED if truncated else False
+    stored = 0
+    for places, statements in _partition(theory) if _blocks is None else _blocks:
+        goal = source
+        for stride, radix in places:
+            goal += (target // stride % radix - source // stride % radix) * stride
+        if goal == source:
+            continue
+        if stored >= limit:
+            return BUDGET_EXHAUSTED
+        seen = {source}
+        frontier: deque[int] = deque((source,))
+        truncated = found = False
+        while frontier and not found:
+            current = frontier.popleft()
+            for successor in _index_successors(statements, current):
+                if successor == goal:
+                    found = True
+                    break
+                if successor in seen:
+                    continue
+                if stored + len(seen) >= limit:
+                    truncated = True
+                    continue
+                seen.add(successor)
+                frontier.append(successor)
+        if not found:
+            return BUDGET_EXHAUSTED if truncated else False
+        stored += len(seen)
+    return True
 
 
-# ---------------------------------------------------------------------------
-# Independent blocks
-
-
-def blocks(theory: CPTheory) -> tuple[CPTheory, ...]:
-    """The theory split into independent blocks, or itself if it has one:
-    two attributes share a block when one statement mentions both in its
-    condition, swapped or free parts.  So ``o >= o'`` iff it holds on every
-    block's projection.  One theory per block, by first attribute, over its
-    attributes in schema order and its statements in theory order; an
-    attribute that no statement mentions is a block with no statements."""
+def _partition(theory: CPTheory) -> list[tuple[list[tuple[int, int]], list[tuple]]]:
+    """The theory's independent blocks, the one with fewest alternatives
+    first, then by first attribute: two attributes share a block when one
+    statement mentions both in its condition, swapped or free parts, and an
+    attribute that no statement mentions is a block with no statements.
+    Statements of different blocks read and write disjoint digits, so the
+    swap graph is the product of the blocks' graphs.  Each block is the
+    ``(stride, radix)`` of its attributes, in schema order, and its
+    statements in :func:`_index_statements` form."""
     schema = theory.schema
     parent = {a: a for a in schema.names}
     left = len(parent)  # blocks, until one is all that is left
     for s in theory.statements:
         if left == 1:
-            return (theory,)
+            break
         r = _find(parent, next(iter(s.swapped)))
         for a in (*s.condition_vars, *s.free, *s.swapped):
             if (ra := _find(parent, a)) != r:
                 parent[ra] = r
                 left -= 1
-    if left <= 1:
-        return (theory,)
-    members = {}
-    for a in schema.attributes:
-        members.setdefault(_find(parent, a.name), []).append(a)
-    grouped = {r: (AttributeSchema(tuple(attrs)), []) for r, attrs in members.items()}
+    places: dict[str, list[tuple[int, int]]] = {}
+    for a, stride in zip(schema.attributes, schema.strides):
+        places.setdefault(_find(parent, a.name), []).append((stride, len(a.values)))
+    members: dict[str, list[CPStatement]] = {r: [] for r in places}
     for s in theory.statements:
-        part, statements = grouped[_find(parent, next(iter(s.swapped)))]
-        better = PartialInstantiation(part, s.better.bindings)
-        worse = PartialInstantiation(part, s.worse.bindings)
-        statements.append(CPStatement._trusted(s.condition, s.free, better, worse))
-    return tuple(CPTheory(part, tuple(statements)) for part, statements in grouped.values())
+        members[_find(parent, next(iter(s.swapped)))].append(s)
+    return sorted(
+        ((places[r], _index_statements(schema, members[r])) for r in places),
+        key=lambda block: math.prod(radix for _, radix in block[0]),
+    )
 
 
 def compare(
@@ -446,51 +451,20 @@ def compare(
     """Four-way label for a distinct pair, or BUDGET_EXHAUSTED when a
     dominance search ran out of ``budget``.
 
-    Each direction holds iff it holds on every block where the pair
-    differs, and ``budget`` bounds the states stored per direction summed
-    over those blocks' searches, the smallest block first.  Both directions
-    share one compilation of each block's statements.
+    Two calls of :func:`dominates`, one per direction, each searching the
+    blocks where the pair differs within ``budget``; both share one
+    partition of the theory, so each statement is compiled once.
     """
     if o == o_prime:
         raise ValidationError("compare is defined for distinct alternatives only")
     for alt in (o, o_prime):
         _alternative_index(theory.schema, alt)  # refuse a non-alternative before the split
-    parts = blocks(theory)
-    pairs = zip(parts, _projections(parts, o), _projections(parts, o_prime))
-    searches = sorted(
-        ((p, a, b) for p, a, b in pairs if a != b), key=lambda s: s[0].schema.universe_size()
-    )
-    searches = [(p, _index_statements(p), a, b) for p, a, b in searches]
-    forward = _dominates_on_blocks(searches, budget)
-    backward = _dominates_on_blocks([(p, s, b, a) for p, s, a, b in searches], budget)
+    parts = _partition(theory)
+    forward = dominates(theory, o, o_prime, budget, _blocks=parts)
+    backward = dominates(theory, o_prime, o, budget, _blocks=parts)
     if forward is BUDGET_EXHAUSTED or backward is BUDGET_EXHAUSTED:
         return BUDGET_EXHAUSTED
     return _label_from(forward, backward)
-
-
-def _projections(parts: Sequence[CPTheory], o: PartialInstantiation) -> list[PartialInstantiation]:
-    """``o``'s values on each block's attributes, as alternatives of the
-    blocks."""
-    where = {a: k for k, part in enumerate(parts) for a in part.schema.names}
-    values = [[] for _ in parts]
-    for binding in o.bindings:
-        values[where[binding[0]]].append(binding)
-    return [PartialInstantiation(p.schema, tuple(v)) for p, v in zip(parts, values)]
-
-
-def _dominates_on_blocks(searches: list[tuple], budget: int | None):
-    """Whether ``a >= b`` on every ``(block, index form, a, b)`` of
-    ``searches``, false at the first block that refutes it; ``budget``
-    bounds the states stored over all the searches."""
-    stored: list[int] = []
-    for part, statements, a, b in searches:
-        left = None if budget is None else budget - sum(stored)
-        if stored and left == 0:
-            return BUDGET_EXHAUSTED
-        answer = dominates(part, a, b, left, _statements=statements, _stored=stored)
-        if answer is not True:
-            return answer
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import deque
 
 from cpref import (
+    BUDGET_EXHAUSTED,
     And,
     Atom,
     AttributeSchema,
@@ -26,6 +29,7 @@ from cpref import (
     strict_chain_rule,
 )
 from cpref.model import _bits, _consistent, _literal_table, conjunction, strong_components
+from cpref.semantics import _index_statements, _index_successors
 
 
 def alt(schema, **bindings):
@@ -252,6 +256,50 @@ def closed_rows_two_pass(succ, n):
                             bits |= reach[comp[t]]
         reach.append(bits)
     return tuple(reach[comp[v]] for v in range(n))
+
+
+def product_space_dominates(theory, o, o_prime, budget=None):
+    """``o >= o'`` by one breadth-first search over the whole alternative
+    space through every statement, ``budget`` bounding the states stored,
+    the source included; the reference for the block-by-block search of
+    :func:`semantics.dominates`."""
+    if o == o_prime:
+        return True
+    schema = theory.schema
+    source, target = schema.offset(o), schema.offset(o_prime)
+    statements = _index_statements(schema, theory.statements)
+    limit = math.inf if budget is None else budget
+    seen, frontier = {source}, deque((source,))
+    truncated = False
+    while frontier:
+        for successor in _index_successors(statements, frontier.popleft()):
+            if successor == target:
+                return True
+            if successor in seen:
+                continue
+            if len(seen) >= limit:
+                truncated = True
+                continue
+            seen.add(successor)
+            frontier.append(successor)
+    return BUDGET_EXHAUSTED if truncated else False
+
+
+def independent_blocks(theory):
+    """The theory's independent blocks as (attribute names, statements in
+    theory order), merged statement by statement over the attributes each
+    mentions, in the order :func:`semantics.dominates` searches them:
+    fewest alternatives first, then by first attribute."""
+    schema = theory.schema
+    groups = [{a} for a in schema.names]
+    for s in theory.statements:
+        mentioned = s.condition_vars | s.free | s.swapped
+        groups = [g for g in groups if not g & mentioned] + [
+            set().union(*(g for g in groups if g & mentioned))
+        ]
+    groups.sort(key=lambda g: min(map(schema.position, g)))
+    blocks = [(g, [s for s in theory.statements if s.swapped <= g]) for g in groups]
+    return sorted(blocks, key=lambda b: math.prod(len(schema.domain(a)) for a in b[0]))
 
 
 def random_schema(rng: random.Random, max_attrs=4, max_domain=3, min_attrs=2):

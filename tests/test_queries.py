@@ -4,6 +4,7 @@ the exhaustive relation; plus a check that the command line routes nothing
 itself."""
 
 import ast
+import math
 import random
 import time
 import tracemalloc
@@ -175,15 +176,23 @@ def test_block_compare_answers_as_the_oracle_on_decomposable_theories():
     for _ in range(40):
         schema = random_schema(rng, max_attrs=5, min_attrs=3)
         theory = decomposable_theory(rng, schema)
-        parts = semantics.blocks(theory)
+        parts = semantics._partition(theory)
         assert 2 <= len(parts) and schema.universe_size() <= 243
-        # blocks by first attribute, each in schema order, with every statement once
-        positions = [[schema.position(a) for a in p.schema.names] for p in parts]
+        # blocks by size, then by first attribute, each in schema order and
+        # with every statement once
+        positions = [[schema.strides.index(stride) for stride, _ in places] for places, _ in parts]
         assert all(ps == sorted(ps) for ps in positions)
-        assert [ps[0] for ps in positions] == sorted(ps[0] for ps in positions)
+        assert all(
+            radix == len(schema.attributes[p].values)
+            for (places, _), ps in zip(parts, positions)
+            for (_, radix), p in zip(places, ps)
+        )
+        sizes = [math.prod(radix for _, radix in places) for places, _ in parts]
+        order = [(size, ps[0]) for size, ps in zip(sizes, positions)]
+        assert order == sorted(order)
         assert sorted(sum(positions, [])) == list(range(len(schema.names)))
-        assert sum(len(p) for p in parts) == len(theory)
-        seen["empty block"] += any(not p.statements for p in parts)
+        assert sum(len(statements) for _, statements in parts) == len(theory)
+        seen["empty block"] += any(not statements for _, statements in parts)
         relation = closure_oracle(theory)
         universe = relation.universe
         for o in rng.sample(universe, min(8, len(universe))):
@@ -204,17 +213,32 @@ def test_block_compare_closes_and_searches_no_universe_beyond_a_block(monkeypatc
     pairs = [tuple(rng.sample(universe, 2)) for _ in range(20)]
     relation = closure_oracle(theory)
     expected = [relation.label(o, o2) for o, o2 in pairs]
-    dominates = semantics.dominates
+    dominates, successors = semantics.dominates, semantics._index_successors
+    touched: dict[int, set[int]] = {}  # per block's statements: states one search met
+    searches = []
 
-    def block_sized(part, *args, **kwargs):
-        size = part.schema.universe_size()
-        assert size <= 3, f"searched a universe of {size}"
-        return dominates(part, *args, **kwargs)
+    def recorded(statements, o):
+        out = successors(statements, o)
+        touched.setdefault(id(statements), set()).update((o, *out))
+        return out
+
+    def block_sized(*args, _blocks, **kwargs):
+        touched.clear()
+        answer = dominates(*args, _blocks=_blocks, **kwargs)
+        for places, statements in _blocks:
+            size = math.prod(radix for _, radix in places)
+            met = len(touched.get(id(statements), ()))
+            assert met <= size, f"a search met {met} states in a block of {size}"
+        searches.append(len(touched))
+        return answer
 
     monkeypatch.setattr(semantics, "_check_cap", _refuse("_check_cap"))
+    monkeypatch.setattr(semantics, "_index_successors", recorded)
     monkeypatch.setattr(semantics, "dominates", block_sized)
     assert [queries.compare(theory, o, o2) for o, o2 in pairs] == expected
     assert [queries.compare(theory, o, o2, 30) for o, o2 in pairs] == expected
+    # one call per direction, and most pairs differ on several blocks
+    assert len(searches) == 4 * len(pairs) and sum(searches) > len(searches)
 
 
 def test_a_compare_budget_is_spent_on_the_smallest_blocks_first():
@@ -233,7 +257,7 @@ def test_a_compare_budget_is_spent_on_the_smallest_blocks_first():
         CPStatement.make(schema, {"Z": "a"}, {"Z": "b"}),
     ]
     theory = CPTheory(schema, tuple(statements))
-    assert [len(p.schema.names) for p in semantics.blocks(theory)] == [12, 1, 1]
+    assert [len(places) for places, _ in semantics._partition(theory)] == [1, 1, 12]
     o = schema.alternative({**{x: "a" for x in xs}, "Y": "b", "Z": "a"})
     o2 = schema.alternative({**{x: "b" for x in xs}, "Y": "a", "Z": "b"})
     assert semantics.compare(theory, o, o2) is semantics.Relation.INCOMPARABLE

@@ -42,6 +42,9 @@ from cpref.model import _CLASH, conjunction, strong_components
 from cpref.semantics import _index_statements, _index_successors, _swaps
 from helpers import (
     closed_rows_two_pass,
+    decomposable_theory,
+    independent_blocks,
+    product_space_dominates,
     is_antisymmetric,
     with_statements,
     alt,
@@ -215,7 +218,7 @@ def test_compare_rejects_equal_alternatives():
 
 def test_compare_refuses_a_non_alternative_before_splitting_the_theory():
     theory, _ = _separable_theory(random.Random(67), 6)
-    assert len(semantics.blocks(theory)) == 6
+    assert len(semantics._partition(theory)) == 6
     schema = theory.schema
     o = schema.alternative_at(0)
     partial = schema.instantiation({"X0": "v0"})
@@ -225,6 +228,18 @@ def test_compare_refuses_a_non_alternative_before_splitting_the_theory():
             compare(theory, o, other)
         with pytest.raises(ValidationError):
             compare(theory, other, o)
+
+
+def test_dominates_refuses_a_non_alternative_even_against_itself():
+    t = ex2_theory()
+    o = t.schema.alternative_at(0)
+    partial = t.schema.instantiation({"W": "w"})
+    foreign = AttributeSchema.of([("Z", ("z", "nz"))]).alternative({"Z": "z"})
+    for other in (partial, foreign):
+        for pair in ((other, other), (o, other), (other, o)):
+            with pytest.raises(ValidationError):
+                dominates(t, *pair)
+    assert dominates(t, o, o) is True
 
 
 def test_compare_budget_exhausted():
@@ -239,30 +254,38 @@ def test_compare_budget_exhausted():
 
 
 def _object_search(theory, o, o_prime, budget=None):
-    """Breadth-first search over ``worsening_successors``, storing and
-    expanding states under the budget exactly as ``dominates`` does."""
+    """Breadth-first search over ``worsening_successors``, one independent
+    block at a time as ``dominates`` searches them, storing and expanding
+    states under the budget summed over the blocks."""
     if o == o_prime:
         return True
     limit = float("inf") if budget is None else budget
-    seen, frontier = {o}, deque((o,))
-    expansions, truncated = 0, False
-    while frontier:
-        if expansions >= limit:
-            truncated = True
-            break
-        current = frontier.popleft()
-        expansions += 1
-        for successor in worsening_successors(theory, current):
-            if successor == o_prime:
-                return True
-            if successor in seen:
-                continue
-            if len(seen) >= limit:
-                truncated = True
-                continue
-            seen.add(successor)
-            frontier.append(successor)
-    return BUDGET_EXHAUSTED if truncated else False
+    stored = 0
+    for attrs, statements in independent_blocks(theory):
+        if o.restrict(attrs) == o_prime.restrict(attrs):
+            continue
+        if stored >= limit:
+            return BUDGET_EXHAUSTED
+        block = CPTheory(theory.schema, tuple(statements))
+        goal = o.override(o_prime.restrict(attrs))
+        seen, frontier = {o}, deque((o,))
+        truncated = found = False
+        while frontier and not found:
+            for successor in worsening_successors(block, frontier.popleft()):
+                if successor == goal:
+                    found = True
+                    break
+                if successor in seen:
+                    continue
+                if stored + len(seen) >= limit:
+                    truncated = True
+                    continue
+                seen.add(successor)
+                frontier.append(successor)
+        if not found:
+            return BUDGET_EXHAUSTED if truncated else False
+        stored += len(seen)
+    return True
 
 
 def _differential_theories(seed=23, count=120):
@@ -294,7 +317,7 @@ def _differential_theories(seed=23, count=120):
 def test_index_successors_follow_worsening_successors():
     for t in _differential_theories():
         schema = t.schema
-        statements = _index_statements(t)
+        statements = _index_statements(schema, t.statements)
         for o in schema.alternatives():
             want = [schema.offset(x) for x in worsening_successors(t, o)]
             assert _index_successors(statements, schema.offset(o)) == want
@@ -304,6 +327,7 @@ def test_index_search_matches_object_search():
     rng = random.Random(31)
     outcomes = Counter()
     for t in _differential_theories():
+        outcomes["several blocks"] += len(independent_blocks(t)) > 1
         universe = list(t.schema.alternatives())
         for _ in range(6):
             o, o_prime = rng.sample(universe, 2)
@@ -312,16 +336,46 @@ def test_index_search_matches_object_search():
                 assert dominates(t, o, o_prime, budget) is want, (t, o, o_prime, budget)
                 outcomes[repr(want)] += 1
     assert min(outcomes[k] for k in ("True", "False", "BUDGET_EXHAUSTED")) >= 50
+    assert outcomes["several blocks"] >= 10, outcomes
+
+
+def test_block_search_agrees_with_the_product_space_search():
+    rng = random.Random(37)
+    outcomes = Counter()
+    for _ in range(150):
+        schema = random_schema(rng, max_attrs=5, min_attrs=3)
+        t = decomposable_theory(rng, schema) if rng.random() < 0.7 else random_theory(rng, schema)
+        universe = list(schema.alternatives())
+        for _ in range(4):
+            o, o_prime = rng.sample(universe, 2)
+            for budget in (None, 1, 2, 3, 5, 8, 13):
+                want = product_space_dominates(t, o, o_prime, budget)
+                got = dominates(t, o, o_prime, budget)
+                if want is BUDGET_EXHAUSTED:
+                    outcomes["both ran out" if got is want else "answered beyond it"] += 1
+                else:
+                    assert got is want, (t, o, o_prime, budget)
+                    outcomes[repr(want)] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_compare_compiles_the_statements_once(monkeypatch):
     calls = []
     compile_ = semantics._index_statements
-    monkeypatch.setattr(semantics, "_index_statements", lambda t: calls.append(t) or compile_(t))
+
+    def recorded(schema, statements):
+        calls.extend(statements)
+        return compile_(schema, statements)
+
+    monkeypatch.setattr(semantics, "_index_statements", recorded)
     t = ex2_theory()
     s = t.schema
     assert compare(t, alt(s, W="nw", C="c2", P="p"), alt(s, W="nw", C="c1", P="np")) is Relation.INCOMPARABLE
-    assert calls == [t]
+    assert calls == list(t.statements)
+    t, _ = _separable_theory(random.Random(71), 6)
+    calls.clear()
+    compare(t, t.schema.alternative_at(0), t.schema.alternative_at(5))
+    assert len(calls) == len(t) and set(calls) == set(t.statements)
 
 
 def _separable_theory(rng, n=26):
@@ -382,8 +436,9 @@ def test_budgeted_search_beyond_the_cap_agrees_with_the_closed_form():
     assert geq(o_prime, o) and not geq(o, o_prime)
     o, o_prime = schema.alternative(o), schema.alternative(o_prime)
     assert dominates(theory, o_prime, o, 400) is True
-    assert dominates(theory, o, o_prime, 400) is BUDGET_EXHAUSTED
-    # compare searches each one-attribute block apart, so it stays exact
+    # each one-attribute block is searched apart, so the answer stays exact
+    assert product_space_dominates(theory, o, o_prime, 400) is BUDGET_EXHAUSTED
+    assert dominates(theory, o, o_prime, 400) is False
     assert compare(theory, o, o_prime, 400) is Relation.STRICTLY_WORSE
 
 
@@ -492,6 +547,32 @@ def test_closure_drops_each_relay_bitset_once_read():
     assert sum((row.bit_length() + 7) // 8 for row in distinct) <= n * -(-n // 8)
     rows = sys.getsizeof(oracle.rows) + sum(map(sys.getsizeof, distinct))
     assert closure - graph - rows < 128 * len(succ)
+
+
+def test_literal_tables_share_the_empty_exclusion_set():
+    # The swap graph caches a literal table on every conjunctive condition
+    # of a tree translation, one entry per attribute the condition names.
+    # The tables keep about 200 bytes per entry with every empty exclusion
+    # set shared, and about 415 with a fresh frozenset in each entry.
+    import tracemalloc
+
+    rng = random.Random(227)
+    schema = AttributeSchema.of([(f"X{i}", ("a", "b")) for i in range(12)])
+    theory = lptree_to_statements(random_lptree(rng, schema, k=1, complete=True))
+    n = schema.universe_size()
+
+    def kept(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    _, first = kept(lambda: semantics._swap_graph(theory, n))  # fills the caches
+    _, graph = kept(lambda: semantics._swap_graph(theory, n))
+    entries = sum(len(s.condition._literals or ()) for s in theory.statements)
+    assert entries > 5 * len(theory)
+    assert first - graph < 256 * entries
 
 
 def test_theory_cuts_equal_the_oracle_dominators():

@@ -76,7 +76,8 @@ def cut(doc, o, strict, extract, cap=CAP):
     first or None.  Returns the answer and its route: ``"tree"``, the block
     sums on ``o``'s branch of a tree, complete or not; ``"statements"``, a
     statement sanctioning a swap into ``o``; or ``"oracle"``, within the cap,
-    ``o``'s ancestors and descendants in the theory's swap graph."""
+    ``o``'s ancestors and descendants under the theory's swaps, reached as
+    bit sets over its alternatives' indices."""
     if extract and not strict:
         return semantics.geq_cut_extract(_theory(doc), o), "statements"
     if not isinstance(doc, lptree.LPTree):

@@ -9,7 +9,9 @@ indices, one search per independent block where a pair differs.  The
 exhaustive closure oracle materialises the whole relation at desk scale to
 answer the query catalogue exactly: one strongly-connected-component pass
 with bitset reach sets serves every whole-universe query.  A cut of one
-alternative is read off two searches from it, within the same cap.  An
+alternative, and its optimality, are read off two searches from it over
+sets of indices held as bit sets, within the same cap; equivalence closes
+a theory only to check the statements the other holds and it lacks.  An
 acyclic CP-net is linearisable, and its forward sweep is its optimum.
 """
 
@@ -22,10 +24,17 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
+    And,
+    Atom,
     AttributeSchema,
+    Const,
     CPStatement,
     CPTheory,
     Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
     PartialInstantiation,
     ValidationError,
     _allowed_digits,
@@ -41,6 +50,8 @@ from .model import (
 
 # Reach bitsets for N alternatives take at most N·ceil(N/8) bytes, 512 MiB
 # here, plus ceil(N/8) for each relay whose sources have not all read it.
+# A search from one alternative takes about (2|Γ| + Σ|D_a|)·N/8 bytes of
+# masks for |Γ| statements.
 DEFAULT_ORACLE_CAP = 1 << 16
 
 
@@ -568,10 +579,32 @@ def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
 
 
 def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """True iff both theories induce the same relation."""
+    """True iff both theories induce the same relation: iff every swap of
+    each lies in the other's relation.  Only the statements one holds and
+    the other does not need a check, so equal statement sets close nothing."""
     if theory.schema != other.schema:
         raise ValidationError("equivalence compares theories over the same schema")
-    return closure_oracle(theory, cap) == closure_oracle(other, cap)
+    _check_cap(theory.schema, cap)
+    return _swaps_within(theory, other, cap) and _swaps_within(other, theory, cap)
+
+
+def _swaps_within(theory: CPTheory, other: CPTheory, cap: int) -> bool:
+    """True iff every swap of a statement of ``theory`` that ``other`` lacks
+    lies in the relation of ``other``; its closure is built only if there
+    is such a statement, and read one source row per swap."""
+    held = set(other.statements)
+    extra = [s for s in theory.statements if s not in held]
+    if not extra:
+        return True
+    rows = closure_oracle(other, cap).rows
+    schema = theory.schema
+    for s in extra:
+        bases, better, worse, free = _swaps(s, schema, schema.names, {})
+        for base in bases:
+            targets = sum(1 << base + worse + g for g in free)
+            if any(rows[base + better + f] & targets != targets for f in free):
+                return False
+    return True
 
 
 def _improving_swap(theory: CPTheory, o: PartialInstantiation) -> CPStatement | None:
@@ -589,6 +622,7 @@ def _improving_swap(theory: CPTheory, o: PartialInstantiation) -> CPStatement | 
 
 def undominated_check(theory: CPTheory, o: PartialInstantiation) -> bool:
     """True iff no statement sanctions a swap into ``o``."""
+    _alternative_index(theory.schema, o)
     return _improving_swap(theory, o) is None
 
 
@@ -596,6 +630,7 @@ def geq_cut_extract(
     theory: CPTheory, o: PartialInstantiation
 ) -> PartialInstantiation | None:
     """Some alternative distinct from ``o`` that dominates it, or None."""
+    _alternative_index(theory.schema, o)
     s = _improving_swap(theory, o)
     return None if s is None else o.override(s.better)
 
@@ -604,7 +639,8 @@ def _optimal_components(
     theory: CPTheory, kind: OptimumKind, cap: int
 ) -> tuple[list[int], list[bool]]:
     """The component of each node of the swap graph, and whether the
-    members of each component are optimal of ``kind``.
+    members of each component are optimal of ``kind``; the witness search of
+    :func:`optimum_exists`.
 
     Read off the condensation of the swap graph.  Something is strictly
     better than ``o`` iff another component reaches o's, so the weakly
@@ -643,15 +679,24 @@ def optimum_check(
 ) -> bool:
     """Evaluate one of the optimality notions: undominatedness off the
     statements, under any cap; the others, within the cap, off an acyclic
-    CP-net's forward sweep or else off the exhaustive relation."""
+    CP-net's forward sweep or else off ``o``'s ancestors and descendants,
+    by bit-set reach.  ``o`` is weakly undominated iff nothing is strictly
+    better, dominating iff it reaches every alternative, and strongly
+    dominating iff it is dominating and its only ancestor is itself."""
     if kind is OptimumKind.UNDOMINATED:
         return undominated_check(theory, o)
     best = _cpnet_optimum(theory, cap)
     i = _alternative_index(theory.schema, o)
     if best is not None:
         return o == best
-    comp, optimal = _optimal_components(theory, kind, cap)
-    return optimal[comp[i]]
+    moves = _bit_moves(theory)
+    if kind is OptimumKind.WEAKLY_UNDOMINATED:
+        return not _strictly_above(moves, i)
+    if kind not in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
+        raise ValidationError(f"unknown optimum kind: {kind!r}")
+    if _reach(moves, i) != (1 << theory.schema.universe_size()) - 1:
+        return False
+    return kind is OptimumKind.DOMINATING or _reach(moves, i, backward=True) == 1 << i
 
 
 def optimum_exists(
@@ -714,55 +759,135 @@ def cut_count(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> int:
     """How many alternatives other than ``o`` are at least as good as it
-    (``strict``: strictly better), within the cap: ``o``'s ancestors in the
-    swap graph, less ``o`` (``strict``: less its descendants)."""
-    above = _cut_marks(theory, o, strict, cap).count(_ABOVE, 0, theory.schema.universe_size())
-    return above if strict else above - 1  # o is its own ancestor, and descendant
+    (``strict``: strictly better), within the cap: ``o``'s ancestors, less
+    ``o`` (``strict``: less its descendants), by bit-set reach."""
+    i = _cut_index(theory, o, cap)
+    moves = _bit_moves(theory)
+    if strict:
+        return _strictly_above(moves, i).bit_count()
+    return _reach(moves, i, backward=True).bit_count() - 1
 
 
 def strict_cut_extract(
     theory: CPTheory, o: PartialInstantiation, cap: int = DEFAULT_ORACLE_CAP
 ) -> PartialInstantiation | None:
     """The canonically first alternative strictly better than ``o``, or None,
-    within the cap: the smallest ancestor of ``o`` in the swap graph that is
-    not also its descendant."""
-    first = _cut_marks(theory, o, True, cap).find(_ABOVE, 0, theory.schema.universe_size())
-    return None if first < 0 else theory.schema.alternative_at(first)
+    within the cap: the smallest ancestor of ``o`` that is not also its
+    descendant, by bit-set reach."""
+    i = _cut_index(theory, o, cap)
+    above = _strictly_above(_bit_moves(theory), i)
+    return theory.schema.alternative_at((above & -above).bit_length() - 1) if above else None
 
 
-_ABOVE, _BELOW = 2, 1  # marks of o's ancestors and descendants
+def _cut_index(theory: CPTheory, o: PartialInstantiation, cap: int) -> int:
+    """``o``'s index, once the universe is known to be within the cap."""
+    _check_cap(theory.schema, cap)
+    return _alternative_index(theory.schema, o)
 
 
-def _cut_marks(
-    theory: CPTheory, o: PartialInstantiation, strict: bool, cap: int
-) -> bytearray:
-    """One mark per node of the swap graph: ``_ABOVE`` on ``o``'s ancestors,
-    ``o`` included, and (``strict``) ``_BELOW`` added on its descendants.
-    Two searches from ``o``, the ancestors' over predecessor lists derived
-    from the successor lists; no reach bitset is built."""
-    succ = _swap_graph(theory, cap)
-    i = _alternative_index(theory.schema, o)
-    marks = bytearray(len(succ))
-    if strict:
-        _mark_reached(succ, i, marks, _BELOW)
-    pred: list[list[int]] = [[] for _ in succ]
-    for v, targets in enumerate(succ):
-        for w in targets:
-            pred[w].append(v)
-    _mark_reached(pred, i, marks, _ABOVE)
-    return marks
+# ---------------------------------------------------------------------------
+# Bit-set reach from one alternative
+#
+# A set of alternatives is a Python int, bit i for index i.  A statement
+# moves each of its sources by the same index shift and then sets its free
+# digits at will, so the image of a whole set under it is one mask, one
+# shift and one spread over the free digits.  A search from one alternative
+# applies every statement to each level's new states until none is added,
+# so it takes at most N levels.
 
 
-def _mark_reached(graph: list[list[int]], start: int, marks: bytearray, mark: int) -> None:
-    """Add ``mark`` to every node that ``graph`` reaches from ``start``,
-    ``start`` included."""
-    marks[start] |= mark
-    stack = [start]
-    while stack:
-        for w in graph[stack.pop()]:
-            if not marks[w] & mark:
-                marks[w] |= mark
-                stack.append(w)
+def _bit_moves(theory: CPTheory) -> list[tuple[int, int, int, list]]:
+    """The theory's statements as moves on sets of indices.
+
+    Each move is ``(sources, targets, delta, free)``: the sources satisfy
+    the condition and carry the better values, the targets the worse ones,
+    ``delta`` takes one to the other, and ``free`` holds, per free
+    attribute, its stride and the masks of its values.  A statement with no
+    source is left out.
+    """
+    schema = theory.schema
+    n = schema.universe_size()
+    full = (1 << n) - 1
+    masks: dict[tuple[str, str], int] = {}
+    places = {}
+    for a, stride in zip(schema.attributes, schema.strides):
+        zero, width = (1 << stride) - 1, stride * len(a.values)  # digit 0, doubled
+        while width < n:
+            zero |= zero << width
+            width *= 2
+        zero &= full
+        for d, v in enumerate(a.values):
+            masks[a.name, v] = zero << d * stride
+        places[a.name] = stride, [masks[a.name, v] for v in a.values]
+    moves = []
+    for s in theory.statements:
+        sources = targets = _formula_mask(s.condition, masks, full)
+        for (a, better), (_, worse) in zip(s.better.bindings, s.worse.bindings):
+            sources &= masks[a, better]
+            targets &= masks[a, worse]
+        if sources:
+            delta = schema.offset(s.worse) - schema.offset(s.better)
+            moves.append((sources, targets, delta, [places[a] for a in s.free]))
+    return moves
+
+
+def _formula_mask(f: Formula, masks: Mapping[tuple[str, str], int], full: int) -> int:
+    """The indices whose alternatives satisfy ``f``, from the value masks."""
+    if isinstance(f, Atom):
+        return masks[f.attribute, f.value]
+    if isinstance(f, Const):
+        return full if f.value else 0
+    if isinstance(f, Not):
+        return full ^ _formula_mask(f.operand, masks, full)
+    left = _formula_mask(f.left, masks, full)
+    right = _formula_mask(f.right, masks, full)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, Implies):
+        return (full ^ left) | right
+    if isinstance(f, Iff):
+        return full ^ left ^ right
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _strictly_above(moves: list, i: int) -> int:
+    """The alternatives strictly better than index ``i``: its ancestors
+    that are not its descendants."""
+    above = _reach(moves, i, backward=True)
+    if above == 1 << i:
+        return 0
+    return above & ~_reach(moves, i)
+
+
+def _reach(moves: list, i: int, backward: bool = False) -> int:
+    """The indices reached from index ``i``, itself included, through the
+    moves (``backward``: against them), level by level.
+
+    Going backwards is going forwards through the statements with better
+    and worse exchanged.
+    """
+    if backward:
+        moves = [(targets, sources, -delta, free) for sources, targets, delta, free in moves]
+    reached = frontier = 1 << i
+    while frontier:
+        new = 0
+        for sources, _, delta, free in moves:
+            x = frontier & sources
+            if x:
+                x = x << delta if delta >= 0 else x >> -delta
+                for stride, values in free:  # fold the digit onto 0, then copy it out
+                    folded = x & values[0]
+                    for d in range(1, len(values)):
+                        folded |= (x & values[d]) >> d * stride
+                    x = folded
+                    for d in range(1, len(values)):
+                        x |= folded << d * stride
+                new |= x
+        frontier = new & ~reached
+        reached |= frontier
+    return reached
 
 
 def check_top_p(candidates: Sequence[PartialInstantiation], p: int) -> None:

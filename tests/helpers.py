@@ -16,7 +16,11 @@ from cpref import (
     CPNetTable,
     CPStatement,
     CPTheory,
+    DEFAULT_ORACLE_CAP,
     ExplicitPreorder,
+    FALSE,
+    Iff,
+    Implies,
     LinkKind,
     LPNode,
     LPRule,
@@ -29,7 +33,7 @@ from cpref import (
     strict_chain_rule,
 )
 from cpref.model import _bits, _consistent, _literal_table, conjunction, strong_components
-from cpref.semantics import _index_statements, _index_successors
+from cpref.semantics import _index_statements, _index_successors, closure_oracle
 
 
 def alt(schema, **bindings):
@@ -283,6 +287,56 @@ def product_space_dominates(theory, o, o_prime, budget=None):
             seen.add(successor)
             frontier.append(successor)
     return BUDGET_EXHAUSTED if truncated else False
+
+
+def closure_equivalent(theory, other, cap=DEFAULT_ORACLE_CAP):
+    """Whether two theories over one schema induce the same relation, by
+    closing both; the reference for :func:`semantics.equivalent`."""
+    return closure_oracle(theory, cap) == closure_oracle(other, cap)
+
+
+def gray_code_theory(n):
+    """Binary attributes B0..B{n-1}, B0 the fastest digit, whose 2n
+    statements sanction exactly the steps of the reflected Gray code from
+    all zeros: B0 flips when the word has even parity, and otherwise the
+    bit above the lowest set bit flips.  So the swap graph is one path
+    through all 2**n alternatives, and a search from all zeros has 2**n - 1
+    levels.  Conditions are parities: Not, Iff and And."""
+    names = [f"B{k}" for k in range(n)]
+    schema = AttributeSchema.of((a, ("0", "1")) for a in reversed(names))
+    statements = []
+    for k, bit in enumerate(names):
+        odd = FALSE  # true iff an odd number of the other bits are 1
+        for a in names:
+            if a != bit:
+                odd = Not(Iff(odd, Atom(a, "1")))
+        lowest = []  # the bits below: k - 1 set, the rest clear
+        if k:
+            lowest = [Atom(names[k - 1], "1")] + [Atom(names[j], "0") for j in range(k - 1)]
+        for v, w in (("0", "1"), ("1", "0")):
+            word_odd = k > 0  # the parity of the word this bit flips in
+            others_odd = odd if word_odd != (v == "1") else Not(odd)
+            condition = conjunction(lowest + [others_odd])
+            statements.append(CPStatement.make(schema, {bit: v}, {bit: w}, condition))
+    return CPTheory(schema, tuple(statements))
+
+
+def random_formula(rng: random.Random, schema, attrs, leaves=4):
+    """A formula over ``attrs`` built from every connective: constants,
+    atoms, Not, And, Or, Implies and Iff."""
+    if not attrs or rng.random() < 0.1:
+        return rng.choice((TRUE, FALSE))
+    if leaves <= 1 or rng.random() < 0.3:
+        a = rng.choice(attrs)
+        return Atom(a, rng.choice(schema.domain(a)))
+    if rng.random() < 0.2:
+        return Not(random_formula(rng, schema, attrs, leaves - 1))
+    split = rng.randint(1, leaves - 1)
+    op = rng.choice((And, Or, Implies, Iff))
+    return op(
+        random_formula(rng, schema, attrs, split),
+        random_formula(rng, schema, attrs, leaves - split),
+    )
 
 
 def independent_blocks(theory):

@@ -296,8 +296,9 @@ def test_tree_geq_cut_count_answers_beyond_the_cap(tmp_path):
 
 
 def test_theory_cuts_build_no_closure(tmp_path, monkeypatch, ex2_file):
-    # counted and extracted off two searches from the alternative, with the
-    # strict cuts' warnings as before
+    # counted, extracted and checked for optimality off two bit-set searches
+    # from the alternative, with neither swap graph nor closure, and with
+    # the strict cuts' warnings as before
     rng = random.Random(179)
     paths = [ex2_file]
     for n in range(6):
@@ -317,12 +318,24 @@ def test_theory_cuts_build_no_closure(tmp_path, monkeypatch, ex2_file):
                 (argv + ["--count", "--strict"], (0, str(len(strict)))),
                 (argv + ["--extract", "--strict"], (0 if strict else 1, first)),
             ]
+            dominating = all(oracle.geq(o, o2) for o2 in oracle.universe)
+            check = ["optimal", path, "--check", format_instantiation(o), "--kind"]
+            for kind, optimal in (
+                ("weakly-undominated", not strict),
+                ("dominating", dominating),
+                ("strongly-dominating", dominating and not geq),
+            ):
+                answer = f"{kind}: {'yes' if optimal else 'no'}"
+                cases.append((check + [kind], (0 if optimal else 1, answer)))
+    checked = {(argv[-1], expected[0]) for argv, expected in cases if argv[0] == "optimal"}
+    assert len(checked) == 6  # each kind both holds and fails
     results = [run(argv) for argv, _ in cases]
 
     def refuse(*args):
-        raise AssertionError("closed the whole relation")
+        raise AssertionError("built the swap graph or closed the whole relation")
 
     monkeypatch.setattr(semantics, "_closed_rows", refuse)
+    monkeypatch.setattr(semantics, "_swap_graph", refuse)
     for (argv, expected), before in zip(cases, results):
         result = run(argv)
         assert (result.status, result.report) == expected

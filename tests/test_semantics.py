@@ -1,6 +1,8 @@
+import ast
 import random
 import time
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,9 @@ from cpref import (
     lptree_to_statements,
     optimum_check,
     optimum_exists,
+    parse_theory,
     sanctions,
+    serialize_theory,
     strict_cut_extract,
     top_p_general,
     undominated_check,
@@ -42,6 +46,9 @@ from cpref.model import _CLASH, conjunction, strong_components
 from cpref.semantics import _index_statements, _index_successors, _swaps
 from helpers import (
     closed_rows_two_pass,
+    closure_equivalent,
+    gray_code_theory,
+    random_formula,
     decomposable_theory,
     independent_blocks,
     product_space_dominates,
@@ -60,6 +67,7 @@ from helpers import (
     random_condition,
     random_lptree,
     random_schema,
+    shuffled_lptree,
     random_theory,
     swaps_by_enumeration,
 )
@@ -523,7 +531,9 @@ def test_closure_drops_each_relay_bitset_once_read():
     # A 4096-alternative tree translation with thousands of relays: beyond
     # the swap graph and the rows it returns, the closure keeps only a few
     # words per node; a bitset kept for every relay would take about three
-    # times that.
+    # times that.  Garbage left by earlier tests is collected before each
+    # measurement, so that no collection of it falls inside one.
+    import gc
     import sys
     import tracemalloc
 
@@ -533,6 +543,7 @@ def test_closure_drops_each_relay_bitset_once_read():
     n = schema.universe_size()
 
     def peak(call):
+        gc.collect()
         tracemalloc.start()
         try:
             return call(), tracemalloc.get_traced_memory()[1]
@@ -602,6 +613,120 @@ def test_theory_cuts_equal_the_oracle_dominators():
             with pytest.raises(OracleTooLargeError, match=f"universe of {n} alternatives"):
                 refused()
     assert relays > 60 and cyclic > 20
+
+
+def test_bit_set_reach_answers_cuts_and_optimality_as_the_oracle():
+    # conditions over every connective, free attributes, up to 5 attributes
+    rng = random.Random(2411)
+    seen = Counter()
+    for _ in range(200):
+        schema = random_schema(rng, max_attrs=5)
+        statements = []
+        for _ in range(rng.randint(1, 7)):
+            attrs = rng.sample(schema.names, len(schema.names))
+            w = attrs[: rng.randint(1, min(2, len(attrs)))]
+            v = attrs[len(w) : len(w) + rng.randint(0, 1)]
+            better, worse = {}, {}
+            for a in w:
+                better[a], worse[a] = rng.sample(schema.domain(a), 2)
+            condition = random_formula(rng, schema, attrs[len(w) + len(v) :])
+            statements.append(CPStatement.make(schema, better, worse, condition, free=v))
+            seen["free"] += bool(v)
+            seen[type(condition).__name__] += 1
+        theory = CPTheory(schema, tuple(statements))
+        oracle = closure_oracle(theory)
+        universe = oracle.universe
+        for o in rng.sample(universe, min(6, len(universe))):
+            geq = list(oracle.dominators(o))
+            strict = list(oracle.dominators(o, strict=True))
+            dominating = all(oracle.geq(o, o2) for o2 in universe)
+            assert cut_count(theory, o) == len(geq)
+            assert cut_count(theory, o, strict=True) == len(strict)
+            assert strict_cut_extract(theory, o) == (universe[strict[0]] if strict else None)
+            assert optimum_check(theory, o, OptimumKind.WEAKLY_UNDOMINATED) == (not strict)
+            assert optimum_check(theory, o, OptimumKind.DOMINATING) == dominating
+            strongly = optimum_check(theory, o, OptimumKind.STRONGLY_DOMINATING)
+            assert strongly == (dominating and not geq)
+            seen["in a cycle"] += len(geq) > len(strict)
+            seen["strictly dominated"] += bool(strict)
+            seen["dominating"] += dominating
+            seen["strongly dominating"] += strongly
+    assert min(seen.values()) >= 5, seen
+    assert len(seen) == 12, seen  # every connective, and Const, at the root
+
+
+def test_a_long_improving_sequence_is_searched_to_its_end():
+    # the Gray-code net is one path through its 256 alternatives, so a
+    # search from near one end has up to 255 levels of 15 moves.  A
+    # shortcut setting the top bit gives the path a second strand, so a
+    # level can hold several states.
+    path = gray_code_theory(8)
+    schema = path.schema
+    shortcut = with_statements(path, CPStatement.make(schema, {"B7": "0"}, {"B7": "1"}))
+    first = schema.alternative({a: "0" for a in schema.names})
+    last = schema.alternative({a: "1" if a == "B7" else "0" for a in schema.names})
+    rng = random.Random(2419)
+    for theory in (path, shortcut):
+        oracle = closure_oracle(theory)
+        universe = oracle.universe
+        for o in [first, last] + rng.sample(universe, 12):
+            geq = list(oracle.dominators(o))
+            strict = list(oracle.dominators(o, strict=True))
+            dominating = all(oracle.geq(o, o2) for o2 in universe)
+            assert cut_count(theory, o) == len(geq)
+            assert cut_count(theory, o, strict=True) == len(strict)
+            assert strict_cut_extract(theory, o) == (universe[strict[0]] if strict else None)
+            assert optimum_check(theory, o, OptimumKind.WEAKLY_UNDOMINATED) == (not strict)
+            assert optimum_check(theory, o, OptimumKind.DOMINATING) == dominating
+            strongly = optimum_check(theory, o, OptimumKind.STRONGLY_DOMINATING)
+            assert strongly == (dominating and not geq)
+    assert cut_count(path, last) == 255
+    assert optimum_check(path, first, OptimumKind.STRONGLY_DOMINATING)
+
+
+def test_one_alternative_queries_refuse_a_non_alternative():
+    # over binary A, B with A=a >= A=na, the partial <A=na> was found
+    # dominated by <A=a>, and an alternative of a wider schema was given a
+    # dominator of that schema
+    schema = AttributeSchema.of([("A", ("a", "na")), ("B", ("b", "nb"))])
+    theory = CPTheory(schema, (CPStatement.make(schema, {"A": "a"}, {"A": "na"}),))
+    wide = AttributeSchema.of([("A", ("a", "na")), ("B", ("b", "nb")), ("C", ("c", "nc"))])
+    partial = schema.instantiation({"A": "na"})
+    foreign = wide.alternative({"A": "na", "B": "nb", "C": "c"})
+    for o in (partial, foreign):
+        calls = [
+            lambda: undominated_check(theory, o),
+            lambda: geq_cut_extract(theory, o),
+            lambda: cut_count(theory, o),
+            lambda: cut_count(theory, o, strict=True),
+            lambda: strict_cut_extract(theory, o),
+        ] + [lambda kind=kind: optimum_check(theory, o, kind) for kind in OptimumKind]
+        for call in calls:
+            with pytest.raises(ValidationError, match="is not an alternative"):
+                call()
+    o = schema.alternative({"A": "na", "B": "nb"})
+    assert undominated_check(theory, o) is False
+    assert geq_cut_extract(theory, o) == schema.alternative({"A": "a", "B": "nb"})
+
+
+def test_only_the_whole_relation_queries_build_the_swap_graph():
+    # a query about one alternative must not route back through the graph
+    allowed = {"closure_oracle", "linearisable", "_optimal_components"}
+    callers = []
+    for path in sorted(Path(semantics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost enclosing function: outer ones are walked first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner[node] = func.name
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name == "_swap_graph":
+                callers.append((path.stem, owner.get(node, "<module>")))
+            if isinstance(node, ast.ImportFrom):
+                callers += [(path.stem, "<import>") for a in node.names if a.name == "_swap_graph"]
+    assert sorted(callers) == sorted(("semantics", f) for f in allowed)
 
 
 def _random_conjunction(rng, schema, attrs):
@@ -708,6 +833,79 @@ def test_equivalence_detects_new_pairs():
 def test_equivalence_requires_same_schema():
     with pytest.raises(ValidationError):
         equivalent(ex3_theory(), ex2_theory())
+
+
+def test_equivalence_agrees_with_closing_both_theories():
+    # unrelated theories, one less statement, two more, and tree translations
+    rng = random.Random(2417)
+    seen = Counter()
+    for n in range(240):
+        schema = random_schema(rng)
+        theory = random_theory(rng, schema, max_statements=7)
+        statements = theory.statements
+        if n % 4 == 0:
+            other = random_theory(rng, schema, max_statements=7)
+        elif n % 4 == 1:
+            k = rng.randrange(len(statements))
+            other = CPTheory(schema, statements[:k] + statements[k + 1 :])
+        elif n % 4 == 2:
+            other = with_statements(theory, *random_theory(rng, schema, 2).statements[:2])
+        else:
+            tree = random_lptree(rng, schema, complete=n % 8 == 3)
+            theory = lptree_to_statements(tree)
+            other = rng.choice(
+                (
+                    lptree_to_statements(random_lptree(rng, schema, complete=n % 8 == 3)),
+                    lptree_to_statements(shuffled_lptree(tree, rng)),
+                    with_statements(theory, *random_theory(rng, schema, 1).statements),
+                )
+            )
+        expected = closure_equivalent(theory, other)
+        assert equivalent(theory, other) is expected
+        assert equivalent(other, theory) is expected
+        seen["equivalent" if expected else "not"] += 1
+        seen["same statements"] += set(theory.statements) == set(other.statements)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_equivalence_closes_only_a_side_that_lacks_a_statement(monkeypatch):
+    rng = random.Random(2423)
+    same = []
+    for _ in range(20):
+        schema = random_schema(rng)
+        theory = random_theory(rng, schema, max_statements=7)
+        shuffled = CPTheory(schema, tuple(rng.sample(theory.statements, len(theory))))
+        translation = lptree_to_statements(random_lptree(rng, schema))
+        same += [(theory, shuffled), (translation, parse_theory(serialize_theory(translation)))]
+    base = ex9_theory()
+    redundant = with_statements(base, ex9_extra())
+    closed = []
+    closure = semantics.closure_oracle
+
+    def counted(theory, cap):
+        closed.append(theory)
+        return closure(theory, cap)
+
+    def refuse(*args):
+        raise AssertionError("built a swap graph")
+
+    monkeypatch.setattr(semantics, "closure_oracle", counted)
+    assert equivalent(base, redundant) is True
+    assert equivalent(redundant, base) is True
+    assert closed == [base, base]  # only the side without the extra statement
+    monkeypatch.setattr(semantics, "_swap_graph", refuse)
+    for theory, other in same:
+        assert equivalent(theory, other) is True
+    assert closed == [base, base]
+
+
+def test_equivalence_beyond_the_cap_is_refused():
+    base = ex9_theory()
+    n = base.schema.universe_size()
+    for other in (base, with_statements(base, ex9_extra())):
+        with pytest.raises(OracleTooLargeError, match=f"universe of {n} alternatives"):
+            equivalent(base, other, cap=n - 1)
+    assert equivalent(base, base, cap=n) is True
 
 
 # ---------------------------------------------------------------------------

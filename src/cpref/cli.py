@@ -126,10 +126,13 @@ def _cmd_optimal(args) -> CommandResult:
 
 # The warning of a strict cut, by the route that answered it and --extract.
 _CUT_WARNINGS = {
-    ("oracle", True): "warning: strict-cut extraction answers through the exhaustive relation",
-    ("oracle", False): (
-        "warning: strict-cut counting has no tractable path for plain theories; answering "
-        "through the exhaustive relation"
+    ("search", True): (
+        "warning: strict-cut extraction searches every alternative above and below "
+        "the given one, within --cap"
+    ),
+    ("search", False): (
+        "warning: strict-cut counting has no tractable path for plain theories; searching "
+        "every alternative above and below the given one, within --cap"
     ),
 }
 
@@ -209,7 +212,9 @@ def _build_parser() -> _Parser:
         help="largest universe the exhaustive relation may enumerate; its reach "
         "bitsets take at most N*ceil(N/8) bytes for N alternatives (default "
         "65536: at most 512 MiB), plus ceil(N/8) for each relay of free values "
-        "that its sources have not all read",
+        "that its sources have not all read; the searches from one alternative of "
+        "a theory's cut and optimal --check take about (2*S + V)*N/8 bytes "
+        "within the same cap, for S statements and V attribute values",
     )
 
     parser = _Parser(prog="cpref", description=__doc__)

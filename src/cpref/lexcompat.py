@@ -7,13 +7,16 @@ group and a linear order that no active statement contradicts; the extension
 checker certifies the result node by node against every active statement
 that swaps into the node's label.  The builder, the ranking and the checker
 place a node by its :class:`~cpref.lptree.PathContext`, and the checker
-reads each rule's closed order from the tree's one closed-rule walk.
+reads each rule's closed order from the tree's one closed-rule walk.  The
+builder and the checker number a statement's swaps over a label's values,
+with the path's values fixed outside it (:func:`_swaps`); whole-universe
+swaps are the moves of :mod:`cpref.semantics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import itertools
 import math
@@ -23,10 +26,12 @@ from .model import (
     Atom,
     CPStatement,
     CPTheory,
+    Formula,
     PartialInstantiation,
     TRUE,
     AttributeSchema,
     ValidationError,
+    _allowed_digits,
     _consistent,
     _deterministic_toposort,
 )
@@ -40,7 +45,7 @@ from .lptree import (
     strict_chain_rule,
     validate,
 )
-from .semantics import Relation, _swaps, assemble_top_p
+from .semantics import Relation, assemble_top_p
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -83,6 +88,51 @@ def phi_at_node(
         if not (s.swapped & ctx.ancestors)
         and _consistent(s.condition, values, schema)
     )
+
+
+def _swaps(
+    statement: CPStatement,
+    schema: AttributeSchema,
+    attrs: Sequence[str],
+    fixed: Mapping[str, str],
+    condition: Formula | None = None,
+) -> tuple[list[int], int, int, list[int]]:
+    """The statement's swaps as offsets over ``attrs`` (in schema order,
+    numbered in mixed radix with the first attribute slowest), with
+    ``fixed`` the values known outside them.
+
+    Returns ``(bases, better, worse, free)``: ``base + better + f`` swaps to
+    ``base + worse + g`` for every base and every f, g in ``free``.  A base
+    fixes the remaining positions, and is kept when ``condition`` (default:
+    the statement's) is satisfiable together with ``fixed`` and the base's
+    condition values.
+    """
+    if condition is None:
+        condition = statement.condition
+    u = None  # the condition's variables, read once an attribute needs them
+    better = worse = 0
+    # shared: positions both sides keep; free: positions either side sets
+    # freely; points: condition digits, as (offset, bindings)
+    shared, free, points = [0], [0], [(0, ())]
+    stride = 1
+    for a in reversed(attrs):
+        domain = schema.domain(a)
+        steps = range(0, len(domain) * stride, stride)
+        if a in statement.swapped:
+            better += domain.index(statement.better[a]) * stride
+            worse += domain.index(statement.worse[a]) * stride
+        elif a in statement.free:
+            free = [f + step for step in steps for f in free]
+        elif a in (u := condition.variables() if u is None else u):
+            digits = range(len(domain))
+            if condition._literals is not None:  # only the values a conjunction allows
+                (digits,) = _allowed_digits(condition, [(a, domain)])
+            points = [(o + d * stride, ((a, domain[d]), *p)) for d in digits for o, p in points]
+        else:
+            shared = [r + step for step in steps for r in shared]
+        stride *= len(domain)
+    kept = [o for o, p in points if _consistent(condition, {**fixed, **dict(p)}, schema)]
+    return [c + r for c in kept for r in shared], better, worse, free
 
 
 def choose_attribute(

@@ -376,18 +376,6 @@ def _branch(
             raise ValidationError("missing edge below node; tree is not valid")
 
 
-def decide(
-    tree: LPTree, o: PartialInstantiation, o_prime: PartialInstantiation
-) -> LPNode | None:
-    """The node deciding the pair, or None when the pair escapes the tree."""
-    if o == o_prime:
-        raise ValidationError("decide is defined for distinct alternatives only")
-    for node, label, mine, _, _ in _branch(tree, o):
-        if _label_index(tree.schema, label, o_prime) != mine:
-            return node
-    return None
-
-
 def compare_lptree(
     tree: LPTree, o: PartialInstantiation, o_prime: PartialInstantiation
 ) -> Relation:
@@ -601,32 +589,12 @@ def strict_cut_count(tree: LPTree, o: PartialInstantiation, strict: bool = True)
     )
 
 
-def strict_dominators(
-    tree: LPTree, o: PartialInstantiation
-) -> Iterator[PartialInstantiation]:
-    """The alternatives strictly better than ``o``, in canonical order, each
-    placed at the first step of ``o``'s branch where its label value differs;
-    for trees that need not be complete."""
-    schema = tree.schema
-    steps = [
-        (label, mine, set(_strictly_above(schema, label, rule, mine)))
-        for _, label, mine, rule, _ in _branch(tree, o)
-    ]
-    for other in schema.alternatives():
-        for label, mine, above in steps:
-            j = _label_index(schema, label, other)
-            if j != mine:
-                if j in above:
-                    yield other
-                break
-
-
 def first_strict_dominator(tree: LPTree, o: PartialInstantiation) -> PartialInstantiation | None:
-    """The first alternative :func:`strict_dominators` yields, or None,
-    without visiting the others: the first, over the steps of ``o``'s
-    branch, of ``o``'s values on the labels above the step, the smallest
-    label value the step's rule orders strictly above ``o``'s, and the
-    first value of every other attribute."""
+    """The canonically first alternative strictly better than ``o``, or
+    None, for trees that need not be complete: the first, over the steps of
+    ``o``'s branch, of ``o``'s values on the labels above the step, the
+    smallest label value the step's rule orders strictly above ``o``'s, and
+    the first value of every other attribute."""
     schema = tree.schema
     best = math.inf
     above = 0  # index of o's values on the labels above the step

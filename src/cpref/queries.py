@@ -75,15 +75,15 @@ def cut(doc, o, strict, extract, cap=CAP):
     strictly better): their number, or with ``extract`` the canonically
     first or None.  Returns the answer and its route: ``"tree"``, the block
     sums on ``o``'s branch of a tree, complete or not; ``"statements"``, a
-    statement sanctioning a swap into ``o``; or ``"oracle"``, within the cap,
+    statement sanctioning a swap into ``o``; or ``"search"``, within the cap,
     ``o``'s ancestors and descendants under the theory's swaps, reached as
     bit sets over its alternatives' indices."""
     if extract and not strict:
         return semantics.geq_cut_extract(_theory(doc), o), "statements"
     if not isinstance(doc, lptree.LPTree):
         if extract:
-            return semantics.strict_cut_extract(doc, o, cap), "oracle"
-        return semantics.cut_count(doc, o, strict, cap), "oracle"
+            return semantics.strict_cut_extract(doc, o, cap), "search"
+        return semantics.cut_count(doc, o, strict, cap), "search"
     if extract:
         return lptree.first_strict_dominator(doc, o), "tree"
     return lptree.strict_cut_count(doc, o, strict), "tree"

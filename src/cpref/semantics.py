@@ -8,11 +8,13 @@ Dominance is decided by budgeted breadth-first reachability over those
 indices, one search per independent block where a pair differs.  The
 exhaustive closure oracle materialises the whole relation at desk scale to
 answer the query catalogue exactly: one strongly-connected-component pass
-with bitset reach sets serves every whole-universe query.  A cut of one
-alternative, and its optimality, are read off two searches from it over
-sets of indices held as bit sets, within the same cap; equivalence closes
-a theory only to check the statements the other holds and it lacks.  An
-acyclic CP-net is linearisable, and its forward sweep is its optimum.
+with bitset reach sets serves every whole-universe query.  Within the cap a
+statement is one move on sets of indices held as bit sets: the swap graph
+reads its edges off the moves, and a cut of one alternative, and its
+optimality, are read off two searches from it through them.  Equivalence
+closes a theory only to check the moves of the statements the other holds
+and it lacks.  An acyclic CP-net is linearisable, and its forward sweep is
+its optimum.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from .model import (
     Or,
     PartialInstantiation,
     ValidationError,
-    _allowed_digits,
     _bits,
     _completed_components,
-    _consistent,
     _find,
     _is_cpnet_shape,
     dependency_graph,
@@ -51,7 +51,8 @@ from .model import (
 # Reach bitsets for N alternatives take at most N·ceil(N/8) bytes, 512 MiB
 # here, plus ceil(N/8) for each relay whose sources have not all read it.
 # A search from one alternative takes about (2|Γ| + Σ|D_a|)·N/8 bytes of
-# masks for |Γ| statements.
+# masks for |Γ| statements; the swap graph holds the Σ|D_a| value masks and
+# one statement's.
 DEFAULT_ORACLE_CAP = 1 << 16
 
 
@@ -167,18 +168,6 @@ class ExplicitPreorder:
     @cached_property
     def universe(self) -> tuple[PartialInstantiation, ...]:
         return tuple(self.schema.alternatives())
-
-    @classmethod
-    def from_pairs(
-        cls,
-        schema: AttributeSchema,
-        pairs: Iterable[tuple[PartialInstantiation, PartialInstantiation]],
-    ) -> ExplicitPreorder:
-        """The least preorder containing the given pairs."""
-        succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
-        for o, o_prime in pairs:
-            succ[_alternative_index(schema, o)].append(_alternative_index(schema, o_prime))
-        return cls(schema, _closed_rows(succ, len(succ)))
 
     def index_of(self, alt: PartialInstantiation) -> int:
         return _alternative_index(self.schema, alt)
@@ -490,54 +479,10 @@ def _check_cap(schema: AttributeSchema, cap: int) -> None:
         )
 
 
-def _swaps(
-    statement: CPStatement,
-    schema: AttributeSchema,
-    attrs: Sequence[str],
-    fixed: Mapping[str, str],
-    condition: Formula | None = None,
-) -> tuple[list[int], int, int, list[int]]:
-    """The statement's swaps as offsets over ``attrs`` (in schema order,
-    numbered in mixed radix with the first attribute slowest), with
-    ``fixed`` the values known outside them.
-
-    Returns ``(bases, better, worse, free)``: ``base + better + f`` swaps to
-    ``base + worse + g`` for every base and every f, g in ``free``.  A base
-    fixes the remaining positions, and is kept when ``condition`` (default:
-    the statement's) is satisfiable together with ``fixed`` and the base's
-    condition values.
-    """
-    if condition is None:
-        condition = statement.condition
-    u = None  # the condition's variables, read once an attribute needs them
-    better = worse = 0
-    # shared: positions both sides keep; free: positions either side sets
-    # freely; points: condition digits, as (offset, bindings)
-    shared, free, points = [0], [0], [(0, ())]
-    stride = 1
-    for a in reversed(attrs):
-        domain = schema.domain(a)
-        steps = range(0, len(domain) * stride, stride)
-        if a in statement.swapped:
-            better += domain.index(statement.better[a]) * stride
-            worse += domain.index(statement.worse[a]) * stride
-        elif a in statement.free:
-            free = [f + step for step in steps for f in free]
-        elif a in (u := condition.variables() if u is None else u):
-            digits = range(len(domain))
-            if condition._literals is not None:  # only the values a conjunction allows
-                (digits,) = _allowed_digits(condition, [(a, domain)])
-            points = [(o + d * stride, ((a, domain[d]), *p)) for d in digits for o, p in points]
-        else:
-            shared = [r + step for step in steps for r in shared]
-        stride *= len(domain)
-    kept = [o for o, p in points if _consistent(condition, {**fixed, **dict(p)}, schema)]
-    return [c + r for c in kept for r in shared], better, worse, free
-
-
 def _swap_graph(theory: CPTheory, cap: int) -> list[list[int]]:
-    """Successor lists of the sanctioned-swap graph over alternative indices;
-    a universe beyond the cap is refused before anything is allocated.
+    """Successor lists of the sanctioned-swap graph over alternative indices,
+    read off the statements' moves (:func:`_swap_groups`); a universe beyond
+    the cap is refused before anything is allocated.
 
     Sources that differ only on a statement's free attributes share their
     targets, so each such group is linked through one relay node numbered
@@ -547,16 +492,16 @@ def _swap_graph(theory: CPTheory, cap: int) -> list[list[int]]:
     schema = theory.schema
     _check_cap(schema, cap)
     succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
-    for s in theory.statements:
-        bases, better, worse, free = _swaps(s, schema, schema.names, {})
-        for base in bases:
-            if len(free) == 1:
-                succ[base + better].append(base + worse)
-                continue
+    for bases, delta, offsets in _swap_groups(schema, theory.statements):
+        if len(offsets) == 1:
+            for b in bases:
+                succ[b].append(b + delta)
+            continue
+        for b in bases:
             relay = len(succ)
-            succ.append([base + worse + f for f in free])
-            for f in free:
-                succ[base + better + f].append(relay)
+            succ.append([b + delta + g for g in offsets])
+            for f in offsets:
+                succ[b + f].append(relay)
     return succ
 
 
@@ -581,10 +526,10 @@ def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
 def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff both theories induce the same relation: iff every swap of
     each lies in the other's relation.  Only the statements one holds and
-    the other does not need a check, so equal statement sets close nothing."""
+    the other does not need a check, so equal statement sets close nothing
+    and answer under any cap."""
     if theory.schema != other.schema:
         raise ValidationError("equivalence compares theories over the same schema")
-    _check_cap(theory.schema, cap)
     return _swaps_within(theory, other, cap) and _swaps_within(other, theory, cap)
 
 
@@ -597,12 +542,10 @@ def _swaps_within(theory: CPTheory, other: CPTheory, cap: int) -> bool:
     if not extra:
         return True
     rows = closure_oracle(other, cap).rows
-    schema = theory.schema
-    for s in extra:
-        bases, better, worse, free = _swaps(s, schema, schema.names, {})
-        for base in bases:
-            targets = sum(1 << base + worse + g for g in free)
-            if any(rows[base + better + f] & targets != targets for f in free):
+    for bases, delta, offsets in _swap_groups(theory.schema, extra):
+        for b in bases:
+            targets = sum(1 << b + delta + g for g in offsets)
+            if any(rows[b + f] & targets != targets for f in offsets):
                 return False
     return True
 
@@ -689,7 +632,7 @@ def optimum_check(
     i = _alternative_index(theory.schema, o)
     if best is not None:
         return o == best
-    moves = _bit_moves(theory)
+    moves = list(_bit_moves(theory.schema, theory.statements))
     if kind is OptimumKind.WEAKLY_UNDOMINATED:
         return not _strictly_above(moves, i)
     if kind not in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
@@ -762,7 +705,7 @@ def cut_count(
     (``strict``: strictly better), within the cap: ``o``'s ancestors, less
     ``o`` (``strict``: less its descendants), by bit-set reach."""
     i = _cut_index(theory, o, cap)
-    moves = _bit_moves(theory)
+    moves = list(_bit_moves(theory.schema, theory.statements))
     if strict:
         return _strictly_above(moves, i).bit_count()
     return _reach(moves, i, backward=True).bit_count() - 1
@@ -775,7 +718,7 @@ def strict_cut_extract(
     within the cap: the smallest ancestor of ``o`` that is not also its
     descendant, by bit-set reach."""
     i = _cut_index(theory, o, cap)
-    above = _strictly_above(_bit_moves(theory), i)
+    above = _strictly_above(list(_bit_moves(theory.schema, theory.statements)), i)
     return theory.schema.alternative_at((above & -above).bit_length() - 1) if above else None
 
 
@@ -786,26 +729,31 @@ def _cut_index(theory: CPTheory, o: PartialInstantiation, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bit-set reach from one alternative
+# Statements as moves on sets of indices
 #
 # A set of alternatives is a Python int, bit i for index i.  A statement
 # moves each of its sources by the same index shift and then sets its free
 # digits at will, so the image of a whole set under it is one mask, one
-# shift and one spread over the free digits.  A search from one alternative
-# applies every statement to each level's new states until none is added,
-# so it takes at most N levels.
+# shift and one spread over the free digits.  The swap graph reads its edges
+# off the same moves.  A search from one alternative applies every statement
+# to each level's new states until none is added, so it takes at most N
+# levels.
 
 
-def _bit_moves(theory: CPTheory) -> list[tuple[int, int, int, list]]:
-    """The theory's statements as moves on sets of indices.
+def _bit_moves(
+    schema: AttributeSchema, statements: Iterable[CPStatement]
+) -> Iterator[tuple[int, int, int, list]]:
+    """The statements as moves on sets of indices, one per statement in
+    order, compiled one at a time.
 
     Each move is ``(sources, targets, delta, free)``: the sources satisfy
     the condition and carry the better values, the targets the worse ones,
     ``delta`` takes one to the other, and ``free`` holds, per free
     attribute, its stride and the masks of its values.  A statement with no
-    source is left out.
+    source moves nothing.  Only the value masks are shared between moves,
+    so a caller that reads each move once holds one statement's masks at a
+    time.
     """
-    schema = theory.schema
     n = schema.universe_size()
     full = (1 << n) - 1
     masks: dict[tuple[str, str], int] = {}
@@ -819,16 +767,44 @@ def _bit_moves(theory: CPTheory) -> list[tuple[int, int, int, list]]:
         for d, v in enumerate(a.values):
             masks[a.name, v] = zero << d * stride
         places[a.name] = stride, [masks[a.name, v] for v in a.values]
-    moves = []
-    for s in theory.statements:
+    for s in statements:
         sources = targets = _formula_mask(s.condition, masks, full)
         for (a, better), (_, worse) in zip(s.better.bindings, s.worse.bindings):
             sources &= masks[a, better]
             targets &= masks[a, worse]
-        if sources:
-            delta = schema.offset(s.worse) - schema.offset(s.better)
-            moves.append((sources, targets, delta, [places[a] for a in s.free]))
-    return moves
+        delta = schema.offset(s.worse) - schema.offset(s.better)
+        yield sources, targets, delta, [places[a] for a in s.free]
+
+
+def _swap_groups(
+    schema: AttributeSchema, statements: Sequence[CPStatement]
+) -> Iterator[tuple[list[int], int, list[int]]]:
+    """Each statement's swaps, read off its move (:func:`_bit_moves`), as
+    ``(bases, delta, offsets)``: ``base + f`` swaps to ``base + delta + g``
+    for every base and every f, g in ``offsets``.  A base is a source with
+    its free digits zeroed, so sources that differ only on the free digits
+    share it; the offsets set those digits, one per combination of values.
+
+    The bases depend only on the digits the statement reads or writes, so
+    they fill whole aligned blocks of the lowest one's stride and repeat
+    with the place value just above the highest one: they are read off the
+    first period, one bit per block, ascending, and repeated over the rest.
+    """
+    n = schema.universe_size()
+    for s, (sources, _, delta, free) in zip(statements, _bit_moves(schema, statements)):
+        digits = [
+            schema.position(a)
+            for a in (*s.condition.variables(), *s.free, *(a for a, _ in s.better.bindings))
+        ]
+        top, low = min(digits), schema.strides[max(digits)]
+        period = schema.strides[top] * len(schema.attributes[top].values)
+        offsets = [0]
+        for stride, values in free:
+            sources &= values[0]
+            offsets = [f + d * stride for f in offsets for d in range(len(values))]
+        heads = list(_bits(sources & ((1 << period) - 1), low))
+        bases = [q + h + r for q in range(0, n, period) for h in heads for r in range(low)]
+        yield bases, delta, offsets
 
 
 def _formula_mask(f: Formula, masks: Mapping[tuple[str, str], int], full: int) -> int:

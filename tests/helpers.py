@@ -29,11 +29,19 @@ from cpref import (
     Or,
     OrderLink,
     TRUE,
+    ValidationError,
     eval_formula,
     strict_chain_rule,
 )
+from cpref.lptree import _branch, _label_index, _strictly_above
 from cpref.model import _bits, _consistent, _literal_table, conjunction, strong_components
-from cpref.semantics import _index_statements, _index_successors, closure_oracle
+from cpref.semantics import (
+    _alternative_index,
+    _closed_rows,
+    _index_statements,
+    _index_successors,
+    closure_oracle,
+)
 
 
 def alt(schema, **bindings):
@@ -47,6 +55,44 @@ def inst(schema, **bindings):
 def with_statements(theory, *extra):
     """The theory with ``extra`` appended to its statements."""
     return CPTheory(theory.schema, theory.statements + extra)
+
+
+def preorder_from_pairs(schema, pairs):
+    """The least preorder containing the given pairs of alternatives."""
+    succ = [[] for _ in range(schema.universe_size())]
+    for o, o_prime in pairs:
+        succ[_alternative_index(schema, o)].append(_alternative_index(schema, o_prime))
+    return ExplicitPreorder(schema, _closed_rows(succ, len(succ)))
+
+
+def decide(tree, o, o_prime):
+    """The node of the tree deciding the pair, or None when the pair
+    escapes the tree."""
+    if o == o_prime:
+        raise ValidationError("decide is defined for distinct alternatives only")
+    for node, label, mine, _, _ in _branch(tree, o):
+        if _label_index(tree.schema, label, o_prime) != mine:
+            return node
+    return None
+
+
+def strict_dominators(tree, o):
+    """The alternatives strictly better than ``o``, in canonical order, each
+    placed at the first step of ``o``'s branch where its label value differs;
+    for trees that need not be complete.  The enumerating reference for
+    ``strict_cut_count`` and ``first_strict_dominator``."""
+    schema = tree.schema
+    steps = [
+        (label, mine, set(_strictly_above(schema, label, rule, mine)))
+        for _, label, mine, rule, _ in _branch(tree, o)
+    ]
+    for other in schema.alternatives():
+        for label, mine, above in steps:
+            j = _label_index(schema, label, other)
+            if j != mine:
+                if j in above:
+                    yield other
+                break
 
 
 def cpnet_edges(net):
@@ -562,7 +608,7 @@ def cpnet_shape_by_scan(theory, graph):
 
 
 def swaps_by_enumeration(statement, schema, attrs, fixed, condition=None):
-    """``semantics._swaps`` by its former enumeration: every value
+    """``lexcompat._swaps`` by its former enumeration: every value
     combination of the condition's variables among ``attrs`` is a point,
     and the points on which the condition is satisfiable are kept."""
     if condition is None:
@@ -594,7 +640,7 @@ def random_preorder(rng: random.Random, schema, max_pairs=14):
         (rng.choice(universe), rng.choice(universe))
         for _ in range(rng.randint(0, max_pairs))
     ]
-    return ExplicitPreorder.from_pairs(schema, pairs)
+    return preorder_from_pairs(schema, pairs)
 
 
 def _random_rules(rng: random.Random, schema, label, noninst, linear, final):

@@ -34,7 +34,7 @@ from cpref import (
 )
 from cpref import lexcompat
 from cpref.lptree import _label_index, iter_nodes
-from cpref.semantics import _swaps
+from cpref.lexcompat import _swaps
 from helpers import random_lptree, random_schema, random_theory
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=200)

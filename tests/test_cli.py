@@ -20,7 +20,6 @@ from cpref import (
     serialize_lptree,
     serialize_preorder,
     serialize_theory,
-    strict_dominators,
     validate,
 )
 from cpref.cli import CommandResult, run
@@ -32,6 +31,7 @@ from helpers import (
     random_theory,
     separable_theory,
     shuffled_lptree,
+    strict_dominators,
 )
 
 SINGLE = "attr A: a, na\nstmt true : A=a >= A=na\n"
@@ -601,10 +601,12 @@ def test_default_cap_refuses_before_allocating(tmp_path):
 
     attrs = "".join(f"attr X{i}: a, b\n" for i in range(17))  # 2**17 alternatives
     path = _write(tmp_path, "wide.cpt", attrs + "stmt X0=a : X1=a >= X1=b\n")
+    extra = "stmt true : X2=a >= X2=b\n"
+    wider = _write(tmp_path, "wider.cpt", attrs + "stmt X0=a : X1=a >= X1=b\n" + extra)
     commands = [
         ["linearisable", path],
         ["oracle", path],
-        ["equiv", path, path],
+        ["equiv", path, wider],
         ["optimal", path, "--kind", "dominating"],
         ["cut", path, "--alt", ",".join(f"X{i}=a" for i in range(17)), "--count", "--geq"],
     ]
@@ -617,6 +619,15 @@ def test_default_cap_refuses_before_allocating(tmp_path):
             tracemalloc.stop()
         assert result.status == 3 and "exceeds the cap of 65536" in result.diagnostics
         assert peak < 2**20  # the refusal comes before any per-alternative array
+    # equal statement sets need no closure, so they answer beyond the cap
+    tracemalloc.start()
+    try:
+        result = run(["equiv", path, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, result.report) == (0, "equivalent: yes")
+    assert peak < 2**20
 
 
 def test_theory_cut_count_allocates_no_row_per_alternative(tmp_path):
@@ -629,7 +640,7 @@ def test_theory_cut_count_allocates_no_row_per_alternative(tmp_path):
     path = _write(tmp_path, "wide.cpt", text)
     alt = ",".join(f"X{i}={'ab'[i % 2]}" for i in range(12))
     theory = parse_theory(text)
-    semantics._swap_graph(theory, 4096)  # fills the statements' lazy caches
+    semantics._swap_graph(theory, 4096)  # fills the schema's lazy tables
 
     def peak(call):
         tracemalloc.start()
@@ -667,8 +678,9 @@ for argv in (
     result = cpref.cli.run(argv)
     assert result.status == 0 and result.report, (argv, result)
 schema = parse_theory(open(base).read()).schema
-first, second = schema.alternative_at(0), schema.alternative_at(1)
-print(len(preorder_to_cp(ExplicitPreorder.from_pairs(schema, [(first, second)]))))
+rows = [1 << i for i in range(schema.universe_size())]
+rows[0] |= 2  # the first alternative above the second
+print(len(preorder_to_cp(ExplicitPreorder(schema, rows))))
 """
     base = _write(tmp_path, "base.cpt", EX9)
     extended = _write(tmp_path, "ext.cpt", EX9_EXTENDED)

@@ -51,7 +51,7 @@ from cpref import (
     worsening_successors,
 )
 from cpref.semantics import _swap_graph
-from helpers import is_antisymmetric
+from helpers import is_antisymmetric, preorder_from_pairs
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -214,7 +214,7 @@ def _warshall(n, pairs):
 def test_bitset_closure_equals_dense_closure(schema, data):
     n = schema.universe_size()
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
-    relation = ExplicitPreorder.from_pairs(
+    relation = preorder_from_pairs(
         schema, [(schema.alternative_at(i), schema.alternative_at(j)) for i, j in pairs]
     )
     assert _unpacked(relation.rows) == _warshall(n, pairs)

@@ -22,7 +22,6 @@ from cpref import (
     classify_lptree,
     closure_oracle,
     compare_lptree,
-    decide,
     first_strict_dominator,
     is_complete,
     is_linearisable_lptree,
@@ -34,7 +33,6 @@ from cpref import (
     serialize_theory,
     strict_chain_rule,
     strict_cut_count,
-    strict_dominators,
     top_p_general,
     top_p_lptree,
     validate,
@@ -43,12 +41,14 @@ from cpref.cli import run
 from cpref.semantics import _dominators
 from helpers import (
     alt,
+    decide,
     ex2_schema,
     inst,
     is_antisymmetric,
     random_lptree,
     random_schema,
     shuffled_lptree,
+    strict_dominators,
 )
 
 

@@ -30,6 +30,7 @@ from cpref import (
 from cpref.model import _is_cpnet_shape
 from helpers import (
     cpnet_edges,
+    preorder_from_pairs,
     cpnet_shape_by_scan,
     alt,
     ex2_schema,
@@ -379,14 +380,14 @@ def test_topological_order_puts_every_parent_first():
 
 def test_preorder_to_cp_identity_is_empty():
     s = ex3_schema()
-    assert len(preorder_to_cp(ExplicitPreorder.from_pairs(s, ()))) == 0
+    assert len(preorder_to_cp(preorder_from_pairs(s, ()))) == 0
 
 
 def test_preorder_to_cp_ex3_statements():
     s = ex3_schema()
     chain = ex3_chain(s)
     pairs = list(zip(chain, chain[1:]))
-    r = ExplicitPreorder.from_pairs(s, pairs)
+    r = preorder_from_pairs(s, pairs)
     t = preorder_to_cp(r)
     # six strictly ordered pairs in a four-element linear order
     assert len(t) == 6

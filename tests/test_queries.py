@@ -102,10 +102,10 @@ def test_tree_rows_answer_as_the_theory_route_on_the_translation():
             (False, False): "tree",
         }
         assert {row: route for row, (_, route) in on_theory.items()} == {
-            (True, True): "oracle",
-            (True, False): "oracle",
+            (True, True): "search",
+            (True, False): "search",
             (False, True): "statements",
-            (False, False): "oracle",
+            (False, False): "search",
         }
     assert partial >= 10
 

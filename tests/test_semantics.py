@@ -13,6 +13,7 @@ from cpref import (
     BUDGET_EXHAUSTED,
     CPStatement,
     CPTheory,
+    Const,
     DEFAULT_ORACLE_CAP,
     FALSE,
     Iff,
@@ -20,12 +21,14 @@ from cpref import (
     Or,
     OptimumKind,
     OracleTooLargeError,
+    PathContext,
     Relation,
     ValidationError,
     closure_oracle,
     compare,
     cpnet_to_statements,
     cut_count,
+    dependency_graph,
     dominates,
     equivalent,
     geq_cut_extract,
@@ -34,6 +37,7 @@ from cpref import (
     optimum_check,
     optimum_exists,
     parse_theory,
+    phi_at_node,
     sanctions,
     serialize_theory,
     strict_cut_extract,
@@ -43,7 +47,8 @@ from cpref import (
 )
 from cpref import semantics
 from cpref.model import _CLASH, conjunction, strong_components
-from cpref.semantics import _index_statements, _index_successors, _swaps
+from cpref.lexcompat import _swaps
+from cpref.semantics import _index_statements, _index_successors
 from helpers import (
     closed_rows_two_pass,
     closure_equivalent,
@@ -550,7 +555,7 @@ def test_closure_drops_each_relay_bitset_once_read():
         finally:
             tracemalloc.stop()
 
-    semantics._swap_graph(theory, n)  # fills the statements' lazy caches
+    semantics._swap_graph(theory, n)  # fills the schema's lazy tables
     succ, graph = peak(lambda: semantics._swap_graph(theory, n))
     assert len(succ) - n > n // 2
     oracle, closure = peak(lambda: closure_oracle(theory))
@@ -561,16 +566,17 @@ def test_closure_drops_each_relay_bitset_once_read():
 
 
 def test_literal_tables_share_the_empty_exclusion_set():
-    # The swap graph caches a literal table on every conjunctive condition
-    # of a tree translation, one entry per attribute the condition names.
-    # The tables keep about 200 bytes per entry with every empty exclusion
-    # set shared, and about 415 with a fresh frozenset in each entry.
+    # The builder's consistency test caches a literal table on every
+    # conjunctive condition of a tree translation, one entry per attribute
+    # the condition names.  The tables keep about 170 bytes per entry with
+    # every empty exclusion set shared, and about 395 with a fresh frozenset
+    # in each entry.
     import tracemalloc
 
     rng = random.Random(227)
     schema = AttributeSchema.of([(f"X{i}", ("a", "b")) for i in range(12)])
     theory = lptree_to_statements(random_lptree(rng, schema, k=1, complete=True))
-    n = schema.universe_size()
+    root = PathContext.root(schema)
 
     def kept(call):
         tracemalloc.start()
@@ -579,11 +585,55 @@ def test_literal_tables_share_the_empty_exclusion_set():
         finally:
             tracemalloc.stop()
 
-    _, first = kept(lambda: semantics._swap_graph(theory, n))  # fills the caches
-    _, graph = kept(lambda: semantics._swap_graph(theory, n))
+    _, first = kept(lambda: phi_at_node(theory, root))  # fills the caches
+    _, again = kept(lambda: phi_at_node(theory, root))
     entries = sum(len(s.condition._literals or ()) for s in theory.statements)
     assert entries > 5 * len(theory)
-    assert first - graph < 256 * entries
+    assert first - again < 256 * entries
+
+
+def _cached_literal_tables(theories):
+    """How many distinct subformulas of the theories' conditions hold a
+    cached literal table, and how many there are.  The constants are left
+    out: every theory shares them, so any earlier builder call may have
+    filled theirs."""
+    seen = {}
+    stack = [s.condition for theory in theories for s in theory.statements]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen and not isinstance(f, Const):
+            seen[id(f)] = f
+            stack += [getattr(f, part) for part in ("operand", "left", "right") if hasattr(f, part)]
+    return sum("_literals" in vars(f) for f in seen.values()), len(seen)
+
+
+def test_the_whole_relation_queries_cache_no_literal_table():
+    # The swap graph and equivalence read each statement's swaps off its
+    # move, so no condition keeps a literal table after them.  The random
+    # theories are cyclic: the CP-net test of an acyclic theory, which
+    # linearisable and optimum_exists run first, reads those tables.
+    rng = random.Random(2431)
+    theories = []
+    while len(theories) < 12:
+        theory = random_theory(rng, random_schema(rng), max_statements=7)
+        if dependency_graph(theory).topological_order() is None:
+            theories.append(theory)
+    schema = AttributeSchema.of([(f"X{i}", ("a", "b")) for i in range(12)])
+    tree = random_lptree(random.Random(227), schema, k=2, complete=True)
+    translation = lptree_to_statements(tree)
+    for theory in theories:
+        closure_oracle(theory)
+        linearisable(theory)
+        for kind in OptimumKind:
+            optimum_exists(theory, kind)
+        fewer = CPTheory(theory.schema, theory.statements[1:])
+        equivalent(theory, fewer)
+        equivalent(fewer, theory)
+    closure_oracle(translation)
+    equivalent(translation, CPTheory(schema, translation.statements[1:]))
+    cached, formulas = _cached_literal_tables([*theories, translation])
+    assert formulas > 5 * len(translation)
+    assert cached == 0
 
 
 def test_theory_cuts_equal_the_oracle_dominators():
@@ -709,9 +759,10 @@ def test_one_alternative_queries_refuse_a_non_alternative():
     assert geq_cut_extract(theory, o) == schema.alternative({"A": "a", "B": "nb"})
 
 
-def test_only_the_whole_relation_queries_build_the_swap_graph():
-    # a query about one alternative must not route back through the graph
-    allowed = {"closure_oracle", "linearisable", "_optimal_components"}
+def _references(wanted):
+    """``(module, function)`` of every reference to the name ``wanted`` in
+    the package's sources: the innermost function holding it, ``"<module>"``
+    at the top level or ``"<import>"`` for an import of it."""
     callers = []
     for path in sorted(Path(semantics.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -722,11 +773,24 @@ def test_only_the_whole_relation_queries_build_the_swap_graph():
                     owner[node] = func.name
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)) and name == "_swap_graph":
+            if isinstance(node, (ast.Name, ast.Attribute)) and name == wanted:
                 callers.append((path.stem, owner.get(node, "<module>")))
             if isinstance(node, ast.ImportFrom):
-                callers += [(path.stem, "<import>") for a in node.names if a.name == "_swap_graph"]
-    assert sorted(callers) == sorted(("semantics", f) for f in allowed)
+                callers += [(path.stem, "<import>") for a in node.names if a.name == wanted]
+    return sorted(callers)
+
+
+def test_only_the_whole_relation_queries_build_the_swap_graph():
+    # a query about one alternative must not route back through the graph
+    allowed = {"closure_oracle", "linearisable", "_optimal_components"}
+    assert _references("_swap_graph") == sorted(("semantics", f) for f in allowed)
+
+
+def test_only_the_builder_and_the_checker_number_swaps_over_a_label():
+    # whole-universe swaps are the moves of _bit_moves; _swaps numbers them
+    # over a label's values only
+    allowed = {"choose_attribute", "_extends_at"}
+    assert _references("_swaps") == sorted(("lexcompat", f) for f in allowed)
 
 
 def _random_conjunction(rng, schema, attrs):
@@ -900,12 +964,18 @@ def test_equivalence_closes_only_a_side_that_lacks_a_statement(monkeypatch):
 
 
 def test_equivalence_beyond_the_cap_is_refused():
+    # only a closure is refused: equal statement sets build none, so they
+    # answer under any cap, and unequal ones are refused either way round
     base = ex9_theory()
     n = base.schema.universe_size()
-    for other in (base, with_statements(base, ex9_extra())):
+    shuffled = CPTheory(base.schema, base.statements[::-1])
+    assert equivalent(base, base, cap=1) is True
+    assert equivalent(base, shuffled, cap=n - 1) is True
+    redundant = with_statements(base, ex9_extra())
+    for theory, other in ((base, redundant), (redundant, base)):
         with pytest.raises(OracleTooLargeError, match=f"universe of {n} alternatives"):
-            equivalent(base, other, cap=n - 1)
-    assert equivalent(base, base, cap=n) is True
+            equivalent(theory, other, cap=n - 1)
+        assert equivalent(theory, other, cap=n) is True
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from cpref import (
     Atom,
     AttributeSchema,
     CPTheory,
-    ExplicitPreorder,
     LPTree,
     ParseError,
     TRUE,
@@ -31,6 +30,7 @@ from helpers import (
     EX2_DSL,
     ex2_theory,
     ex3_schema,
+    preorder_from_pairs,
     random_lptree,
     random_schema,
     random_theory,
@@ -260,7 +260,7 @@ def test_empty_theory_serializes_schema_only():
 
 def test_preorder_serialization():
     s = AttributeSchema.of([("A", ("a", "na"))])
-    identity = ExplicitPreorder.from_pairs(s, ())
+    identity = preorder_from_pairs(s, ())
     assert serialize_preorder(identity) == "A=a >= A=a\nA=na >= A=na\n"
     assert serialize_preorder(identity, strict_only=True) == ""
     t = ex2_theory()

@@ -37,6 +37,7 @@ from .model import (
 )
 from .semantics import (
     Relation,
+    _alternative_index,
     _closed_rows,
     _dominators,
     _label_from,
@@ -355,6 +356,7 @@ def _branch(
     below the node.  Another alternative is decided at the first step where
     its offset differs from ``o``'s."""
     schema = tree.schema
+    _alternative_index(schema, o)
     node, context, unmet = tree.root, schema.empty_instantiation(), set(schema.names)
     while True:
         label = schema.ordered(node.label)
@@ -386,6 +388,7 @@ def compare_lptree(
     """
     if o == o_prime:
         raise ValidationError("compare is defined for distinct alternatives only")
+    _alternative_index(tree.schema, o_prime)
     for _, label, i, rule, _ in _branch(tree, o):
         j = _label_index(tree.schema, label, o_prime)
         if j != i:

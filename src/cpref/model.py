@@ -631,14 +631,6 @@ def _bits(x: int, step: int = 1) -> Iterator[int]:
         j = digits.find("1", j + 1)
 
 
-def strong_components(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components of the graph with nodes 0..n-1: the
-    component id of every node, and the members of every component in
-    completion order, each after all it reaches."""
-    comp = [-1] * len(succ)
-    return comp, list(_completed_components(succ, comp))
-
-
 def _completed_components(succ: list[list[int]], comp: list[int]) -> Iterator[list[int]]:
     """The members of each strongly connected component of the graph with
     nodes 0..n-1, by an iterative Tarjan search, yielded as the component

@@ -8,13 +8,16 @@ Dominance is decided by budgeted breadth-first reachability over those
 indices, one search per independent block where a pair differs.  The
 exhaustive closure oracle materialises the whole relation at desk scale to
 answer the query catalogue exactly: one strongly-connected-component pass
-with bitset reach sets serves every whole-universe query.  Within the cap a
+with bitset reach sets serves every whole-universe query.  Without the
+reach sets the same pass decides linearisability and finds optimal
+alternatives in the components that nothing else enters.  Within the cap a
 statement is one move on sets of indices held as bit sets: the swap graph
-reads its edges off the moves, and a cut of one alternative, and its
-optimality, are read off two searches from it through them.  Equivalence
-closes a theory only to check the moves of the statements the other holds
-and it lacks.  An acyclic CP-net is linearisable, and its forward sweep is
-its optimum.
+reads its edges off the moves, a cut of one alternative, and its
+optimality, are read off two searches from it through them, and the
+undominated alternatives are those that no move's targets cover.
+Equivalence closes a theory only to check the moves of the statements the
+other holds and it lacks.  An acyclic CP-net is linearisable, and its
+forward sweep is its optimum.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .model import (
     _is_cpnet_shape,
     dependency_graph,
     eval_formula,
-    strong_components,
 )
 
 # Reach bitsets for N alternatives take at most N·ceil(N/8) bytes, 512 MiB
@@ -520,7 +522,12 @@ def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     if _cpnet_optimum(theory, cap) is not None:
         return True
     succ = _swap_graph(theory, cap)
-    return len(strong_components(succ)[1]) == len(succ)
+    # stop at the first cyclic component; all() over a generator took ~8% longer
+    # than this loop when there is none
+    for members in _completed_components(succ, [-1] * len(succ)):
+        if len(members) > 1:
+            return False
+    return True
 
 
 def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
@@ -578,42 +585,6 @@ def geq_cut_extract(
     return None if s is None else o.override(s.better)
 
 
-def _optimal_components(
-    theory: CPTheory, kind: OptimumKind, cap: int
-) -> tuple[list[int], list[bool]]:
-    """The component of each node of the swap graph, and whether the
-    members of each component are optimal of ``kind``; the witness search of
-    :func:`optimum_exists`.
-
-    Read off the condensation of the swap graph.  Something is strictly
-    better than ``o`` iff another component reaches o's, so the weakly
-    undominated alternatives fill the source components; undominated ones
-    are singleton sources.  In a finite acyclic condensation every component
-    is reached from a source, so ``o`` dominates everything iff its
-    component is the only source.
-    """
-    succ = _swap_graph(theory, cap)
-    comp, components = strong_components(succ)
-    source = [True] * len(components)
-    for v, targets in enumerate(succ):
-        for w in targets:
-            if comp[w] != comp[v]:
-                source[comp[w]] = False
-    singleton = [len(members) == 1 for members in components]
-    if kind is OptimumKind.WEAKLY_UNDOMINATED:
-        optimal = source
-    elif kind is OptimumKind.UNDOMINATED:
-        optimal = [a and b for a, b in zip(source, singleton)]
-    elif kind in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
-        optimal = [False] * len(components)
-        if source.count(True) == 1:
-            c = source.index(True)
-            optimal[c] = kind is OptimumKind.DOMINATING or singleton[c]
-    else:
-        raise ValidationError(f"unknown optimum kind: {kind!r}")
-    return comp, optimal
-
-
 def optimum_check(
     theory: CPTheory,
     o: PartialInstantiation,
@@ -647,18 +618,44 @@ def optimum_exists(
 ) -> PartialInstantiation | None:
     """The canonically first witness alternative of the requested kind, or None.
 
-    A weakly undominated witness always exists: the condensation is acyclic,
-    so it has a source component.  An acyclic CP-net's forward sweep is its
-    one witness of every kind.
+    An acyclic CP-net's forward sweep is its one witness of every kind.
+    Otherwise an undominated alternative is one that no statement swaps
+    into (:func:`undominated_check`).  The other kinds are read off the
+    condensation of the swap graph: the weakly undominated alternatives
+    fill the components that no other component enters, of which there is
+    always one, and every component is reached from one of these.  So a
+    dominating alternative's component is the only one, and a strongly
+    dominating alternative is alone in it.
     """
     best = _cpnet_optimum(theory, cap)
     if best is not None:
         return best
-    comp, optimal = _optimal_components(theory, kind, cap)
-    for i in range(theory.schema.universe_size()):
-        if optimal[comp[i]]:
-            return theory.schema.alternative_at(i)
-    return None
+    schema = theory.schema
+    n = schema.universe_size()
+    if kind is OptimumKind.UNDOMINATED:
+        left = (1 << n) - 1
+        for _, targets, _, _ in _bit_moves(schema, theory.statements):
+            left &= ~targets
+        return schema.alternative_at((left & -left).bit_length() - 1) if left else None
+    weakly = kind is OptimumKind.WEAKLY_UNDOMINATED
+    if not weakly and kind not in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
+        raise ValidationError(f"unknown optimum kind: {kind!r}")
+    succ = _swap_graph(theory, cap)
+    comp = [-1] * len(succ)
+    sizes = [len(members) for members in _completed_components(succ, comp)]
+    # every relay is entered, so each component nothing enters holds an alternative
+    entered = [False] * len(sizes)
+    for v, targets in enumerate(succ):
+        for w in targets:
+            if comp[w] != comp[v]:
+                entered[comp[w]] = True
+    first = next(i for i in range(n) if not entered[comp[i]])
+    if not weakly and (
+        entered.count(False) > 1
+        or kind is OptimumKind.STRONGLY_DOMINATING and sizes[comp[first]] > 1
+    ):
+        return None
+    return schema.alternative_at(first)
 
 
 def _cpnet_optimum(theory: CPTheory, cap: int) -> PartialInstantiation | None:
@@ -886,9 +883,10 @@ def assemble_top_p(
     ``label(a, b)`` is the four-way relation of a distinct pair; its strict
     part must be acyclic.  Each unordered pair is labelled at most once, when
     the ranking first asks about it.  Ties among maximal candidates break
-    towards the canonically smallest alternative.
+    towards the canonically smallest alternative.  A candidate that is no
+    alternative of ``schema`` is refused before any pair is labelled.
     """
-    remaining = sorted(dict.fromkeys(candidates), key=schema.offset)
+    remaining = sorted(dict.fromkeys(candidates), key=lambda o: _alternative_index(schema, o))
     check_top_p(remaining, p)
     verdicts: dict[tuple[PartialInstantiation, PartialInstantiation], bool] = {}
 

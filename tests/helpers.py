@@ -27,6 +27,7 @@ from cpref import (
     LPTree,
     Not,
     Or,
+    OptimumKind,
     OrderLink,
     TRUE,
     ValidationError,
@@ -34,12 +35,13 @@ from cpref import (
     strict_chain_rule,
 )
 from cpref.lptree import _branch, _label_index, _strictly_above
-from cpref.model import _bits, _consistent, _literal_table, conjunction, strong_components
+from cpref.model import _bits, _completed_components, _consistent, _literal_table, conjunction
 from cpref.semantics import (
     _alternative_index,
     _closed_rows,
     _index_statements,
     _index_successors,
+    _swap_graph,
     closure_oracle,
 )
 
@@ -306,6 +308,47 @@ def closed_rows_two_pass(succ, n):
                             bits |= reach[comp[t]]
         reach.append(bits)
     return tuple(reach[comp[v]] for v in range(n))
+
+
+def strong_components(succ):
+    """The component id of every node of the graph, and the members of every
+    component in completion order, each after all it reaches."""
+    comp = [-1] * len(succ)
+    return comp, list(_completed_components(succ, comp))
+
+
+def optimal_components(theory, kind, cap):
+    """The component of each node of the swap graph, and whether the
+    members of each component are optimal of ``kind``; the reference for
+    the witness search of :func:`semantics.optimum_exists`.
+
+    Read off the condensation of the swap graph.  Something is strictly
+    better than ``o`` iff another component reaches o's, so the weakly
+    undominated alternatives fill the source components; undominated ones
+    are singleton sources.  In a finite acyclic condensation every component
+    is reached from a source, so ``o`` dominates everything iff its
+    component is the only source.
+    """
+    succ = _swap_graph(theory, cap)
+    comp, components = strong_components(succ)
+    source = [True] * len(components)
+    for v, targets in enumerate(succ):
+        for w in targets:
+            if comp[w] != comp[v]:
+                source[comp[w]] = False
+    singleton = [len(members) == 1 for members in components]
+    if kind is OptimumKind.WEAKLY_UNDOMINATED:
+        optimal = source
+    elif kind is OptimumKind.UNDOMINATED:
+        optimal = [a and b for a, b in zip(source, singleton)]
+    elif kind in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
+        optimal = [False] * len(components)
+        if source.count(True) == 1:
+            c = source.index(True)
+            optimal[c] = kind is OptimumKind.DOMINATING or singleton[c]
+    else:
+        raise ValidationError(f"unknown optimum kind: {kind!r}")
+    return comp, optimal
 
 
 def product_space_dominates(theory, o, o_prime, budget=None):

@@ -11,6 +11,7 @@ from cpref import (
     Relation,
     closure_oracle,
     is_complete,
+    linearisable,
     lptree_to_statements,
     model,
     parse_lptree,
@@ -341,6 +342,31 @@ def test_theory_cuts_build_no_closure(tmp_path, monkeypatch, ex2_file):
         assert (result.status, result.report) == expected
         assert result == before
         assert ("warning" in result.diagnostics) == ("--strict" in argv)
+
+
+def test_undominated_existence_builds_no_swap_graph(tmp_path, monkeypatch):
+    # the witness is the first alternative no statement swaps into, read off
+    # the statements' moves, on theories with cycles, which no sweep answers
+    rng = random.Random(181)
+    cases = [(_write(tmp_path, "cyclic.cpt", CYCLIC), "none")]
+    while len(cases) < 8:
+        theory = random_theory(rng, random_schema(rng), 7)
+        if linearisable(theory):
+            continue
+        oracle = closure_oracle(theory)
+        first = next((o for o in oracle.universe if next(oracle.dominators(o), None) is None), None)
+        path = _write(tmp_path, f"r{len(cases)}.cpt", serialize_theory(theory))
+        cases.append((path, "none" if first is None else format_instantiation(first)))
+    assert len({answer == "none" for _, answer in cases}) == 2
+
+    def refuse(*args):
+        raise AssertionError("built the swap graph or closed the whole relation")
+
+    monkeypatch.setattr(semantics, "_swap_graph", refuse)
+    monkeypatch.setattr(semantics, "closure_oracle", refuse)
+    for path, answer in cases:
+        result = run(["optimal", path, "--kind", "undominated"])
+        assert (result.status, result.report) == (1 if answer == "none" else 0, answer)
 
 
 def test_cut_geq_count(ex2_file):

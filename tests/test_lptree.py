@@ -7,6 +7,8 @@ from cpref import (
     And,
     Atom,
     AttributeSchema,
+    CPStatement,
+    CPTheory,
     ExplicitPreorder,
     LinkKind,
     LPNode,
@@ -18,6 +20,7 @@ from cpref import (
     Relation,
     TRUE,
     ValidationError,
+    build_complete_lptree,
     classify,
     classify_lptree,
     closure_oracle,
@@ -34,6 +37,7 @@ from cpref import (
     strict_chain_rule,
     strict_cut_count,
     top_p_general,
+    top_p_lexcompat,
     top_p_lptree,
     validate,
 )
@@ -355,6 +359,35 @@ def test_compare_undecided_is_incomparable():
     s = _binary_schema()
     tree = LPTree(s, LPNode(("A",), (_chain(s, "A", "a", "na"),), ()))
     assert compare_lptree(tree, alt(s, A="a", B="b"), alt(s, A="a", B="nb")) is Relation.INCOMPARABLE
+
+
+def test_tree_queries_and_top_routes_refuse_a_non_alternative():
+    # over binary A, B with A=a >= A=b and its width-1 tree, the partial
+    # <A=b> was ranked and found worse than <A=a,B=c>, the cut queries failed
+    # with a KeyError on it, and so did every top route on an alternative of
+    # a wider schema
+    schema = AttributeSchema.of([("A", ("a", "b")), ("B", ("c", "d"))])
+    theory = CPTheory(schema, (CPStatement.make(schema, {"A": "a"}, {"A": "b"}),))
+    tree = build_complete_lptree(theory, 1)
+    wide = AttributeSchema.of([("A", ("a", "b")), ("B", ("c", "d")), ("C", ("e", "f"))])
+    o = alt(schema, A="a", B="c")
+    for bad in (inst(schema, A="b"), alt(wide, A="b", B="d", C="e")):
+        calls = [
+            lambda: compare_lptree(tree, o, bad),
+            lambda: compare_lptree(tree, bad, o),
+            lambda: strict_cut_count(tree, bad),
+            lambda: strict_cut_count(tree, bad, strict=False),
+            lambda: first_strict_dominator(tree, bad),
+            lambda: top_p_lptree(tree, [o, bad], 1),
+            lambda: top_p_lexcompat(theory, 1, [o, bad], 1),
+            lambda: top_p_general(theory, [o, bad], 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="is not an alternative"):
+                call()
+    worse = alt(schema, A="b", B="c")
+    assert compare_lptree(tree, o, worse) is Relation.STRICTLY_BETTER
+    assert top_p_lptree(tree, [worse, o], 1) == top_p_lexcompat(theory, 1, [worse, o], 1) == (o,)
 
 
 def _tree_sample(seed, count, complete=False, max_attrs=4, max_domain=3):

@@ -36,12 +36,14 @@ from helpers import (
     decomposable_theory,
     ex2_theory,
     ex8_net,
+    optimal_components,
     random_cpnet,
     random_lptree,
     random_schema,
     random_theory,
     separable_theory,
     shuffled_lptree,
+    strong_components,
 )
 
 
@@ -397,9 +399,9 @@ def _oracle_rows(theory, alternatives):
     every alternative, and its first witness, off one condensation."""
     schema, cap = theory.schema, semantics.DEFAULT_ORACLE_CAP
     succ = semantics._swap_graph(theory, cap)
-    rows = {"linearisable": len(model.strong_components(succ)[1]) == len(succ)}
+    rows = {"linearisable": len(strong_components(succ)[1]) == len(succ)}
     for kind in OptimumKind:
-        comp, optimal = semantics._optimal_components(theory, kind, cap)
+        comp, optimal = optimal_components(theory, kind, cap)
         witnesses = (i for i in range(schema.universe_size()) if optimal[comp[i]])
         first = next(witnesses, None)
         rows[kind, None] = None if first is None else schema.alternative_at(first)

@@ -46,7 +46,7 @@ from cpref import (
     worsening_successors,
 )
 from cpref import semantics
-from cpref.model import _CLASH, conjunction, strong_components
+from cpref.model import _CLASH, conjunction
 from cpref.lexcompat import _swaps
 from cpref.semantics import _index_statements, _index_successors
 from helpers import (
@@ -74,6 +74,7 @@ from helpers import (
     random_schema,
     shuffled_lptree,
     random_theory,
+    strong_components,
     swaps_by_enumeration,
 )
 
@@ -782,7 +783,7 @@ def _references(wanted):
 
 def test_only_the_whole_relation_queries_build_the_swap_graph():
     # a query about one alternative must not route back through the graph
-    allowed = {"closure_oracle", "linearisable", "_optimal_components"}
+    allowed = {"closure_oracle", "linearisable", "optimum_exists"}
     assert _references("_swap_graph") == sorted(("semantics", f) for f in allowed)
 
 
@@ -791,6 +792,28 @@ def test_only_the_builder_and_the_checker_number_swaps_over_a_label():
     # over a label's values only
     allowed = {"choose_attribute", "_extends_at"}
     assert _references("_swaps") == sorted(("lexcompat", f) for f in allowed)
+
+
+def test_every_private_helper_has_a_caller():
+    # a refactor that retires a route takes the helpers only it used along
+    package = Path(semantics.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
+    private = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = {
+        getattr(node, "id", None) or node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert len(private) > 70
+    assert sorted(private - used) == []
 
 
 def _random_conjunction(rng, schema, attrs):
@@ -1061,6 +1084,38 @@ def test_optimum_exists():
         ),
     )
     assert optimum_exists(cyclic, OptimumKind.UNDOMINATED) is None
+
+
+def test_optimum_exists_equals_the_definitions_on_the_closure():
+    # free attributes and conditions with Not and Or; each kind's witness is
+    # the first alternative that the closure's rows make optimal of that kind
+    rng = random.Random(2809)
+    seen = Counter()
+    for _ in range(250):
+        theory = random_theory(rng, random_schema(rng, max_attrs=4), max_statements=8)
+        rows = closure_oracle(theory).rows
+        above = [
+            [j for j, row in enumerate(rows) if j != i and row >> i & 1] for i in range(len(rows))
+        ]
+        weakly = [not any(not rows[i] >> j & 1 for j in js) for i, js in enumerate(above)]
+        undominated = [not js for js in above]
+        dominating = [row == (1 << len(rows)) - 1 for row in rows]
+        definitions = {
+            OptimumKind.WEAKLY_UNDOMINATED: weakly,
+            OptimumKind.UNDOMINATED: undominated,
+            OptimumKind.DOMINATING: dominating,
+            OptimumKind.STRONGLY_DOMINATING: [a and b for a, b in zip(dominating, undominated)],
+        }
+        for kind, optimal in definitions.items():
+            first = next((i for i, yes in enumerate(optimal) if yes), None)
+            expected = None if first is None else theory.schema.alternative_at(first)
+            assert optimum_exists(theory, kind) == expected
+            seen[kind, first is None] += 1
+        sources = {rows[i] for i, yes in enumerate(weakly) if yes}  # one row per component
+        seen["several sources"] += len(sources) > 1
+        seen["a source with several members"] += weakly != undominated
+    assert len(seen) == 9, seen  # a weakly undominated witness always exists
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------

@@ -244,24 +244,32 @@ def extends_check(theory: CPTheory, tree: LPTree) -> bool:
     order the label values induced by the statement's swap, whatever the
     free and untouched attributes do.  Completeness is tested in the same
     walk, so each rule is closed once; once the extension fails, the walk
-    goes on only to test completeness.
+    goes on only to test completeness.  Each node's active statements are
+    filtered from its parent's, and only the current branch's are kept.
     """
+    if theory.schema != tree.schema:
+        raise ValidationError("extension check compares a theory and a tree over one schema")
     if validate(tree):
         raise ValidationError("extension check requires a valid tree")
     all_names = frozenset(tree.schema.names)
     extends = True
+    branch: list[tuple[PathContext, tuple[CPStatement, ...]]] = []  # (context, active), root first
     for node, ctx, label, closed in _closed_nodes(tree):
         if not _complete_at(node, ctx, label, closed, all_names):
             raise IncompleteTreeError("extension check requires a complete tree")
-        extends = extends and _extends_at(theory, ctx, label, closed)
+        if extends:
+            while branch and branch[-1][0] is not ctx.parent:
+                branch.pop()
+            active = phi_at_node(theory, ctx, branch[-1][1] if branch else None)
+            branch.append((ctx, active))
+            extends = _extends_at(theory.schema, ctx, label, closed, active)
     return extends
 
 
-def _extends_at(theory: CPTheory, ctx: PathContext, label, closed) -> bool:
-    """:func:`extends_check` at one node of the tree's closed-rule walk."""
-    schema = theory.schema
+def _extends_at(schema: AttributeSchema, ctx: PathContext, label, closed, active) -> bool:
+    """:func:`extends_check` at one node of the closed-rule walk, on its ``active`` statements."""
     assigned = dict(ctx.assigned.bindings)
-    for s in phi_at_node(theory, ctx):
+    for s in active:
         if s.swapped.isdisjoint(label):
             continue
         if s.free & ctx.ancestors:

@@ -28,7 +28,7 @@ from .model import (
     AttributeSchema,
     ValidationError,
     _bits,
-    _is_cpnet_shape,
+    _cpnet_tables,
     conjunction,
     eval_formula,
     formula_size,
@@ -556,7 +556,7 @@ def classify_lptree(tree: LPTree) -> tuple[int, int, LanguageProfile]:
         width <= 1
         and free_empty
         and conjunctive
-        and _is_cpnet_shape(lptree_to_statements(tree), graph)
+        and _cpnet_tables(lptree_to_statements(tree), graph) is not None
     )
     profile = LanguageProfile(
         width, conjunctive, free_empty, graph.is_acyclic(), graph.is_polytree(), is_cpnet

@@ -769,22 +769,23 @@ class LanguageProfile:
     is_cpnet: bool
 
 
-def _is_hamiltonian_chain(pairs: list[tuple[str, str]], values: tuple[str, ...]) -> bool:
-    # A chain x1>x2, x2>x3, ... visiting every domain value exactly once.
+def _value_chain(pairs: list[tuple[str, str]], values: tuple[str, ...]) -> tuple[str, ...] | None:
+    # The chain x1>x2, x2>x3, ... of ``pairs`` through every value once, best first, or None.
     succ = dict(pairs)
     heads = succ.keys() - succ.values()
     if len(succ) != len(pairs) or len(pairs) != len(values) - 1 or len(heads) != 1:
-        return False
+        return None
     seen = list(heads)
     while seen[-1] in succ and len(seen) < len(values):
         seen.append(succ[seen[-1]])
-    return len(seen) == len(values) and set(seen) == set(values)
+    return tuple(seen) if len(seen) == len(values) and set(seen) == set(values) else None
 
 
-def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
-    """Unary conjunctive statements, no free parts, and per attribute exactly
-    one Hamiltonian value chain for every instantiation of its parents in
-    ``graph``.
+def _cpnet_tables(theory: CPTheory, graph: DependencyGraph) -> dict[str, tuple] | None:
+    """Per attribute, its parents in ``graph`` as ``(name, domain)`` pairs in
+    schema order, and its value chain, best first, under each instantiation
+    of them, keyed by its mixed-radix offset; None unless the statements are
+    unary, conjunctive and free-empty and chain every such instantiation.
 
     Each statement's condition is expanded over the parent instantiations
     that satisfy it, and its value pair goes into one bucket per
@@ -795,7 +796,7 @@ def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
     """
     for s in theory.statements:
         if len(s.swapped) != 1 or s.free or s.condition._literals is None:
-            return False
+            return None
     schema = theory.schema
     parents: dict[str, list[str]] = {x: [] for x in schema.names}
     for p, y in graph.edges:
@@ -803,13 +804,14 @@ def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
     rows: dict[str, list[CPStatement]] = {x: [] for x in schema.names}
     for s in theory.statements:
         rows[next(iter(s.swapped))].append(s)
+    tables = {}
     for x, statements in rows.items():
         domain = schema.domain(x)
         attrs = [(p, schema.domain(p)) for p in schema.ordered(parents[x])]
         allowed = [_allowed_digits(s.condition, attrs) for s in statements]
         table = math.prod(len(values) for _, values in attrs) * (len(domain) - 1)
         if sum(math.prod(map(len, digits)) for digits in allowed) != table:
-            return False
+            return None
         buckets: dict[int, list[tuple[str, str]]] = {}
         for s, digits in zip(statements, allowed):
             pair = (s.better[x], s.worse[x])
@@ -820,10 +822,12 @@ def _is_cpnet_shape(theory: CPTheory, graph: DependencyGraph) -> bool:
                 bucket = buckets.setdefault(k, [])
                 bucket.append(pair)
                 if len(bucket) == len(domain):
-                    return False
-        if not all(_is_hamiltonian_chain(b, domain) for b in buckets.values()):
-            return False
-    return True
+                    return None
+        chains = {k: _value_chain(b, domain) for k, b in buckets.items()}
+        if None in chains.values():
+            return None
+        tables[x] = (attrs, chains)
+    return tables
 
 
 def _allowed_digits(
@@ -854,7 +858,7 @@ def classify(theory: CPTheory) -> LanguageProfile:
         free_empty=all(not s.free for s in theory.statements),
         acyclic=graph.is_acyclic(),
         polytree=graph.is_polytree(),
-        is_cpnet=_is_cpnet_shape(theory, graph),
+        is_cpnet=_cpnet_tables(theory, graph) is not None,
     )
 
 

@@ -44,8 +44,8 @@ from .model import (
     ValidationError,
     _bits,
     _completed_components,
+    _cpnet_tables,
     _find,
-    _is_cpnet_shape,
     dependency_graph,
     eval_formula,
 )
@@ -557,32 +557,26 @@ def _swaps_within(theory: CPTheory, other: CPTheory, cap: int) -> bool:
     return True
 
 
-def _improving_swap(theory: CPTheory, o: PartialInstantiation) -> CPStatement | None:
-    """The first statement sanctioning a swap into ``o``, if any.
-
-    A chain of swaps ending at ``o`` must end with a direct sanctioned
-    predecessor, so this one scan decides undominatedness and, when it finds
-    a statement, yields a dominator.
-    """
-    for s in theory.statements:
-        if o.extends(s.worse) and eval_formula(o, s.condition):
-            return s
-    return None
-
-
 def undominated_check(theory: CPTheory, o: PartialInstantiation) -> bool:
     """True iff no statement sanctions a swap into ``o``."""
-    _alternative_index(theory.schema, o)
-    return _improving_swap(theory, o) is None
+    return geq_cut_extract(theory, o) is None
 
 
 def geq_cut_extract(
     theory: CPTheory, o: PartialInstantiation
 ) -> PartialInstantiation | None:
-    """Some alternative distinct from ``o`` that dominates it, or None."""
+    """Some alternative distinct from ``o`` that dominates it, or None: the
+    source of the first statement's swap into ``o``.
+
+    A chain of swaps ending at ``o`` must end with a direct sanctioned
+    predecessor, so this one scan decides undominatedness and, when it finds
+    a statement, yields a dominator.
+    """
     _alternative_index(theory.schema, o)
-    s = _improving_swap(theory, o)
-    return None if s is None else o.override(s.better)
+    for s in theory.statements:
+        if o.extends(s.worse) and eval_formula(o, s.condition):
+            return o.override(s.better)
+    return None
 
 
 def optimum_check(
@@ -597,6 +591,8 @@ def optimum_check(
     by bit-set reach.  ``o`` is weakly undominated iff nothing is strictly
     better, dominating iff it reaches every alternative, and strongly
     dominating iff it is dominating and its only ancestor is itself."""
+    if not isinstance(kind, OptimumKind):
+        raise ValidationError(f"unknown optimum kind: {kind!r}")
     if kind is OptimumKind.UNDOMINATED:
         return undominated_check(theory, o)
     best = _cpnet_optimum(theory, cap)
@@ -606,8 +602,6 @@ def optimum_check(
     moves = list(_bit_moves(theory.schema, theory.statements))
     if kind is OptimumKind.WEAKLY_UNDOMINATED:
         return not _strictly_above(moves, i)
-    if kind not in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
-        raise ValidationError(f"unknown optimum kind: {kind!r}")
     if _reach(moves, i) != (1 << theory.schema.universe_size()) - 1:
         return False
     return kind is OptimumKind.DOMINATING or _reach(moves, i, backward=True) == 1 << i
@@ -627,6 +621,8 @@ def optimum_exists(
     dominating alternative's component is the only one, and a strongly
     dominating alternative is alone in it.
     """
+    if not isinstance(kind, OptimumKind):
+        raise ValidationError(f"unknown optimum kind: {kind!r}")
     best = _cpnet_optimum(theory, cap)
     if best is not None:
         return best
@@ -638,8 +634,6 @@ def optimum_exists(
             left &= ~targets
         return schema.alternative_at((left & -left).bit_length() - 1) if left else None
     weakly = kind is OptimumKind.WEAKLY_UNDOMINATED
-    if not weakly and kind not in (OptimumKind.DOMINATING, OptimumKind.STRONGLY_DOMINATING):
-        raise ValidationError(f"unknown optimum kind: {kind!r}")
     succ = _swap_graph(theory, cap)
     comp = [-1] * len(succ)
     sizes = [len(members) for members in _completed_components(succ, comp)]
@@ -660,35 +654,26 @@ def optimum_exists(
 
 def _cpnet_optimum(theory: CPTheory, cap: int) -> PartialInstantiation | None:
     """The forward sweep's alternative when the theory's statements form an
-    acyclic CP-net, else None.  A universe beyond ``cap`` is refused first,
-    as the exhaustive route refuses it."""
+    acyclic CP-net, else None; a universe beyond ``cap`` is refused first, as
+    the exhaustive route refuses it.  In a topological order of the
+    dependency graph, each attribute takes the head of its chain
+    (:func:`model._cpnet_tables`) under the values its parents took; no
+    condition is evaluated.  That alternative is strictly better than every
+    other (Boutilier et al., "CP-nets", JAIR 21, 2004), so it is the one
+    witness of every optimum kind, and the induced relation is antisymmetric."""
     _check_cap(theory.schema, cap)
     graph = dependency_graph(theory)
     order = graph.topological_order()
-    if order is None or not _is_cpnet_shape(theory, graph):
+    tables = None if order is None else _cpnet_tables(theory, graph)
+    if tables is None:
         return None
-    return forward_sweep(theory, order)
-
-
-def forward_sweep(theory: CPTheory, order: Sequence[str]) -> PartialInstantiation:
-    """The optimum of a theory whose statements form an acyclic CP-net
-    (:func:`model._is_cpnet_shape`), with ``order`` a topological order of
-    its dependency graph: each attribute in turn takes the value that heads
-    its chain under the values its parents took.  That alternative is
-    strictly better than every other (Boutilier et al., "CP-nets", JAIR 21,
-    2004), so it is the one witness of every optimum kind, and the induced
-    relation is antisymmetric.  Each statement is read once."""
-    rows: dict[str, list[CPStatement]] = {x: [] for x in order}
-    for s in theory.statements:
-        rows[next(iter(s.swapped))].append(s)
     values: dict[str, str] = {}
     for x in order:
-        better, worse = set(), set()
-        for s in rows[x]:
-            if s.condition.evaluate(values):
-                better.add(s.better[x])
-                worse.add(s.worse[x])
-        (values[x],) = better - worse
+        parents, chains = tables[x]
+        key = 0
+        for p, domain in parents:
+            key = key * len(domain) + domain.index(values[p])
+        values[x] = chains[key][0]
     return theory.schema.alternative(values)
 
 

@@ -625,29 +625,37 @@ def _conjuncts(f):
     return [*_conjuncts(f.left), *_conjuncts(f.right)] if isinstance(f, And) else [f]
 
 
-def _is_value_chain(pairs, values):
-    """Whether ``pairs`` are the links of some ordering of ``values``, each
-    link once: tried on every permutation of the domain."""
+def _value_chain(pairs, values):
+    """The ordering of ``values``, best first, whose links are ``pairs``, each
+    link once, or None: tried on every permutation of the domain."""
     links = sorted(pairs)
-    return any(links == sorted(zip(p, p[1:])) for p in itertools.permutations(values))
+    chains = (p for p in itertools.permutations(values) if links == sorted(zip(p, p[1:])))
+    return next(chains, None)
 
 
 def cpnet_shape_by_scan(theory, graph):
     """The CP-net shape test by evaluating every statement of an attribute at
     every instantiation of its parents in ``graph``: the reference for
-    ``model._is_cpnet_shape``."""
+    ``model._cpnet_tables``.  None when the statements are not CP-net
+    shaped; else, per attribute, its parents as ``(name, domain)`` pairs and
+    its value chain under each parent instantiation, keyed by the
+    instantiation's place in canonical order."""
     for s in theory.statements:
         if len(s.swapped) != 1 or s.free or _literal_table(s.condition) is None:
-            return False
+            return None
     schema = theory.schema
+    tables = {}
     for x in schema.names:
         parents = schema.ordered(p for p, y in graph.edges if y == x)
         rows = [s for s in theory.statements if s.swapped == {x}]
-        for u in schema.instantiations(parents):
+        chains = {}
+        for k, u in enumerate(schema.instantiations(parents)):
             pairs = [(s.better[x], s.worse[x]) for s in rows if eval_formula(u, s.condition)]
-            if not _is_value_chain(pairs, schema.domain(x)):
-                return False
-    return True
+            chains[k] = _value_chain(pairs, schema.domain(x))
+            if chains[k] is None:
+                return None
+        tables[x] = ([(p, schema.domain(p)) for p in parents], chains)
+    return tables
 
 
 def swaps_by_enumeration(statement, schema, attrs, fixed, condition=None):

@@ -447,7 +447,7 @@ def test_a_cpnet_beyond_the_cap_is_refused_before_the_cpnet_test(tmp_path, monke
     def refuse(*args):
         raise AssertionError("the CP-net test ran")
 
-    monkeypatch.setattr(semantics, "_is_cpnet_shape", refuse)
+    monkeypatch.setattr(semantics, "_cpnet_tables", refuse)
     refused = "error: universe of 4096 alternatives exceeds the cap of 2048"
     commands = [["linearisable", path]]
     for kind in OptimumKind:

@@ -336,6 +336,44 @@ def test_extends_check_refuses_an_incomplete_tree_after_a_violation():
         extends_check(ex2_theory(), partial)
 
 
+def test_extends_check_refuses_a_tree_over_another_schema():
+    # other names, and the same names over other values
+    theory = CPTheory(AttributeSchema.of([("A", ("a", "na")), ("B", ("b", "nb"))]), ())
+    others = ([("X", ("x", "nx")), ("Y", ("y", "ny"))], [("A", ("a", "na")), ("B", ("b", "b2"))])
+    for pairs in others:
+        schema = AttributeSchema.of(pairs)
+        tree = build_complete_lptree(CPTheory(schema, ()), 2)
+        with pytest.raises(ValidationError, match="over one schema"):
+            extends_check(theory, tree)
+
+
+def test_extends_check_filters_each_node_from_its_parent(monkeypatch):
+    import cpref.lexcompat as lexcompat
+    from cpref.lptree import iter_nodes
+
+    original = lexcompat.phi_at_node
+    calls = []
+
+    def recording(theory, ctx, among=None):
+        result = original(theory, ctx, among)
+        calls.append((ctx, among, result))
+        return result
+
+    monkeypatch.setattr(lexcompat, "phi_at_node", recording)
+    rng = random.Random(229)
+    for _ in range(10):
+        schema = random_schema(rng, max_attrs=4, max_domain=3)
+        tree = random_lptree(rng, schema, k=2, complete=True)
+        theory = lptree_to_statements(tree)
+        calls.clear()
+        assert extends_check(theory, tree)
+        active = {ctx: result for ctx, _, result in calls}
+        assert len(active) == len(calls) == sum(1 for _ in iter_nodes(tree))
+        for ctx, among, result in calls:
+            assert among is (None if ctx.parent is None else active[ctx.parent])
+            assert result == original(theory, ctx)
+
+
 def _merged_swaps(theory):
     """The theory with the statements that share a swap and free set merged
     into one, whose condition is the disjunction of theirs: the same swaps.

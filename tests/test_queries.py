@@ -425,6 +425,26 @@ def test_acyclic_cpnets_are_answered_by_the_sweep_without_the_universe(monkeypat
         assert _routed_rows(theory, alternatives) == expected
 
 
+def test_acyclic_cpnets_are_answered_without_evaluating_a_formula(monkeypatch):
+    # the optimum is read off the chains the CP-net test builds; only
+    # `--kind undominated --check` scans the statements' conditions
+    rng = random.Random(2119)
+    cases = []
+    for _ in range(60):
+        theory = cpnet_to_statements(random_cpnet(rng))
+        cases.append((theory, _sample(rng, theory, min(4, theory.schema.universe_size()))))
+    for cls in (model.Const, model.Atom, model.Not, model.And, model.Or, model.Implies, model.Iff):
+        monkeypatch.setattr(cls, "evaluate", _refuse(f"{cls.__name__}.evaluate"))
+    for theory, alternatives in cases:
+        assert semantics.linearisable(theory)
+        for kind in OptimumKind:
+            best = semantics.optimum_exists(theory, kind)
+            assert best is not None
+            if kind is not OptimumKind.UNDOMINATED:
+                for o in {best, *alternatives}:
+                    assert semantics.optimum_check(theory, o, kind) == (o == best)
+
+
 def _near_misses(rng, theory):
     """Copies of a CP-net's statements that are no CP-net: one statement
     dropped, repeated under an equivalent condition, or reversed in a chain

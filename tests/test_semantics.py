@@ -1086,6 +1086,26 @@ def test_optimum_exists():
     assert optimum_exists(cyclic, OptimumKind.UNDOMINATED) is None
 
 
+def test_an_unknown_optimum_kind_is_refused_before_any_route():
+    # the CP-net route, the statement routes and the cap check all come after the kind
+    net = cpnet_to_statements(ex8_net(2))
+    best = optimum_exists(net, OptimumKind.DOMINATING)
+    s = AttributeSchema.of([("X", ("x", "nx"))])
+    cyclic = CPTheory(
+        s,
+        (
+            CPStatement.make(s, {"X": "x"}, {"X": "nx"}),
+            CPStatement.make(s, {"X": "nx"}, {"X": "x"}),
+        ),
+    )
+    for theory, o in ((net, best), (cyclic, alt(s, X="x"))):
+        for cap in (DEFAULT_ORACLE_CAP, 1):
+            with pytest.raises(ValidationError, match="unknown optimum kind"):
+                optimum_exists(theory, "bogus", cap)
+            with pytest.raises(ValidationError, match="unknown optimum kind"):
+                optimum_check(theory, o, "bogus", cap)
+
+
 def test_optimum_exists_equals_the_definitions_on_the_closure():
     # free attributes and conditions with Not and Or; each kind's witness is
     # the first alternative that the closure's rows make optimal of that kind

@@ -165,24 +165,45 @@ def _cmd_oracle(args) -> CommandResult:
 
 
 def _parse_dimacs(text: str) -> list[list[int]]:
+    """The clauses of a DIMACS CNF text.  One ``p cnf <vars> <clauses>``
+    line comes before the first clause, and no literal names a variable
+    beyond ``<vars>``."""
+    missing = "CNF input needs a 'p cnf <vars> <clauses>' line before its clauses"
+    num_vars = None
     clauses: list[list[int]] = []
     current: list[int] = []
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith("%"):
             break  # the end marker of SATLIB-style files
-        if not stripped or stripped.startswith("c") or stripped.startswith("p"):
+        if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("p"):
+            fields = stripped.split()
+            try:
+                counts = [int(f) for f in fields[2:]] if fields[1:2] == ["cnf"] else []
+            except ValueError:
+                counts = []
+            if num_vars is not None or len(counts) != 2 or min(counts) < 0:
+                raise ValidationError(f"bad or repeated problem line {stripped!r} in CNF input")
+            num_vars = counts[0]
+            continue
+        if num_vars is None:
+            raise ValidationError(missing)
         for tok in stripped.split():
             try:
                 literal = int(tok)
             except ValueError:
                 raise ValidationError(f"bad literal {tok!r} in CNF input") from None
+            if abs(literal) > num_vars:
+                raise ValidationError(f"literal {literal} out of range for {num_vars} variables")
             if literal == 0:
                 clauses.append(current)
                 current = []
             else:
                 current.append(literal)
+    if num_vars is None:
+        raise ValidationError(missing)
     if current:
         clauses.append(current)
     return clauses

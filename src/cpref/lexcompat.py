@@ -8,9 +8,10 @@ checker certifies the result node by node against every active statement
 that swaps into the node's label.  The builder, the ranking and the checker
 place a node by its :class:`~cpref.lptree.PathContext`, and the checker
 reads each rule's closed order from the tree's one closed-rule walk.  The
-builder and the checker number a statement's swaps over a label's values,
-with the path's values fixed outside it (:func:`_swaps`); whole-universe
-swaps are the moves of :mod:`cpref.semantics`.
+builder and the checker read a statement's forced pairs over a label's
+values, with the path's values fixed outside it, from one list
+(:func:`_swaps`); whole-universe swaps are the moves of
+:mod:`cpref.semantics`.
 """
 
 from __future__ import annotations
@@ -96,16 +97,16 @@ def _swaps(
     attrs: Sequence[str],
     fixed: Mapping[str, str],
     condition: Formula | None = None,
-) -> tuple[list[int], int, int, list[int]]:
-    """The statement's swaps as offsets over ``attrs`` (in schema order,
+) -> list[tuple[int, int]]:
+    """The statement's forced pairs over ``attrs`` (in schema order,
     numbered in mixed radix with the first attribute slowest), with
     ``fixed`` the values known outside them.
 
-    Returns ``(bases, better, worse, free)``: ``base + better + f`` swaps to
-    ``base + worse + g`` for every base and every f, g in ``free``.  A base
-    fixes the remaining positions, and is kept when ``condition`` (default:
-    the statement's) is satisfiable together with ``fixed`` and the base's
-    condition values.
+    Each pair is ``(base + better + f, base + worse + g)``, listed by base,
+    then f, then g, with f and g ranging over the free attributes' values.
+    A base fixes the remaining positions, and is kept when ``condition``
+    (default: the statement's) is satisfiable together with ``fixed`` and
+    the base's condition values.
     """
     if condition is None:
         condition = statement.condition
@@ -132,7 +133,8 @@ def _swaps(
             shared = [r + step for step in steps for r in shared]
         stride *= len(domain)
     kept = [o for o, p in points if _consistent(condition, {**fixed, **dict(p)}, schema)]
-    return [c + r for c in kept for r in shared], better, worse, free
+    bases = [c + r for c in kept for r in shared]
+    return [(b + better + f, b + worse + g) for b in bases for f in free for g in free]
 
 
 def choose_attribute(
@@ -172,10 +174,7 @@ def choose_attribute(
             forced: set[tuple[int, int]] = set()
             for s in active:
                 if s.swapped & t_set:
-                    bases, better, worse, free = _swaps(s, schema, combo, assigned)
-                    forced.update(
-                        (b + better + f, b + worse + g) for b in bases for f in free for g in free
-                    )
+                    forced.update(_swaps(s, schema, combo, assigned))
             n = math.prod(len(schema.domain(a)) for a in combo)
             order = _deterministic_toposort(n, forced)
             if order is None:
@@ -275,16 +274,9 @@ def _extends_at(schema: AttributeSchema, ctx: PathContext, label, closed, active
         if s.free & ctx.ancestors:
             return False
         for rule, rows in closed:
-            bases, better, worse, free = _swaps(
-                s, schema, label, assigned, And(s.condition, rule.condition)
-            )
-            for b in bases:
-                for f in free:
-                    i = b + better + f
-                    for g in free:
-                        j = b + worse + g
-                        if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
-                            return False
+            for i, j in _swaps(s, schema, label, assigned, And(s.condition, rule.condition)):
+                if not (rows[i] >> j & 1 and not rows[j] >> i & 1):
+                    return False
     return True
 
 

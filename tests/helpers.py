@@ -661,7 +661,8 @@ def cpnet_shape_by_scan(theory, graph):
 def swaps_by_enumeration(statement, schema, attrs, fixed, condition=None):
     """``lexcompat._swaps`` by its former enumeration: every value
     combination of the condition's variables among ``attrs`` is a point,
-    and the points on which the condition is satisfiable are kept."""
+    and the points on which the condition is satisfiable are kept.  The
+    forced pairs are listed by base, then better free offset, then worse."""
     if condition is None:
         condition = statement.condition
     u = condition.variables()
@@ -682,7 +683,8 @@ def swaps_by_enumeration(statement, schema, attrs, fixed, condition=None):
             shared = [r + step for step in steps for r in shared]
         stride *= len(domain)
     kept = [o for o, p in points if _consistent(condition, {**fixed, **dict(p)}, schema)]
-    return [c + r for c in kept for r in shared], better, worse, free
+    bases = [c + r for c in kept for r in shared]
+    return [(b + better + f, b + worse + g) for b in bases for f in free for g in free]
 
 
 def random_preorder(rng: random.Random, schema, max_pairs=14):

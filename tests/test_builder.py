@@ -151,9 +151,7 @@ def test_forced_pairs_equal_the_swaps_between_alternatives_on_the_branch():
                 for o2 in branch
                 if sanctions(s, o, o2)
             }
-            bases, better, worse, free = _swaps(s, schema, label, dict(path.bindings))
-            forced = {(b + better + f, b + worse + g) for b in bases for f in free for g in free}
-            assert forced == swaps
+            assert set(_swaps(s, schema, label, dict(path.bindings))) == swaps
             checked += 1
     assert checked > 100
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,99 @@ def test_gen3sat_stops_at_the_satlib_end_marker(tmp_path):
         written.append(out.read_text(encoding="utf-8"))
     assert written[0] == written[1]
     assert len(parse_theory(written[0])) > 0
+
+
+def test_gen3sat_refuses_files_without_a_problem_line_or_with_literals_beyond_it(tmp_path):
+    # the schema is sized by the largest literal: with the problem line
+    # skipped, one literal of 300000 wrote a theory over 300,002 attributes
+    missing = "CNF input needs a 'p cnf <vars> <clauses>' line before its clauses"
+    refused = {
+        "p cnf 3 1\n1 -2 300000 0\n": "literal 300000 out of range for 3 variables",
+        "p cnf 2 1\n-3 0\n": "literal -3 out of range for 2 variables",
+        "1 -2 0\n": missing,
+        "1 -2 0\np cnf 2 1\n": missing,
+        "c no clauses\n": missing,
+        "p cnf 2\n1 0\n": "bad or repeated problem line 'p cnf 2' in CNF input",
+        "p cnf 2 1\np cnf 2 1\n1 0\n": "bad or repeated problem line 'p cnf 2 1' in CNF input",
+    }
+    for n, (text, message) in enumerate(refused.items()):
+        out = tmp_path / f"r{n}.cpt"
+        result = run(["gen3sat", _write(tmp_path, f"r{n}.cnf", text), "-o", str(out)])
+        assert result == CommandResult(2, "", f"error: {message}")
+        assert not out.exists()
+    # a variable declared but never used gets no attribute
+    out = tmp_path / "unused.cpt"
+    cnf = _write(tmp_path, "unused.cnf", "p cnf 3 1\n1 -2 0\n")
+    assert run(["gen3sat", cnf, "-o", str(out)]) == CommandResult(0, f"written: {out}", "")
+    names = parse_theory(out.read_text(encoding="utf-8")).schema.names
+    assert names == ("X1", "X2", "Y0", "Y1")
+
+
+def test_gen3sat_answers_seeded_dimacs_texts_without_raising(tmp_path):
+    # headers missing, malformed, repeated or after a clause, literals
+    # beyond the header, empty and unterminated clauses, comments and the
+    # SATLIB end marker; every number stays below 10
+    rng = random.Random(1973)
+    seen = Counter()
+    for n in range(200):
+        declared = rng.randint(0, 6)
+        top = 9 if rng.random() < 0.2 else max(declared, 1)
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 4))
+        ]
+        lines = [" ".join(map(str, c)) + " 0" for c in clauses]
+        if lines and rng.random() < 0.2:
+            lines[-1] = lines[-1][:-2]  # the last clause ends with the file
+        if rng.random() < 0.1:
+            # an empty clause, even right after an unterminated one
+            lines.insert(rng.randint(0, len(lines)), "0 0")
+        header, well_formed = rng.choice(
+            [(f"p cnf {declared} {len(clauses)}", True)] * 10
+            + [
+                (f"p  cnf {declared}  9 ", True),
+                (f"p cnf {declared}", False),
+                (f"p dnf {declared} 1", False),
+                ("p cnf x 1", False),
+                (f"p cnf -{declared + 1} 1", False),
+                (f"p cnf {declared} 1 1", False),
+            ]
+        )
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 2))):
+            lines.insert(0 if rng.random() < 0.7 else rng.randint(0, len(lines)), header)
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(("c comment", "", "   ")))
+        if rng.random() < 0.3:
+            lines += ["%", "0", "9 0", "p cnf 1 1"]  # read no further than the marker
+        read = lines[: lines.index("%")] if "%" in lines else lines
+        headers = [i for i, line in enumerate(read) if line.startswith("p")]
+        first_clause = min(
+            (i for i, line in enumerate(read) if line.strip() and line[0] not in "cp"),
+            default=len(read),
+        )
+        accepted = (
+            len(headers) == 1
+            and well_formed
+            and headers[0] < first_clause
+            and "0 0" not in read
+            and all(abs(l) <= declared for c in clauses for l in c)
+        )
+        out = tmp_path / f"f{n}.cpt"
+        result = run(["gen3sat", _write(tmp_path, f"f{n}.cnf", "\n".join(lines)), "-o", str(out)])
+        assert result.status == (0 if accepted else 2), (lines, result)
+        if accepted:
+            largest = max((abs(l) for c in clauses for l in c), default=1)
+            names = parse_theory(out.read_text(encoding="utf-8")).schema.names
+            assert [a for a in names if a[0] == "X"] == [f"X{i}" for i in range(1, largest + 1)]
+        else:
+            assert result.report == "" and result.diagnostics.startswith("error: ")
+            assert not out.exists()
+        seen["accepted" if accepted else "refused"] += 1
+        seen["end marker"] += "%" in lines
+        seen["no header"] += not headers
+        seen["late header"] += bool(headers) and headers[0] > first_clause
+        seen["literal beyond"] += any(abs(l) > declared for c in clauses for l in c)
+    assert min(seen.values()) >= 15, seen
 
 
 def test_limits_exist_only_where_they_bound_something(tmp_path, ex2_file):

@@ -857,8 +857,8 @@ def test_swaps_match_the_enumeration_of_every_condition_point():
         seen["label subset"] += bool(outside)
         seen["fixed"] += bool(fixed)
         seen["condition="] += given is not None
-        seen["kept bases"] += bool(got[0])
-        seen["no base"] += not got[0]
+        seen["kept bases"] += bool(got)
+        seen["no base"] += not got
     assert min(seen.values()) >= 30, seen
 
 

@@ -233,9 +233,10 @@ def _build_parser() -> _Parser:
         help="largest universe the exhaustive relation may enumerate; its reach "
         "bitsets take at most N*ceil(N/8) bytes for N alternatives (default "
         "65536: at most 512 MiB), plus ceil(N/8) for each relay of free values "
-        "that its sources have not all read; the searches from one alternative of "
-        "a theory's cut and optimal --check take about (2*S + V)*N/8 bytes "
-        "within the same cap, for S statements and V attribute values",
+        "that its sources have not all read, and only oracle and equiv build it "
+        "and its swap graph; a theory's linearisable, optimal, cut and top search "
+        "bit sets within the same cap, in about (2*S + V)*N/8 bytes for S "
+        "statements and V attribute values, and top N/8 more per candidate",
     )
 
     parser = _Parser(prog="cpref", description=__doc__)

@@ -50,6 +50,12 @@ from .semantics import Relation, assemble_top_p
 
 DEFAULT_NODE_BUDGET = 10**6
 
+# The largest schema the 3-SAT reduction builds.  It has one attribute per
+# variable up to the largest and one per clause, plus one, so without a
+# bound one large literal would size a theory far beyond its CNF text.
+# SATLIB's largest uniform instances (250 variables, 1065 clauses) need 1316.
+MAX_REDUCTION_ATTRIBUTES = 1 << 14
+
 
 class NodeBudgetError(RuntimeError):
     """Tree construction exceeded the configured node budget."""
@@ -341,7 +347,9 @@ def gen_3sat_reduction(
     ``l | {Yk} : Y(k-1)=t >= Y(k-1)=f``; a closing statement
     ``true | {Y0} : Ym=t >= Ym=f`` ties the chain shut.  With no clauses the
     free part would collide with the swap, so the closing statement is emitted
-    with an empty free part.
+    with an empty free part.  The schema has ``num_vars + len(clauses) + 1``
+    attributes, and one beyond :data:`MAX_REDUCTION_ATTRIBUTES` is refused
+    before any is built.
     """
     seen = {abs(l) for clause in clauses for l in clause}
     if num_vars is None:
@@ -353,6 +361,11 @@ def gen_3sat_reduction(
             if l == 0 or abs(l) > num_vars:
                 raise ValidationError(f"literal {l} out of range for {num_vars} variables")
     m = len(clauses)
+    if num_vars + m + 1 > MAX_REDUCTION_ATTRIBUTES:
+        raise ValidationError(
+            f"the reduction would have {num_vars + m + 1} attributes ({num_vars} "
+            f"variables, {m} clauses and one more), more than {MAX_REDUCTION_ATTRIBUTES}"
+        )
     names = [f"X{i}" for i in range(1, num_vars + 1)] + [f"Y{j}" for j in range(m + 1)]
     schema = AttributeSchema.of((n, ("t", "f")) for n in names)
     statements = []

@@ -6,18 +6,19 @@ swaps.  Swaps are index arithmetic over the alternatives' mixed-radix
 indices.  Each theory query is one function here, which picks its route.
 Dominance is decided by budgeted breadth-first reachability over those
 indices, one search per independent block where a pair differs.  The
-exhaustive closure oracle materialises the whole relation at desk scale to
-answer the query catalogue exactly: one strongly-connected-component pass
-with bitset reach sets serves every whole-universe query.  Without the
-reach sets the same pass decides linearisability and finds optimal
-alternatives in the components that nothing else enters.  Within the cap a
-statement is one move on sets of indices held as bit sets: the swap graph
-reads its edges off the moves, a cut of one alternative, and its
-optimality, are read off two searches from it through them, and the
-undominated alternatives are those that no move's targets cover.
-Equivalence closes a theory only to check the moves of the statements the
-other holds and it lacks.  An acyclic CP-net is linearisable, and its
-forward sweep is its optimum.
+exhaustive closure oracle materialises the whole relation at desk scale:
+one strongly-connected-component pass over the swap graph with bitset
+reach sets.  Only the oracle and equivalence, which reads it, build the
+swap graph.  Within the cap every other query treats a statement as one
+move on sets of indices held as bit sets, and iterates one level step
+through all the moves.  A cut of one alternative and its optimality are
+read off two searches from it; a top-p ranking off one search from each
+candidate; linearisability off peeling the alternatives with no successor
+left; optimal alternatives off climbing to strictly better ones, or ruling
+out whatever a dominated one reaches; and the undominated alternatives are
+those that no move's targets cover.  Equivalence closes a theory only to
+check the moves of the statements the other holds and it lacks.  An
+acyclic CP-net is linearisable, and its forward sweep is its optimum.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -52,9 +53,9 @@ from .model import (
 
 # Reach bitsets for N alternatives take at most N·ceil(N/8) bytes, 512 MiB
 # here, plus ceil(N/8) for each relay whose sources have not all read it.
-# A search from one alternative takes about (2|Γ| + Σ|D_a|)·N/8 bytes of
-# masks for |Γ| statements; the swap graph holds the Σ|D_a| value masks and
-# one statement's.
+# A query on the bit-set moves takes about (2|Γ| + Σ|D_a|)·N/8 bytes of
+# masks for |Γ| statements, plus N/8 per candidate for a top-p ranking;
+# the swap graph holds the Σ|D_a| value masks and one statement's.
 DEFAULT_ORACLE_CAP = 1 << 16
 
 
@@ -104,8 +105,8 @@ BUDGET_EXHAUSTED = _BudgetExhausted()
 # Alternatives are nodes 0..N-1, numbered by mixed-radix index.  One Tarjan
 # pass condenses a successor-list graph into strongly connected components,
 # completing sinks first; OR-ing Python-int bitsets over each component as
-# it completes gives every node's reach set (Nuutila 1995).  A query about
-# one alternative searches from it instead.
+# it completes gives every node's reach set (Nuutila 1995).  Only the
+# closure oracle needs every row; other queries search the bit-set moves.
 
 
 def _closed_rows(succ: list[list[int]], n: int) -> tuple[int, ...]:
@@ -118,7 +119,7 @@ def _closed_rows(succ: list[list[int]], n: int) -> tuple[int, ...]:
     targets' bitsets once, and drops it when its last predecessor has read
     it.  So one bitset of at most ``n`` bits is kept per component of
     alternatives, and one per relay that is complete while a predecessor is
-    not.
+    not.  :func:`closure_oracle` is its one caller.
     """
     comp = [-1] * len(succ)
     unread = [len(targets) for targets in succ[n:]]  # each relay's in-edges left
@@ -517,16 +518,19 @@ def closure_oracle(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> ExplicitP
 
 def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff the induced relation is antisymmetric: always on an acyclic
-    CP-net, and otherwise iff every strongly connected component of the
-    sanctioned-swap graph is a singleton."""
+    CP-net, and otherwise iff the sanctioned swaps form no cycle, by peeling
+    on bit sets (Kahn's algorithm).  Each round keeps only the alternatives
+    with a successor among those kept: the set empties iff there is no
+    cycle, and a round that removes nothing leaves a cycle."""
     if _cpnet_optimum(theory, cap) is not None:
         return True
-    succ = _swap_graph(theory, cap)
-    # stop at the first cyclic component; all() over a generator took ~8% longer
-    # than this loop when there is none
-    for members in _completed_components(succ, [-1] * len(succ)):
-        if len(members) > 1:
+    back = _reversed(_bit_moves(theory.schema, theory.statements))
+    kept = (1 << theory.schema.universe_size()) - 1
+    while kept:
+        left = _step(back, kept) & kept
+        if left == kept:
             return False
+        kept = left
     return True
 
 
@@ -534,9 +538,13 @@ def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP)
     """True iff both theories induce the same relation: iff every swap of
     each lies in the other's relation.  Only the statements one holds and
     the other does not need a check, so equal statement sets close nothing
-    and answer under any cap."""
+    and answer under any cap.  Declaration order is part of the schema, since
+    it numbers the alternatives."""
     if theory.schema != other.schema:
-        raise ValidationError("equivalence compares theories over the same schema")
+        raise ValidationError(
+            "equivalence compares theories over the same schema: the same attributes "
+            "and values, declared in the same order"
+        )
     return _swaps_within(theory, other, cap) and _swaps_within(other, theory, cap)
 
 
@@ -604,7 +612,7 @@ def optimum_check(
         return not _strictly_above(moves, i)
     if _reach(moves, i) != (1 << theory.schema.universe_size()) - 1:
         return False
-    return kind is OptimumKind.DOMINATING or _reach(moves, i, backward=True) == 1 << i
+    return kind is OptimumKind.DOMINATING or _reach(_reversed(moves), i) == 1 << i
 
 
 def optimum_exists(
@@ -614,12 +622,17 @@ def optimum_exists(
 
     An acyclic CP-net's forward sweep is its one witness of every kind.
     Otherwise an undominated alternative is one that no statement swaps
-    into (:func:`undominated_check`).  The other kinds are read off the
-    condensation of the swap graph: the weakly undominated alternatives
-    fill the components that no other component enters, of which there is
-    always one, and every component is reached from one of these.  So a
-    dominating alternative's component is the only one, and a strongly
-    dominating alternative is alone in it.
+    into (:func:`undominated_check`).  The other kinds are read off
+    alternatives' ancestors and descendants, by bit-set reach.  An
+    alternative is weakly undominated iff its ancestors are all among its
+    descendants; otherwise something strictly better reaches each of its
+    descendants, and none of them is.  So the first is found by taking the
+    lowest alternative not yet ruled out: it is the witness if it
+    qualifies, and otherwise its descendants are ruled out.  A climb from the first alternative
+    to the lowest strictly better one ends in a component that nothing else
+    enters.  A dominating alternative exists iff that component reaches all
+    N alternatives; the first is then its lowest member, and a strongly
+    dominating one is alone in it.
     """
     if not isinstance(kind, OptimumKind):
         raise ValidationError(f"unknown optimum kind: {kind!r}")
@@ -627,29 +640,32 @@ def optimum_exists(
     if best is not None:
         return best
     schema = theory.schema
-    n = schema.universe_size()
+    full = (1 << schema.universe_size()) - 1
     if kind is OptimumKind.UNDOMINATED:
-        left = (1 << n) - 1
+        left = full
         for _, targets, _, _ in _bit_moves(schema, theory.statements):
             left &= ~targets
         return schema.alternative_at((left & -left).bit_length() - 1) if left else None
-    weakly = kind is OptimumKind.WEAKLY_UNDOMINATED
-    succ = _swap_graph(theory, cap)
-    comp = [-1] * len(succ)
-    sizes = [len(members) for members in _completed_components(succ, comp)]
-    # every relay is entered, so each component nothing enters holds an alternative
-    entered = [False] * len(sizes)
-    for v, targets in enumerate(succ):
-        for w in targets:
-            if comp[w] != comp[v]:
-                entered[comp[w]] = True
-    first = next(i for i in range(n) if not entered[comp[i]])
-    if not weakly and (
-        entered.count(False) > 1
-        or kind is OptimumKind.STRONGLY_DOMINATING and sizes[comp[first]] > 1
-    ):
+    moves = list(_bit_moves(schema, theory.statements))
+    back = _reversed(moves)
+    if kind is OptimumKind.WEAKLY_UNDOMINATED:
+        left = full  # never empties: the lowest member of a source component stays
+        while True:
+            o = (left & -left).bit_length() - 1
+            down = _reach(moves, o)
+            if not _reach(back, o) & ~down:
+                return schema.alternative_at(o)
+            left &= ~down
+    o = 0
+    while True:
+        up, down = _reach(back, o), _reach(moves, o)
+        above = up & ~down
+        if not above:
+            break
+        o = (above & -above).bit_length() - 1
+    if down != full or kind is OptimumKind.STRONGLY_DOMINATING and up != 1 << o:
         return None
-    return schema.alternative_at(first)
+    return schema.alternative_at((up & -up).bit_length() - 1)
 
 
 def _cpnet_optimum(theory: CPTheory, cap: int) -> PartialInstantiation | None:
@@ -690,7 +706,7 @@ def cut_count(
     moves = list(_bit_moves(theory.schema, theory.statements))
     if strict:
         return _strictly_above(moves, i).bit_count()
-    return _reach(moves, i, backward=True).bit_count() - 1
+    return _reach(_reversed(moves), i).bit_count() - 1
 
 
 def strict_cut_extract(
@@ -719,7 +735,8 @@ def _cut_index(theory: CPTheory, o: PartialInstantiation, cap: int) -> int:
 # shift and one spread over the free digits.  The swap graph reads its edges
 # off the same moves.  A search from one alternative applies every statement
 # to each level's new states until none is added, so it takes at most N
-# levels.
+# levels; the peel of linearisability takes as many rounds as the longest
+# path of swaps.
 
 
 def _bit_moves(
@@ -813,39 +830,45 @@ def _formula_mask(f: Formula, masks: Mapping[tuple[str, str], int], full: int) -
 def _strictly_above(moves: list, i: int) -> int:
     """The alternatives strictly better than index ``i``: its ancestors
     that are not its descendants."""
-    above = _reach(moves, i, backward=True)
+    above = _reach(_reversed(moves), i)
     if above == 1 << i:
         return 0
     return above & ~_reach(moves, i)
 
 
-def _reach(moves: list, i: int, backward: bool = False) -> int:
-    """The indices reached from index ``i``, itself included, through the
-    moves (``backward``: against them), level by level.
+def _reversed(moves: Iterable[tuple]) -> list:
+    """The moves with better and worse exchanged: reach through them is
+    reach against ``moves``, so a query builds them once for all its
+    backward searches."""
+    return [(targets, sources, -delta, free) for sources, targets, delta, free in moves]
 
-    Going backwards is going forwards through the statements with better
-    and worse exchanged.
-    """
-    if backward:
-        moves = [(targets, sources, -delta, free) for sources, targets, delta, free in moves]
+
+def _reach(moves: list, i: int) -> int:
+    """The indices reached from index ``i``, itself included, through the
+    moves, level by level."""
     reached = frontier = 1 << i
     while frontier:
-        new = 0
-        for sources, _, delta, free in moves:
-            x = frontier & sources
-            if x:
-                x = x << delta if delta >= 0 else x >> -delta
-                for stride, values in free:  # fold the digit onto 0, then copy it out
-                    folded = x & values[0]
-                    for d in range(1, len(values)):
-                        folded |= (x & values[d]) >> d * stride
-                    x = folded
-                    for d in range(1, len(values)):
-                        x |= folded << d * stride
-                new |= x
-        frontier = new & ~reached
+        frontier = _step(moves, frontier) & ~reached
         reached |= frontier
     return reached
+
+
+def _step(moves: list, frontier: int) -> int:
+    """The indices one move away from the set ``frontier``."""
+    new = 0
+    for sources, _, delta, free in moves:
+        x = frontier & sources
+        if x:
+            x = x << delta if delta >= 0 else x >> -delta
+            for stride, values in free:  # fold the digit onto 0, then copy it out
+                folded = x & values[0]
+                for d in range(1, len(values)):
+                    folded |= (x & values[d]) >> d * stride
+                x = folded
+                for d in range(1, len(values)):
+                    x |= folded << d * stride
+            new |= x
+    return new
 
 
 def check_top_p(candidates: Sequence[PartialInstantiation], p: int) -> None:
@@ -901,9 +924,27 @@ def top_p_general(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> tuple[PartialInstantiation, ...]:
     """A top-p sequence of the candidate set: no later element is strictly
-    preferred to an earlier one.  Pairwise comparisons come from the oracle,
-    which is built only once ``p`` is known to be valid."""
+    preferred to an earlier one.  Once ``p`` is known to be valid, and the
+    universe within the cap, each distinct candidate's descendants are
+    searched by bit-set reach, and a pair is labelled off the two
+    candidates' searches (:func:`_reach_label`)."""
     items = list(dict.fromkeys(candidates))
     check_top_p(items, p)
-    oracle = closure_oracle(theory, cap)
-    return assemble_top_p(items, oracle.label, p, theory.schema)
+    schema = theory.schema
+    _check_cap(schema, cap)
+    indices = [_alternative_index(schema, o) for o in items]
+    moves = list(_bit_moves(schema, theory.statements))
+    below = {o: (i, _reach(moves, i)) for o, i in zip(items, indices)}
+    return assemble_top_p(items, partial(_reach_label, below), p, schema)
+
+
+def _reach_label(
+    below: Mapping[PartialInstantiation, tuple[int, int]],
+    o: PartialInstantiation,
+    o_prime: PartialInstantiation,
+) -> Relation:
+    """The label of a distinct pair of candidates, each mapped in ``below``
+    to its index and its descendants: ``o >= o'`` iff ``o'`` is among
+    ``o``'s descendants."""
+    (i, mine), (j, theirs) = below[o], below[o_prime]
+    return _label_from(bool(mine >> j & 1), bool(theirs >> i & 1))

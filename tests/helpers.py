@@ -351,6 +351,14 @@ def optimal_components(theory, kind, cap):
     return comp, optimal
 
 
+def linearisable_by_components(theory, cap):
+    """Whether every strongly connected component of the swap graph is a
+    singleton, in one Tarjan pass that stops at the first that is not; the
+    reference for the peel of :func:`semantics.linearisable`."""
+    succ = _swap_graph(theory, cap)
+    return all(len(members) == 1 for members in _completed_components(succ, [-1] * len(succ)))
+
+
 def product_space_dominates(theory, o, o_prime, budget=None):
     """``o >= o'`` by one breadth-first search over the whole alternative
     space through every statement, ``budget`` bounding the states stored,

@@ -12,6 +12,7 @@ from cpref import (
     Relation,
     closure_oracle,
     is_complete,
+    lexcompat,
     linearisable,
     lptree_to_statements,
     model,
@@ -28,6 +29,7 @@ from cpref.cli import CommandResult, run
 from cpref.textio import format_instantiation
 from helpers import (
     EX2_DSL,
+    is_antisymmetric,
     random_lptree,
     random_schema,
     random_theory,
@@ -140,6 +142,22 @@ def test_equiv(tmp_path):
     assert run(["equiv", base, base]).status == 0
     result = run(["equiv", single, _write(tmp_path, "empty.cpt", "attr A: a, na\n")])
     assert result.status == 1 and result.report == "equivalent: no"
+
+
+def test_equiv_refuses_schemas_declared_in_another_order(tmp_path):
+    # the same statement over A, B and over B, A: declaration order numbers
+    # the alternatives, so it is part of the schema
+    statement = "stmt true : A=a >= A=na\n"
+    ab = _write(tmp_path, "ab.cpt", "attr A: a, na\nattr B: b, nb\n" + statement)
+    ba = _write(tmp_path, "ba.cpt", "attr B: b, nb\nattr A: a, na\n" + statement)
+    swapped = _write(tmp_path, "swapped.cpt", "attr A: na, a\nattr B: b, nb\n" + statement)
+    message = (
+        "error: equivalence compares theories over the same schema: the same attributes "
+        "and values, declared in the same order"
+    )
+    for other in (ba, swapped):
+        assert run(["equiv", ab, other]) == CommandResult(2, "", message)
+    assert run(["equiv", ab, ab]) == CommandResult(0, "equivalent: yes", "")
 
 
 def test_top(tmp_path, ex2_file):
@@ -370,6 +388,50 @@ def test_undominated_existence_builds_no_swap_graph(tmp_path, monkeypatch):
         assert (result.status, result.report) == (1 if answer == "none" else 0, answer)
 
 
+def test_linearisable_optimal_existence_and_top_build_no_swap_graph(tmp_path, monkeypatch):
+    # the peel, the climb, the elimination and one search per candidate, on
+    # theories with cycles and free attributes; each answer is the one the
+    # closure gives
+    rng = random.Random(191)
+    theories = [parse_theory(CYCLIC), parse_theory(EX9)]
+    theories += [random_theory(rng, random_schema(rng, max_attrs=4), 8) for _ in range(10)]
+    cases = []
+    for k, theory in enumerate(theories):
+        path = _write(tmp_path, f"r{k}.cpt", serialize_theory(theory))
+        n = theory.schema.universe_size()
+        oracle = closure_oracle(theory)
+        universe, rows = oracle.universe, oracle.rows
+        linear = "yes" if is_antisymmetric(oracle) else "no"
+        cases.append((["linearisable", path], f"linearisable: {linear}"))
+        above = [[j for j, row in enumerate(rows) if j != i and row >> i & 1] for i in range(n)]
+        dominating = [row == (1 << n) - 1 for row in rows]
+        for kind, optimal in (
+            ("weakly-undominated", [all(rows[i] >> j & 1 for j in js) for i, js in enumerate(above)]),
+            ("dominating", dominating),
+            ("strongly-dominating", [d and not js for d, js in zip(dominating, above)]),
+        ):
+            first = next((o for o, yes in zip(universe, optimal) if yes), None)
+            answer = "none" if first is None else format_instantiation(first)
+            cases.append((["optimal", path, "--kind", kind], answer))
+        candidates = rng.sample(universe, min(n, 6))
+        set_file = _write(tmp_path, f"r{k}.txt", "\n".join(map(format_instantiation, candidates)))
+        for p in range(len(candidates)):
+            ranked = semantics.assemble_top_p(candidates, oracle.label, p, theory.schema)
+            argv = ["top", path, "--set", set_file, "-p", str(p)]
+            cases.append((argv, "\n".join(map(format_instantiation, ranked))))
+    reports = Counter(report for argv, report in cases if argv[0] != "top")
+    assert reports["linearisable: no"] and reports["linearisable: yes"] and reports["none"]
+
+    def refuse(*args):
+        raise AssertionError("built the swap graph or closed the whole relation")
+
+    monkeypatch.setattr(semantics, "_swap_graph", refuse)
+    monkeypatch.setattr(semantics, "closure_oracle", refuse)
+    for argv, report in cases:
+        status = 1 if report in ("none", "linearisable: no") else 0
+        assert run(argv) == CommandResult(status, report, ""), argv
+
+
 def test_cut_geq_count(ex2_file):
     result = run(["cut", ex2_file, "--alt", "W=w,C=c2,P=np", "--count", "--geq"])
     assert result.status == 0 and result.report.isdigit()
@@ -507,6 +569,24 @@ def test_gen3sat_refuses_files_without_a_problem_line_or_with_literals_beyond_it
     assert run(["gen3sat", cnf, "-o", str(out)]) == CommandResult(0, f"written: {out}", "")
     names = parse_theory(out.read_text(encoding="utf-8")).schema.names
     assert names == ("X1", "X2", "Y0", "Y1")
+
+
+def test_gen3sat_refuses_a_reduction_beyond_the_attribute_bound(tmp_path):
+    # largest variable + clauses + 1 attributes: a problem line of 100000
+    # variables and one clause over the last wrote 100,002 attributes
+    bound = lexcompat.MAX_REDUCTION_ATTRIBUTES
+    inside = tmp_path / "inside.cpt"
+    cnf = _write(tmp_path, "inside.cnf", f"p cnf {bound - 2} 1\n1 -{bound - 2} 0\n")
+    assert run(["gen3sat", cnf, "-o", str(inside)]) == CommandResult(0, f"written: {inside}", "")
+    assert len(parse_theory(inside.read_text(encoding="utf-8")).schema.names) == bound
+    past = tmp_path / "past.cpt"
+    cnf = _write(tmp_path, "past.cnf", f"p cnf {bound - 1} 1\n1 -{bound - 1} 0\n")
+    message = (
+        f"error: the reduction would have {bound + 1} attributes ({bound - 1} variables, "
+        f"1 clauses and one more), more than {bound}"
+    )
+    assert run(["gen3sat", cnf, "-o", str(past)]) == CommandResult(2, "", message)
+    assert not past.exists()
 
 
 def test_gen3sat_answers_seeded_dimacs_texts_without_raising(tmp_path):

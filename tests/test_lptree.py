@@ -3,13 +3,13 @@ import random
 import pytest
 
 from cpref import lptree as lptree_module
+from cpref import semantics
 from cpref import (
     And,
     Atom,
     AttributeSchema,
     CPStatement,
     CPTheory,
-    ExplicitPreorder,
     LinkKind,
     LPNode,
     LPRule,
@@ -801,7 +801,8 @@ def test_top_p_equals_ranking_on_every_pair_compared_first():
 
 def test_top_p_labels_each_unordered_pair_at_most_once(monkeypatch):
     # Both routes share the ranking's one pair memo: the tree route labels
-    # through compare_lptree, the oracle route through ExplicitPreorder.label.
+    # through compare_lptree, the theory route through the candidates'
+    # bit-set searches (semantics._reach_label).
     asked = []
 
     def recording(original):
@@ -812,7 +813,7 @@ def test_top_p_labels_each_unordered_pair_at_most_once(monkeypatch):
         return label
 
     monkeypatch.setattr(lptree_module, "compare_lptree", recording(compare_lptree))
-    monkeypatch.setattr(ExplicitPreorder, "label", recording(ExplicitPreorder.label))
+    monkeypatch.setattr(semantics, "_reach_label", recording(semantics._reach_label))
     rng = random.Random(137)
     for tree in _tree_sample(seed=137, count=20):
         theory = lptree_to_statements(tree)

@@ -621,13 +621,12 @@ def cpnet_to_statements(net: CPNet) -> CPTheory:
 # Graphs
 
 
-def _bits(x: int, step: int = 1) -> Iterator[int]:
-    """Positions of the set bits of ``x`` that are multiples of ``step``,
-    ascending."""
-    digits = bin(x)[:1:-1][::step]
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, ascending."""
+    digits = bin(x)[:1:-1]
     j = digits.find("1")
     while j >= 0:
-        yield j * step
+        yield j
         j = digits.find("1", j + 1)
 
 

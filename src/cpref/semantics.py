@@ -7,18 +7,20 @@ indices.  Each theory query is one function here, which picks its route.
 Dominance is decided by budgeted breadth-first reachability over those
 indices, one search per independent block where a pair differs.  The
 exhaustive closure oracle materialises the whole relation at desk scale:
-one strongly-connected-component pass over the swap graph with bitset
-reach sets.  Only the oracle and equivalence, which reads it, build the
-swap graph.  Within the cap every other query treats a statement as one
-move on sets of indices held as bit sets, and iterates one level step
-through all the moves.  A cut of one alternative and its optimality are
-read off two searches from it; a top-p ranking off one search from each
-candidate; linearisability off peeling the alternatives with no successor
-left; optimal alternatives off climbing to strictly better ones, or ruling
-out whatever a dominated one reaches; and the undominated alternatives are
-those that no move's targets cover.  Equivalence closes a theory only to
-check the moves of the statements the other holds and it lacks.  An
-acyclic CP-net is linearisable, and its forward sweep is its optimum.
+one strongly-connected-component pass over the swap graph, whose edges are
+listed straight off each statement's move, with bitset reach sets.  Only
+the oracle and equivalence, which reads it, build the swap graph.  Within
+the cap every other query treats a statement as one move on sets of
+indices held as bit sets, and iterates one level step through the moves.
+A cut of one alternative and its optimality are read off two searches from
+it; a top-p ranking off one search from each candidate; linearisability
+off peeling the alternatives with no successor left; optimal alternatives
+off climbing to strictly better ones, or ruling out whatever a dominated
+one reaches; and the undominated alternatives are those that no move's
+targets cover.  Equivalence closes a theory only if the other holds a
+statement it lacks; each source of that statement's move takes one level
+step, which must stay inside the source's row of the closure.  An acyclic
+CP-net is linearisable, and its forward sweep is its optimum.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def _closed_rows(succ: list[list[int]], n: int) -> tuple[int, ...]:
     targets' bitsets once, and drops it when its last predecessor has read
     it.  So one bitset of at most ``n`` bits is kept per component of
     alternatives, and one per relay that is complete while a predecessor is
-    not.  :func:`closure_oracle` is its one caller.
+    not.  :func:`closure_oracle` closes the swap graph through it, and
+    ``lptree._rule_rows`` each tree rule's graph, which has no relays.
     """
     comp = [-1] * len(succ)
     unread = [len(targets) for targets in succ[n:]]  # each relay's in-edges left
@@ -484,23 +487,29 @@ def _check_cap(schema: AttributeSchema, cap: int) -> None:
 
 def _swap_graph(theory: CPTheory, cap: int) -> list[list[int]]:
     """Successor lists of the sanctioned-swap graph over alternative indices,
-    read off the statements' moves (:func:`_swap_groups`); a universe beyond
-    the cap is refused before anything is allocated.
+    read off the statements' moves (:func:`_bit_moves`), one at a time; a
+    universe beyond the cap is refused before anything is allocated.
 
-    Sources that differ only on a statement's free attributes share their
-    targets, so each such group is linked through one relay node numbered
-    past the alternatives: 2·|F| edges instead of |F|² for a group of |F|
-    free combinations.
+    ``base + f`` swaps to ``base + delta + g`` for every base and every f, g
+    in the offsets: a base is a source with its free digits zeroed, and the
+    offsets set those digits, one per combination of values.  Sources that
+    share a base share their targets, so each such group is linked through
+    one relay node numbered past the alternatives: 2·|F| edges instead of
+    |F|² for a group of |F| free combinations.
     """
     schema = theory.schema
     _check_cap(schema, cap)
     succ: list[list[int]] = [[] for _ in range(schema.universe_size())]
-    for bases, delta, offsets in _swap_groups(schema, theory.statements):
+    for sources, _, delta, free in _bit_moves(schema, theory.statements):
+        offsets = [0]
+        for stride, values in free:
+            sources &= values[0]
+            offsets = [f + d * stride for f in offsets for d in range(len(values))]
         if len(offsets) == 1:
-            for b in bases:
+            for b in _bits(sources):
                 succ[b].append(b + delta)
             continue
-        for b in bases:
+        for b in _bits(sources):
             relay = len(succ)
             succ.append([b + delta + g for g in offsets])
             for f in offsets:
@@ -537,9 +546,10 @@ def linearisable(theory: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
 def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff both theories induce the same relation: iff every swap of
     each lies in the other's relation.  Only the statements one holds and
-    the other does not need a check, so equal statement sets close nothing
-    and answer under any cap.  Declaration order is part of the schema, since
-    it numbers the alternatives."""
+    the other does not need a check, by one level step from each of their
+    sources against the other's closure (:func:`_swaps_within`), so equal
+    statement sets close nothing and answer under any cap.  Declaration
+    order is part of the schema, since it numbers the alternatives."""
     if theory.schema != other.schema:
         raise ValidationError(
             "equivalence compares theories over the same schema: the same attributes "
@@ -551,16 +561,19 @@ def equivalent(theory: CPTheory, other: CPTheory, cap: int = DEFAULT_ORACLE_CAP)
 def _swaps_within(theory: CPTheory, other: CPTheory, cap: int) -> bool:
     """True iff every swap of a statement of ``theory`` that ``other`` lacks
     lies in the relation of ``other``; its closure is built only if there
-    is such a statement, and read one source row per swap."""
+    is such a statement.  Each source of such a statement's move takes one
+    level step (:func:`_step`) through that move alone, which must stay
+    inside the source's row of the closure."""
     held = set(other.statements)
     extra = [s for s in theory.statements if s not in held]
     if not extra:
         return True
     rows = closure_oracle(other, cap).rows
-    for bases, delta, offsets in _swap_groups(theory.schema, extra):
-        for b in bases:
-            targets = sum(1 << b + delta + g for g in offsets)
-            if any(rows[b + f] & targets != targets for f in offsets):
+    for move in _bit_moves(theory.schema, extra):
+        alone = [move]
+        for o in _bits(move[0]):
+            below = _step(alone, 1 << o)
+            if rows[o] & below != below:
                 return False
     return True
 
@@ -733,10 +746,11 @@ def _cut_index(theory: CPTheory, o: PartialInstantiation, cap: int) -> int:
 # moves each of its sources by the same index shift and then sets its free
 # digits at will, so the image of a whole set under it is one mask, one
 # shift and one spread over the free digits.  The swap graph reads its edges
-# off the same moves.  A search from one alternative applies every statement
-# to each level's new states until none is added, so it takes at most N
-# levels; the peel of linearisability takes as many rounds as the longest
-# path of swaps.
+# off the same moves, one source at a time, and equivalence steps each
+# source of a move apart.  A search from one alternative applies every
+# statement to each level's new states until none is added, so it takes at
+# most N levels; the peel of linearisability takes as many rounds as the
+# longest path of swaps.
 
 
 def _bit_moves(
@@ -773,37 +787,6 @@ def _bit_moves(
             targets &= masks[a, worse]
         delta = schema.offset(s.worse) - schema.offset(s.better)
         yield sources, targets, delta, [places[a] for a in s.free]
-
-
-def _swap_groups(
-    schema: AttributeSchema, statements: Sequence[CPStatement]
-) -> Iterator[tuple[list[int], int, list[int]]]:
-    """Each statement's swaps, read off its move (:func:`_bit_moves`), as
-    ``(bases, delta, offsets)``: ``base + f`` swaps to ``base + delta + g``
-    for every base and every f, g in ``offsets``.  A base is a source with
-    its free digits zeroed, so sources that differ only on the free digits
-    share it; the offsets set those digits, one per combination of values.
-
-    The bases depend only on the digits the statement reads or writes, so
-    they fill whole aligned blocks of the lowest one's stride and repeat
-    with the place value just above the highest one: they are read off the
-    first period, one bit per block, ascending, and repeated over the rest.
-    """
-    n = schema.universe_size()
-    for s, (sources, _, delta, free) in zip(statements, _bit_moves(schema, statements)):
-        digits = [
-            schema.position(a)
-            for a in (*s.condition.variables(), *s.free, *(a for a, _ in s.better.bindings))
-        ]
-        top, low = min(digits), schema.strides[max(digits)]
-        period = schema.strides[top] * len(schema.attributes[top].values)
-        offsets = [0]
-        for stride, values in free:
-            sources &= values[0]
-            offsets = [f + d * stride for f in offsets for d in range(len(values))]
-        heads = list(_bits(sources & ((1 << period) - 1), low))
-        bases = [q + h + r for q in range(0, n, period) for h in heads for r in range(low)]
-        yield bases, delta, offsets
 
 
 def _formula_mask(f: Formula, masks: Mapping[tuple[str, str], int], full: int) -> int:

@@ -789,6 +789,23 @@ def test_only_the_whole_relation_queries_build_the_swap_graph():
     assert _references("_swap_graph") == sorted(("semantics", f) for f in allowed)
 
 
+def test_only_the_whole_universe_routes_read_the_bit_moves():
+    # a second lister of whole-universe swaps must not come back beside the
+    # moves; equivalence checks a swap with the level step every search runs
+    routes = {
+        "linearisable",
+        "optimum_check",
+        "optimum_exists",
+        "cut_count",
+        "strict_cut_extract",
+        "top_p_general",
+        "_swap_graph",
+        "_swaps_within",
+    }
+    assert set(_references("_bit_moves")) == {("semantics", f) for f in routes}
+    assert ("semantics", "_swaps_within") in _references("_step")
+
+
 def test_only_the_builder_and_the_checker_number_swaps_over_a_label():
     # whole-universe swaps are the moves of _bit_moves; _swaps numbers them
     # over a label's values only
@@ -875,6 +892,12 @@ def test_a_full_table_cpnet_builds_its_swap_graph_in_time_linear_in_the_table():
     assert time.perf_counter() - start < 1
     # an acyclic CP-net's worst alternative is worse than every other
     assert count == schema.universe_size() - 1
+    # cut_count searches bit sets; the closure lists every swap of the table
+    start = time.perf_counter()
+    rows = closure_oracle(theory).rows
+    assert time.perf_counter() - start < 2
+    assert bin(rows[schema.offset(worst)]).count("1") == 1
+    assert all(row >> schema.offset(worst) & 1 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +977,9 @@ def test_equivalence_agrees_with_closing_both_theories():
         assert equivalent(other, theory) is expected
         seen["equivalent" if expected else "not"] += 1
         seen["same statements"] += set(theory.statements) == set(other.statements)
+        lacked = set(theory.statements) ^ set(other.statements)
+        seen["lacked, free"] += any(s.free for s in lacked)
+        seen["lacked, conditional"] += any(s.condition.variables() for s in lacked)
     assert min(seen.values()) >= 20, seen
 
 

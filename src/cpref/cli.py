@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,8 +150,17 @@ def _cmd_cut(args) -> CommandResult:
     return CommandResult(EXIT_OK, textio.format_instantiation(answer), warning)
 
 
+def _refuse_overwriting(source: str, out: str) -> None:
+    """Refuse an output path that resolves to the input file, before any
+    output is written."""
+    if os.path.exists(out) and os.path.samefile(source, out):
+        raise ValidationError(f"-o {out} names the input file; it would be overwritten")
+
+
 def _cmd_compile(args) -> CommandResult:
-    tree = queries.compile(_load_document(args.file), args.k, args.node_budget)
+    doc = _load_document(args.file)
+    _refuse_overwriting(args.file, args.out)
+    tree = queries.compile(doc, args.k, args.node_budget)
     if tree is None:
         return CommandResult(EXIT_NO, f"FAILURE: not {args.k}-lexico-compatible")
     Path(args.out).write_text(textio.serialize_lptree(tree), encoding="utf-8")
@@ -210,7 +220,9 @@ def _parse_dimacs(text: str) -> list[list[int]]:
 
 
 def _cmd_gen3sat(args) -> CommandResult:
-    clauses = _parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+    text = Path(args.cnf).read_text(encoding="utf-8")
+    _refuse_overwriting(args.cnf, args.out)
+    clauses = _parse_dimacs(text)
     theory = lexcompat.gen_3sat_reduction(clauses)
     Path(args.out).write_text(textio.serialize_theory(theory), encoding="utf-8")
     return CommandResult(EXIT_OK, f"written: {args.out}")
@@ -304,7 +316,14 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("-k", type=_positive_int, required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--node-budget", type=_positive_int, default=lexcompat.DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--node-budget",
+        type=_positive_int,
+        default=lexcompat.DEFAULT_NODE_BUDGET,
+        help="most nodes the written tree may have, a subtree shared by several "
+        "branches counted at each place it is written (default %(default)s); "
+        "exit 3 beyond it",
+    )
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("oracle", parents=[capped], help="dump the exhaustive relation")

@@ -5,13 +5,15 @@ most k attributes induces a relation extending the theory's.  The builder
 grows such a tree top-down, labelling each node with a candidate attribute
 group and a linear order that no active statement contradicts; the extension
 checker certifies the result node by node against every active statement
-that swaps into the node's label.  The builder, the ranking and the checker
-place a node by its :class:`~cpref.lptree.PathContext`, and the checker
-reads each rule's closed order from the tree's one closed-rule walk.  The
-builder and the checker read a statement's forced pairs over a label's
-values, with the path's values fixed outside it, from one list
-(:func:`_swaps`); whole-universe swaps are the moves of
-:mod:`cpref.semantics`.
+that swaps into the node's label.  The builder grows each distinct node key
+once and writes the subtree it gives wherever the key recurs, with one
+unlabelled edge where all of a node's children coincide.  The builder, the
+ranking and the checker place a node by its
+:class:`~cpref.lptree.PathContext`, and the checker reads each rule's closed
+order from the tree's one closed-rule walk.  The builder and the checker
+read a statement's forced pairs over a label's values, with the path's
+values fixed outside it, from one list (:func:`_swaps`); whole-universe
+swaps are the moves of :mod:`cpref.semantics`.
 """
 
 from __future__ import annotations
@@ -196,39 +198,74 @@ def build_complete_lptree(
     """Grow a complete tree with labels of width at most k whose relation
     extends the theory's; None when the theory is not k-lexico-compatible.
 
-    Nodes are expanded depth first, leftmost child first; every edge is
-    labelled and every node carries a single unconditional rule, so a failure
-    at any node is final.  Each node's active statements are filtered from
-    its parent's, never from the whole theory again.  Nothing is kept between
-    calls.
+    Nodes are expanded depth first, leftmost child first, and every node
+    carries a single unconditional rule, so a failure at any node is final.
+    Each node's active statements are filtered from its parent's, never from
+    the whole theory again.  A node's subtree depends only on its key: the
+    placed attributes, the active statements and the path values of the
+    attributes their conditions name.  Each distinct key is grown once, and
+    nodes with equal keys share its subtree object.  A node whose children
+    are all that one object has it as a single unlabelled child (``edge *``,
+    the reduced-BDD redundant-test rule); every other edge is labelled, one
+    per label value.  ``node_budget`` bounds the nodes of the tree as it is
+    written, a shared subtree counted at each place it is written, so it
+    bounds the work as well.  Nothing is kept between calls.
     """
     schema = theory.schema
     if not schema.attributes:
         raise ValidationError("tree construction needs at least one attribute")
-    created = 0
+    all_names = frozenset(schema.names)
+    reads = {id(s): s.condition.variables() for s in theory.statements}
+    grown: dict[tuple, tuple[LPNode, int]] = {}  # key -> (subtree, written size)
+    written = 0
 
-    def grow(ctx: PathContext, above: tuple[CPStatement, ...] | None) -> LPNode | None:
-        nonlocal created
-        created += 1
-        if created > node_budget:
+    def take(n: int) -> None:
+        nonlocal written
+        written += n
+        if written > node_budget:
             raise NodeBudgetError(f"tree construction exceeded {node_budget} nodes")
+
+    def grow(ctx: PathContext, above: tuple[CPStatement, ...] | None) -> tuple[LPNode, int] | None:
+        """The subtree at ``ctx`` and its written size.  A subtree grown
+        here counts its own nodes; one found under its key counts none."""
         active = phi_at_node(theory, ctx, above)
+        ids = tuple(map(id, active))
+        read = set()
+        for i in ids:
+            read |= reads[i]
+        key = (ctx.ancestors, ids, tuple([b for b in ctx.assigned.bindings if b[0] in read]))
+        if key in grown:
+            return grown[key]
+        take(1)
         cand = choose_attribute(theory, ctx, k, active)
         if cand is None:
             return None
         rule = strict_chain_rule(TRUE, cand.order)
-        if ctx.ancestors | set(cand.attrs) == set(schema.names):
-            return LPNode(cand.attrs, (rule,), ())
+        if ctx.ancestors.union(cand.attrs) == all_names:
+            grown[key] = LPNode(cand.attrs, (rule,), ()), 1
+            return grown[key]
         edges = []
+        shared = True  # every child so far is one object
+        total = 0  # the children's written sizes, summed
+        start = written
         for value in schema.instantiations(cand.attrs):
-            child = grow(ctx.child(cand.attrs, value), active)
-            if child is None:
+            got = grow(ctx.child(cand.attrs, value), active)
+            if got is None:
                 return None
+            child, size = got
+            shared = shared and (not edges or child is edges[0][1])
             edges.append((value, child))
-        return LPNode(cand.attrs, (rule,), tuple(edges))
+            total += size
+            # bring the count to the children's written size, which is one
+            # child's while they are all one object
+            take((size if shared else total) - (written - start))
+        if shared:
+            edges = [(None, edges[0][1])]
+        grown[key] = LPNode(cand.attrs, (rule,), tuple(edges)), 1 + written - start
+        return grown[key]
 
-    root = grow(PathContext.root(schema), None)
-    return None if root is None else LPTree(schema, root)
+    got = grow(PathContext.root(schema), None)
+    return None if got is None else LPTree(schema, got[0])
 
 
 def is_k_lexico_compatible(theory: CPTheory, k: int) -> bool:

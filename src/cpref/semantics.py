@@ -836,6 +836,39 @@ def _reach(moves: list, i: int) -> int:
     return reached
 
 
+def _reach_each(moves: list, starts: Sequence[int]) -> dict[int, int]:
+    """:func:`_reach` from each of the distinct indices ``starts``.  A
+    search whose level meets another start searches that one first, unless
+    it is under way, then takes its set whole and goes on without it; so
+    where the moves form one path, each index is stepped from about once."""
+    below: dict[int, int] = {}
+    searched = 0  # the starts in ``below``
+    waiting = sum(1 << i for i in starts)  # the starts neither searched nor under way
+    for start in starts:
+        if start in below:
+            continue
+        waiting &= ~(1 << start)
+        stack = [(start, 1 << start, 1 << start)]  # (start, reached, last level)
+        while stack:
+            i, reached, frontier = stack.pop()
+            if frontier & searched:
+                for j in _bits(frontier & searched):
+                    reached |= below[j]
+                    frontier &= ~below[j]
+            met = frontier & waiting
+            if met:
+                j = (met & -met).bit_length() - 1
+                waiting &= ~(1 << j)
+                stack += [(i, reached, frontier), (j, 1 << j, 1 << j)]
+            elif frontier:
+                frontier = _step(moves, frontier) & ~reached
+                stack.append((i, reached | frontier, frontier))
+            else:
+                below[i] = reached
+                searched |= 1 << i
+    return below
+
+
 def _step(moves: list, frontier: int) -> int:
     """The indices one move away from the set ``frontier``."""
     new = 0
@@ -909,15 +942,16 @@ def top_p_general(
     """A top-p sequence of the candidate set: no later element is strictly
     preferred to an earlier one.  Once ``p`` is known to be valid, and the
     universe within the cap, each distinct candidate's descendants are
-    searched by bit-set reach, and a pair is labelled off the two
-    candidates' searches (:func:`_reach_label`)."""
+    searched by bit-set reach (:func:`_reach_each`), and a pair is labelled
+    off the two candidates' searches (:func:`_reach_label`)."""
     items = list(dict.fromkeys(candidates))
     check_top_p(items, p)
     schema = theory.schema
     _check_cap(schema, cap)
     indices = [_alternative_index(schema, o) for o in items]
     moves = list(_bit_moves(schema, theory.statements))
-    below = {o: (i, _reach(moves, i)) for o, i in zip(items, indices)}
+    reach = _reach_each(moves, indices)
+    below = {o: (i, reach[i]) for o, i in zip(items, indices)}
     return assemble_top_p(items, partial(_reach_label, below), p, schema)
 
 

@@ -34,7 +34,8 @@ from cpref import (
     eval_formula,
     strict_chain_rule,
 )
-from cpref.lptree import _branch, _label_index, _strictly_above
+from cpref.lexcompat import DEFAULT_NODE_BUDGET, NodeBudgetError, choose_attribute, phi_at_node
+from cpref.lptree import PathContext, _branch, _label_index, _strictly_above, iter_nodes
 from cpref.model import _bits, _completed_components, _consistent, _literal_table, conjunction
 from cpref.semantics import (
     _alternative_index,
@@ -796,3 +797,67 @@ def brute_force_sat(clauses, num_vars):
         ):
             return True
     return False
+
+
+def reference_build_complete_lptree(theory, k, node_budget=DEFAULT_NODE_BUDGET):
+    """The builder that grows every node afresh and labels every edge, with
+    a budget that counts each node grown: the differential reference of
+    :func:`cpref.lexcompat.build_complete_lptree`.
+
+    Grow a complete tree with labels of width at most k whose relation
+    extends the theory's; None when the theory is not k-lexico-compatible.
+
+    Nodes are expanded depth first, leftmost child first; every edge is
+    labelled and every node carries a single unconditional rule, so a failure
+    at any node is final.  Each node's active statements are filtered from
+    its parent's, never from the whole theory again.  Nothing is kept between
+    calls.
+    """
+    schema = theory.schema
+    if not schema.attributes:
+        raise ValidationError("tree construction needs at least one attribute")
+    created = 0
+
+    def grow(ctx: PathContext, above: tuple[CPStatement, ...] | None) -> LPNode | None:
+        nonlocal created
+        created += 1
+        if created > node_budget:
+            raise NodeBudgetError(f"tree construction exceeded {node_budget} nodes")
+        active = phi_at_node(theory, ctx, above)
+        cand = choose_attribute(theory, ctx, k, active)
+        if cand is None:
+            return None
+        rule = strict_chain_rule(TRUE, cand.order)
+        if ctx.ancestors | set(cand.attrs) == set(schema.names):
+            return LPNode(cand.attrs, (rule,), ())
+        edges = []
+        for value in schema.instantiations(cand.attrs):
+            child = grow(ctx.child(cand.attrs, value), active)
+            if child is None:
+                return None
+            edges.append((value, child))
+        return LPNode(cand.attrs, (rule,), tuple(edges))
+
+    root = grow(PathContext.root(schema), None)
+    return None if root is None else LPTree(schema, root)
+
+
+def unfold(tree):
+    """The tree with each unlabelled edge (``edge *``) written out as one
+    labelled edge per value of its node's label, all to the one child: the
+    compiled tree as the reference builder writes it."""
+    schema = tree.schema
+
+    def expand(node):
+        children = [(edge, expand(child)) for edge, child in node.children]
+        if children and children[0][0] is None:
+            children = [(value, children[0][1]) for value in schema.instantiations(node.label)]
+        return LPNode(node.label, node.rules, tuple(children))
+
+    return LPTree(schema, expand(tree.root))
+
+
+def written_size(tree):
+    """The number of nodes of the tree as written, a shared subtree counted
+    at each place it is written."""
+    return sum(1 for _ in iter_nodes(tree))

@@ -4,13 +4,17 @@
 of the formula's own unbound variables otherwise) is checked against every
 total extension; the pairs a statement forces on a label against the swaps
 it sanctions between alternatives on the branch; the builder's inherited
-active statements against a fresh scan of the theory; and ranking through
-single branches against ranking on the compiled tree.
+active statements against a fresh scan of the theory; the builder that
+shares subtrees against the one that grows every node afresh
+(``helpers.reference_build_complete_lptree``); and ranking through single
+branches against ranking on the compiled tree.
 """
 
 import math
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpref import (
@@ -26,16 +30,27 @@ from cpref import (
     TRUE,
     build_complete_lptree,
     consistent_with,
+    extends_check,
+    gen_3sat_reduction,
+    is_complete,
     lptree_to_statements,
     phi_at_node,
     sanctions,
     top_p_lexcompat,
     top_p_lptree,
+    validate,
 )
 from cpref import lexcompat
+from cpref.lexcompat import NodeBudgetError, _swaps
 from cpref.lptree import _label_index, iter_nodes
-from cpref.lexcompat import _swaps
-from helpers import random_lptree, random_schema, random_theory
+from helpers import (
+    random_lptree,
+    random_schema,
+    random_theory,
+    reference_build_complete_lptree,
+    unfold,
+    written_size,
+)
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -173,7 +188,20 @@ def _compatible_theories(seed, count):
     return found
 
 
+def _node_key(theory, ctx):
+    """The key the builder shares subtrees under: the placed attributes,
+    the active statements by identity, and the path values of the
+    attributes their conditions name."""
+    active = phi_at_node(theory, ctx)
+    read = set().union(*(s.condition.variables() for s in active))
+    bindings = tuple(b for b in ctx.assigned.bindings if b[0] in read)
+    return ctx.ancestors, tuple(map(id, active)), bindings
+
+
 def test_inherited_active_statements_equal_a_fresh_scan(monkeypatch):
+    # every node scanned equals a fresh scan of the whole theory, only the
+    # root scans the whole theory, and each distinct key of the unfolded
+    # tree is scanned and written as one subtree object
     seen = {}
     whole_scans = []
     original = lexcompat.phi_at_node
@@ -185,6 +213,7 @@ def test_inherited_active_statements_equal_a_fresh_scan(monkeypatch):
         seen[ctx] = result
         return result
 
+    shared = 0
     for theory, k in _compatible_theories(seed=503, count=25):
         root = PathContext.root(theory.schema)
         fresh = original(theory, root)
@@ -195,10 +224,72 @@ def test_inherited_active_statements_equal_a_fresh_scan(monkeypatch):
         tree = build_complete_lptree(theory, k)
         monkeypatch.setattr(lexcompat, "phi_at_node", original)
         assert whole_scans == [root]
-        contexts = [path for _, path in iter_nodes(tree)]
-        assert set(contexts) == set(seen)
-        for ctx in contexts:
+        contexts = [path for _, path in iter_nodes(unfold(tree))]
+        assert set(seen) <= set(contexts)
+        keys = {_node_key(theory, ctx) for ctx in seen}
+        assert keys == {_node_key(theory, ctx) for ctx in contexts}
+        assert len(keys) == len({id(node) for node, _ in iter_nodes(tree)})
+        for ctx in seen:
             assert seen[ctx] == original(theory, ctx)
+        shared += len(keys) < len(contexts)
+    assert shared >= 5
+
+
+def _compilation_cases(seed, count):
+    """(theory, k) runs at k = 1 and 2 over random theories, translations of
+    random complete trees and reductions of random CNFs."""
+    rng = random.Random(seed)
+    for i in range(count):
+        schema = random_schema(rng, max_attrs=4, max_domain=3)
+        k = rng.choice((1, 2))
+        if i % 3 == 0:
+            theory = lptree_to_statements(random_lptree(rng, schema, k=k, complete=True))
+        elif i % 3 == 1:
+            theory = random_theory(rng, schema, max_statements=6)
+        else:
+            n = rng.randint(1, 3)
+            clauses = [
+                [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(0, 4))
+            ]
+            theory = gen_3sat_reduction(clauses, n)
+        yield theory, k
+
+
+def test_shared_subtrees_unfold_into_the_reference_tree():
+    # the builder that grows every node afresh and labels every edge is the
+    # reference: it fails exactly where the sharing builder fails, and
+    # writing each unlabelled edge out per label value gives its tree
+    seen = Counter()
+    for theory, k in _compilation_cases(seed=521, count=450):
+        reference = reference_build_complete_lptree(theory, k)
+        tree = build_complete_lptree(theory, k)
+        assert (tree is None) == (reference is None)
+        if tree is None:
+            seen["fails"] += 1
+            continue
+        assert unfold(tree) == reference
+        assert validate(tree) == [] and is_complete(tree)
+        assert extends_check(theory, tree)
+        seen["compiles"] += 1
+        seen["collapsed"] += written_size(tree) < written_size(reference)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_the_node_budget_bounds_the_written_tree():
+    # a budget of the written size answers and one below it is exhausted,
+    # counting a subtree shared by several branches at each place
+    seen = Counter()
+    for theory, k in _compatible_theories(seed=523, count=40):
+        tree = build_complete_lptree(theory, k)
+        written = written_size(tree)
+        assert build_complete_lptree(theory, k, node_budget=written) == tree
+        if written > 1:
+            with pytest.raises(NodeBudgetError):
+                build_complete_lptree(theory, k, node_budget=written - 1)
+        objects = len({id(node) for node, _ in iter_nodes(tree)})
+        seen["shared across branches"] += objects < written
+    assert seen["shared across branches"] >= 5, seen
 
 
 def test_top_p_lexcompat_equals_top_p_lptree_on_the_compiled_tree():

@@ -36,6 +36,7 @@ from helpers import (
     separable_theory,
     shuffled_lptree,
     strict_dominators,
+    written_size,
 )
 
 SINGLE = "attr A: a, na\nstmt true : A=a >= A=na\n"
@@ -457,6 +458,60 @@ def test_compile_node_budget(ex2_file, tmp_path):
         ["compile", ex2_file, "-k", "2", "-o", str(tmp_path / "x.lpt"), "--node-budget", "1"]
     )
     assert result.status == 3
+
+
+# The leaf below B is one subtree under both values of A, with no edge
+# that both values share: written twice, grown once.
+SHARED_LEAF = """\
+attr A: a0, a1
+attr B: b0, b1
+attr C: c0, c1
+stmt A=a1 : B=b1 >= B=b0
+"""
+
+
+def test_compile_node_budget_counts_the_written_tree(tmp_path):
+    import time
+
+    theory, _ = separable_theory(random.Random(26), 26)  # 1.7e9 alternatives
+    path = _write(tmp_path, "separable.cpt", serialize_theory(theory))
+    out = tmp_path / "separable.lpt"
+    start = time.perf_counter()
+    assert run(["compile", path, "-k", "1", "-o", str(out)]) == CommandResult(
+        0, f"compiled: {out}", ""
+    )
+    assert time.perf_counter() - start < 1.0
+    tree = parse_lptree(out.read_text(encoding="utf-8"))
+    assert written_size(tree) == 26 and is_complete(tree)
+    out.unlink()
+    assert run(["compile", path, "-k", "1", "-o", str(out), "--node-budget", "25"]).status == 3
+    assert not out.exists()
+
+    path = _write(tmp_path, "shared.cpt", SHARED_LEAF)
+    assert run(["compile", path, "-k", "1", "-o", str(out)]).status == 0
+    tree = parse_lptree(out.read_text(encoding="utf-8"))
+    assert written_size(tree) == 5 and serialize_lptree(tree).count("edge *") == 2
+    for budget, status in (("4", 3), ("5", 0)):
+        argv = ["compile", path, "-k", "1", "-o", str(out), "--node-budget", budget]
+        assert run(argv).status == status
+
+
+def test_compile_and_gen3sat_refuse_to_overwrite_their_input(tmp_path):
+    theory = _write(tmp_path, "t.cpt", SINGLE)
+    cnf = _write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
+    link = tmp_path / "link.cpt"
+    link.symlink_to(theory)
+    for source, argv in (
+        (theory, ["compile", theory, "-k", "1", "-o", theory]),
+        (theory, ["compile", theory, "-k", "1", "-o", str(tmp_path / "." / "t.cpt")]),
+        (theory, ["compile", theory, "-k", "1", "-o", str(link)]),
+        (cnf, ["gen3sat", cnf, "-o", cnf]),
+    ):
+        before = Path(source).read_bytes()
+        result = run(argv)
+        assert result.status == 2 and result.report == "", argv
+        assert "names the input file" in result.diagnostics, argv
+        assert Path(source).read_bytes() == before, argv
 
 
 def test_oracle_dump_is_deterministic(tmp_path):

@@ -1249,6 +1249,30 @@ def test_top_p_requires_small_p():
 # Whole-universe queries by bit-set reach against the component routes
 
 
+def test_top_walks_the_gray_code_path_about_once(monkeypatch):
+    # a candidate's search that meets another candidate searches that one
+    # first, or takes its descendants whole once it is searched, so the
+    # eight searches together step from each alternative of the one path
+    # about once, not once per candidate
+    theory = gray_code_theory(12)
+    schema = theory.schema
+    n = schema.universe_size()
+    candidates = random.Random(3121).sample(list(schema.alternatives()), 8)
+    steps = []
+    step = semantics._step
+    monkeypatch.setattr(
+        semantics, "_step", lambda moves, frontier: steps.append(1) or step(moves, frontier)
+    )
+    answer = top_p_general(theory, candidates, 7)
+    monkeypatch.undo()
+    assert len(steps) <= n + len(candidates)
+    assert answer == assemble_top_p(candidates, closure_oracle(theory).label, 7, schema)
+    moves = list(semantics._bit_moves(schema, theory.statements))
+    indices = [semantics._alternative_index(schema, o) for o in candidates]
+    each = {i: semantics._reach(moves, i) for i in indices}
+    assert semantics._reach_each(moves, indices) == each
+
+
 def test_peel_climb_elimination_and_reach_labels_equal_the_component_routes():
     # random theories with free attributes and cycles, and Gray-code paths,
     # on which the peel and the searches run the most levels

@@ -829,18 +829,15 @@ def _reversed(moves: Iterable[tuple]) -> list:
 def _reach(moves: list, i: int) -> int:
     """The indices reached from index ``i``, itself included, through the
     moves, level by level."""
-    reached = frontier = 1 << i
-    while frontier:
-        frontier = _step(moves, frontier) & ~reached
-        reached |= frontier
-    return reached
+    return _reach_each(moves, (i,))[i]
 
 
 def _reach_each(moves: list, starts: Sequence[int]) -> dict[int, int]:
-    """:func:`_reach` from each of the distinct indices ``starts``.  A
-    search whose level meets another start searches that one first, unless
-    it is under way, then takes its set whole and goes on without it; so
-    where the moves form one path, each index is stepped from about once."""
+    """The indices reached from each of the distinct indices ``starts``,
+    itself included, through the moves, level by level.  A search whose
+    level meets another start searches that one first, unless it is under
+    way, then takes its set whole and goes on without it; so where the
+    moves form one path, each index is stepped from about once."""
     below: dict[int, int] = {}
     searched = 0  # the starts in ``below``
     waiting = sum(1 << i for i in starts)  # the starts neither searched nor under way
@@ -851,18 +848,21 @@ def _reach_each(moves: list, starts: Sequence[int]) -> dict[int, int]:
         stack = [(start, 1 << start, 1 << start)]  # (start, reached, last level)
         while stack:
             i, reached, frontier = stack.pop()
-            if frontier & searched:
-                for j in _bits(frontier & searched):
-                    reached |= below[j]
-                    frontier &= ~below[j]
-            met = frontier & waiting
+            met = 0
+            while frontier:
+                if frontier & searched:
+                    for j in _bits(frontier & searched):
+                        reached |= below[j]
+                        frontier &= ~below[j]
+                met = frontier & waiting
+                if met:
+                    break
+                frontier = _step(moves, frontier) & ~reached
+                reached |= frontier
             if met:
                 j = (met & -met).bit_length() - 1
                 waiting &= ~(1 << j)
                 stack += [(i, reached, frontier), (j, 1 << j, 1 << j)]
-            elif frontier:
-                frontier = _step(moves, frontier) & ~reached
-                stack.append((i, reached | frontier, frontier))
             else:
                 below[i] = reached
                 searched |= 1 << i

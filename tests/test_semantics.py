@@ -1269,8 +1269,19 @@ def test_top_walks_the_gray_code_path_about_once(monkeypatch):
     assert answer == assemble_top_p(candidates, closure_oracle(theory).label, 7, schema)
     moves = list(semantics._bit_moves(schema, theory.statements))
     indices = [semantics._alternative_index(schema, o) for o in candidates]
-    each = {i: semantics._reach(moves, i) for i in indices}
+
+    def plain(i):  # one search per start, sharing nothing
+        reached = frontier = 1 << i
+        while frontier:
+            frontier = step(moves, frontier) & ~reached
+            reached |= frontier
+        return reached
+
+    each = {i: plain(i) for i in indices}
     assert semantics._reach_each(moves, indices) == each
+    assert {i: semantics._reach(moves, i) for i in indices} == each
+    # one level loop: the single-start search is the shared search's
+    assert ("semantics", "_reach") not in _references("_step")
 
 
 def test_peel_climb_elimination_and_reach_labels_equal_the_component_routes():

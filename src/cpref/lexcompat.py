@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import itertools
 import math
+import sys
 
 from .model import (
     And,
@@ -60,7 +61,8 @@ MAX_REDUCTION_ATTRIBUTES = 1 << 14
 
 
 class NodeBudgetError(RuntimeError):
-    """Tree construction exceeded the configured node budget."""
+    """Tree construction exceeded the configured node budget, or the tree
+    grew too deep for the interpreter's recursion limit."""
 
 
 class NotLexicoCompatibleError(RuntimeError):
@@ -209,7 +211,9 @@ def build_complete_lptree(
     the reduced-BDD redundant-test rule); every other edge is labelled, one
     per label value.  ``node_budget`` bounds the nodes of the tree as it is
     written, a shared subtree counted at each place it is written, so it
-    bounds the work as well.  Nothing is kept between calls.
+    bounds the work as well.  A tree too deep for the interpreter's
+    recursion limit raises :class:`NodeBudgetError` as well.  Nothing is
+    kept between calls.
     """
     schema = theory.schema
     if not schema.attributes:
@@ -264,7 +268,13 @@ def build_complete_lptree(
         grown[key] = LPNode(cand.attrs, (rule,), tuple(edges)), 1 + written - start
         return grown[key]
 
-    got = grow(PathContext.root(schema), None)
+    try:
+        got = grow(PathContext.root(schema), None)
+    except RecursionError:
+        raise NodeBudgetError(
+            f"tree construction exceeded the depth that the interpreter's "
+            f"recursion limit ({sys.getrecursionlimit()} levels) allows"
+        ) from None
     return None if got is None else LPTree(schema, got[0])
 
 

@@ -150,21 +150,10 @@ def strict_chain_rule(
     return LPRule(condition, links)
 
 
-def _label_index(
-    schema: AttributeSchema, label: tuple[str, ...], inst: PartialInstantiation
-) -> int:
-    """Position of ``inst``'s values on ``label`` (in schema order) among the
-    label's instantiations in canonical order: their mixed-radix offset."""
-    index = 0
-    for a in label:
-        values = schema.domain(a)
-        index = index * len(values) + values.index(inst[a])
-    return index
-
-
 def _label_offsets(schema: AttributeSchema, label: tuple[str, ...]) -> Offsets:
-    """The :func:`_label_index` of every instantiation of ``label`` (in
-    schema order), keyed by its bindings."""
+    """The offset of every instantiation of ``label`` (in schema order)
+    among the label's instantiations in canonical order, its mixed-radix
+    value over the label's domains, keyed by its bindings in offset order."""
     bindings = itertools.product(*([(a, v) for v in schema.domain(a)] for a in label))
     return {b: k for k, b in enumerate(bindings)}
 
@@ -348,13 +337,14 @@ def _validate_rule_multiplicity(schema, node, ctx, violations):
 
 def _branch(
     tree: LPTree, o: PartialInstantiation
-) -> Iterator[tuple[LPNode, tuple[str, ...], int, LPRule, int]]:
+) -> Iterator[tuple[LPNode, tuple[str, ...], tuple[tuple[str, str], ...], LPRule, int]]:
     """The steps down ``o``'s branch, root first: each node with its label in
-    schema order, ``o``'s offset among the label's instantiations, the rule
-    that applies to ``o``'s values of the attributes crossed on unlabelled
-    edges, and the block size, how many alternatives share each label value
-    below the node.  Another alternative is decided at the first step where
-    its offset differs from ``o``'s."""
+    schema order, ``o``'s bindings on the label (its key in the label's
+    :func:`_label_offsets` table), the rule that applies to ``o``'s values
+    of the attributes crossed on unlabelled edges, and the block size, how
+    many alternatives share each label value below the node.  Another
+    alternative is decided at the first step where its bindings on the
+    label differ from ``o``'s.  The tree must be valid (:func:`validate`)."""
     schema = tree.schema
     _alternative_index(schema, o)
     node, context, unmet = tree.root, schema.empty_instantiation(), set(schema.names)
@@ -365,15 +355,15 @@ def _branch(
         if rule is None:
             raise ValidationError("no rule applies at node; tree is not valid")
         block = math.prod(len(schema.domain(a)) for a in unmet)
-        yield node, label, _label_index(schema, label, o), rule, block
+        mine = tuple([(a, o[a]) for a in label])
+        yield node, label, mine, rule, block
         if not node.children:
             return
         if len(node.children) == 1 and node.children[0][0] is None:
             context = o.restrict(context.var_set.union(label))
             node = node.children[0][1]
             continue
-        mine = o.restrict(label)
-        node = next((child for edge, child in node.children if edge == mine), None)
+        node = next((child for edge, child in node.children if edge.bindings == mine), None)
         if node is None:
             raise ValidationError("missing edge below node; tree is not valid")
 
@@ -389,10 +379,12 @@ def compare_lptree(
     if o == o_prime:
         raise ValidationError("compare is defined for distinct alternatives only")
     _alternative_index(tree.schema, o_prime)
-    for _, label, i, rule, _ in _branch(tree, o):
-        j = _label_index(tree.schema, label, o_prime)
-        if j != i:
-            rows = _rule_rows(_label_offsets(tree.schema, label), rule)
+    for _, label, mine, rule, _ in _branch(tree, o):
+        theirs = tuple([(a, o_prime[a]) for a in label])
+        if theirs != mine:
+            offsets = _label_offsets(tree.schema, label)
+            i, j = offsets[mine], offsets[theirs]
+            rows = _rule_rows(offsets, rule)
             return _label_from(bool(rows[i] >> j & 1), bool(rows[j] >> i & 1))
     return Relation.INCOMPARABLE
 
@@ -568,14 +560,6 @@ def classify_lptree(tree: LPTree) -> tuple[int, int, LanguageProfile]:
 # Counting and ranking without touching the universe
 
 
-def _strictly_above(
-    schema: AttributeSchema, label: tuple[str, ...], rule: LPRule, mine: int, strict: bool = True
-) -> Iterator[int]:
-    """The label offsets other than ``mine`` that ``rule`` orders at least as
-    high as offset ``mine`` (``strict``: strictly above it)."""
-    return _dominators(_rule_rows(_label_offsets(schema, label), rule), mine, strict)
-
-
 def strict_cut_count(tree: LPTree, o: PartialInstantiation, strict: bool = True) -> int:
     """How many alternatives other than ``o`` are strictly better than it
     (not ``strict``: at least as good), without visiting them; for trees
@@ -586,10 +570,12 @@ def strict_cut_count(tree: LPTree, o: PartialInstantiation, strict: bool = True)
     attributes not yet encountered.  The alternatives that agree with ``o``
     on every label of the branch are incomparable to it.
     """
-    return sum(
-        sum(1 for _ in _strictly_above(tree.schema, label, rule, mine, strict)) * block
-        for _, label, mine, rule, block in _branch(tree, o)
-    )
+    count = 0
+    for _, label, mine, rule, block in _branch(tree, o):
+        offsets = _label_offsets(tree.schema, label)
+        rows = _rule_rows(offsets, rule)
+        count += sum(1 for _ in _dominators(rows, offsets[mine], strict)) * block
+    return count
 
 
 def first_strict_dominator(tree: LPTree, o: PartialInstantiation) -> PartialInstantiation | None:
@@ -602,10 +588,12 @@ def first_strict_dominator(tree: LPTree, o: PartialInstantiation) -> PartialInst
     best = math.inf
     above = 0  # index of o's values on the labels above the step
     for _, label, mine, rule, _ in _branch(tree, o):
-        j = next(_strictly_above(schema, label, rule, mine), None)
+        offsets = _label_offsets(schema, label)
+        j = next(_dominators(_rule_rows(offsets, rule), offsets[mine], True), None)
         if j is not None:
-            best = min(best, above + schema.offset(list(schema.instantiations(label))[j]))
-        above += schema.offset(o.restrict(label))
+            better = PartialInstantiation(schema, list(offsets)[j])
+            best = min(best, above + schema.offset(better))
+        above += schema.offset(PartialInstantiation(schema, mine))
     return None if best == math.inf else schema.alternative_at(best)
 
 

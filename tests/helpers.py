@@ -35,11 +35,12 @@ from cpref import (
     strict_chain_rule,
 )
 from cpref.lexcompat import DEFAULT_NODE_BUDGET, NodeBudgetError, choose_attribute, phi_at_node
-from cpref.lptree import PathContext, _branch, _label_index, _strictly_above, iter_nodes
+from cpref.lptree import PathContext, _branch, _label_offsets, _rule_rows, iter_nodes
 from cpref.model import _bits, _completed_components, _consistent, _literal_table, conjunction
 from cpref.semantics import (
     _alternative_index,
     _closed_rows,
+    _dominators,
     _index_statements,
     _index_successors,
     _swap_graph,
@@ -74,7 +75,8 @@ def decide(tree, o, o_prime):
     if o == o_prime:
         raise ValidationError("decide is defined for distinct alternatives only")
     for node, label, mine, _, _ in _branch(tree, o):
-        if _label_index(tree.schema, label, o_prime) != mine:
+        offsets = _label_offsets(tree.schema, label)
+        if offsets[o_prime.restrict(label).bindings] != offsets[mine]:
             return node
     return None
 
@@ -85,14 +87,15 @@ def strict_dominators(tree, o):
     for trees that need not be complete.  The enumerating reference for
     ``strict_cut_count`` and ``first_strict_dominator``."""
     schema = tree.schema
-    steps = [
-        (label, mine, set(_strictly_above(schema, label, rule, mine)))
-        for _, label, mine, rule, _ in _branch(tree, o)
-    ]
+    steps = []
+    for _, label, mine, rule, _ in _branch(tree, o):
+        offsets = _label_offsets(schema, label)
+        i = offsets[mine]
+        steps.append((label, offsets, i, set(_dominators(_rule_rows(offsets, rule), i, True))))
     for other in schema.alternatives():
-        for label, mine, above in steps:
-            j = _label_index(schema, label, other)
-            if j != mine:
+        for label, offsets, i, above in steps:
+            j = offsets[other.restrict(label).bindings]
+            if j != i:
                 if j in above:
                     yield other
                 break

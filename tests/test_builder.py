@@ -42,7 +42,7 @@ from cpref import (
 )
 from cpref import lexcompat
 from cpref.lexcompat import NodeBudgetError, _swaps
-from cpref.lptree import _label_index, iter_nodes
+from cpref.lptree import _label_offsets, iter_nodes
 from helpers import (
     random_lptree,
     random_schema,
@@ -157,11 +157,12 @@ def test_forced_pairs_equal_the_swaps_between_alternatives_on_the_branch():
         label = schema.ordered(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
         path = schema.instantiation({a: rng.choice(schema.domain(a)) for a in ancestors})
         branch = [o for o in schema.alternatives() if o.extends(path)]
+        offsets = _label_offsets(schema, label)
         for s in theory.statements:
             if s.swapped & ancestors or not s.swapped & set(label):
                 continue
             swaps = {
-                (_label_index(schema, label, o), _label_index(schema, label, o2))
+                (offsets[o.restrict(label).bindings], offsets[o2.restrict(label).bindings])
                 for o in branch
                 for o2 in branch
                 if sanctions(s, o, o2)

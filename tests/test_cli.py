@@ -987,6 +987,21 @@ def test_deeply_nested_input_is_an_input_error(tmp_path, name):
     assert "nests too deeply" in result.diagnostics
 
 
+def test_compile_refuses_a_tree_deeper_than_the_recursion_limit(tmp_path):
+    # 1000 independent binary attributes compile, at -k 1, to a chain of
+    # 1000 levels: a limit on the tree built (exit 3), not an input error
+    names = [f"A{i}" for i in range(1000)]
+    text = "".join(f"attr {a}: a, b\n" for a in names) + "".join(
+        f"stmt true : {a}=a >= {a}=b\n" for a in names
+    )
+    out = tmp_path / "wide.lpt"
+    result = run(["compile", _write(tmp_path, "wide.cpt", text), "-k", "1", "-o", str(out)])
+    assert result.status == 3 and result.report == ""
+    assert "exceeded the depth" in result.diagnostics
+    assert "recursion limit" in result.diagnostics
+    assert not out.exists()
+
+
 def test_top_rejects_a_negative_size(tmp_path, ex2_file):
     sets = _write(tmp_path, "set.txt", "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n")
     tree_sets = _write(tmp_path, "tree-set.txt", "A=a,B=b\nA=na,B=nb\n")

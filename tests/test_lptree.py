@@ -731,7 +731,7 @@ def test_strict_dominators_of_partial_trees_count_by_branch_blocks():
             for _, label, mine, rule, block in lptree_module._branch(tree, o):
                 offsets = lptree_module._label_offsets(schema, label)
                 rows = lptree_module._rule_rows(offsets, rule)
-                expected += sum(1 for _ in _dominators(rows, mine, True)) * block
+                expected += sum(1 for _ in _dominators(rows, offsets[mine], True)) * block
             assert sum(1 for _ in strict_dominators(tree, o)) == expected
             assert strict_cut_count(tree, o) == expected
             pairs += expected > 0

@@ -11,11 +11,10 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import lexcompat, lptree, queries, textio
-from .model import ValidationError
+from .model import ValidationError, _Frozen, _set
 from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP, OptimumKind, OracleTooLargeError
 
 EXIT_OK = 0
@@ -24,11 +23,13 @@ EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: int
-    report: str = ""
-    diagnostics: str = ""
+class CommandResult(_Frozen):
+    _fields = ("status", "report", "diagnostics")
+
+    def __init__(self, status: int, report: str = "", diagnostics: str = ""):
+        _set(self, "status", status)
+        _set(self, "report", report)
+        _set(self, "diagnostics", diagnostics)
 
 
 class _UsageError(Exception):

@@ -18,7 +18,6 @@ swaps are the moves of :mod:`cpref.semantics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import itertools
@@ -38,6 +37,8 @@ from .model import (
     _allowed_digits,
     _consistent,
     _deterministic_toposort,
+    _Frozen,
+    _set,
 )
 from .lptree import (
     IncompleteTreeError,
@@ -69,14 +70,16 @@ class NotLexicoCompatibleError(RuntimeError):
     """An operation assumed a k-lexico-compatible theory and found otherwise."""
 
 
-@dataclass(frozen=True)
-class CandidateLabel:
+class CandidateLabel(_Frozen):
     """A label choice: up to k fresh attributes and a linear order over their
     instantiations, best first.  It is what :func:`choose_attribute`
     returns, exported with it so that callers can name the type."""
 
-    attrs: tuple[str, ...]
-    order: tuple[PartialInstantiation, ...]
+    _fields = ("attrs", "order")
+
+    def __init__(self, attrs: tuple[str, ...], order: tuple[PartialInstantiation, ...]):
+        _set(self, "attrs", attrs)
+        _set(self, "order", order)
 
 
 def phi_at_node(

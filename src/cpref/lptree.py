@@ -13,7 +13,6 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -29,6 +28,8 @@ from .model import (
     ValidationError,
     _bits,
     _cpnet_tables,
+    _Frozen,
+    _set,
     conjunction,
     eval_formula,
     formula_size,
@@ -36,6 +37,8 @@ from .model import (
     validate_formula,
 )
 from .semantics import (
+    DEFAULT_ORACLE_CAP,
+    OracleTooLargeError,
     Relation,
     _alternative_index,
     _closed_rows,
@@ -54,22 +57,26 @@ class LinkKind(enum.Enum):
     EQUIV = "~"
 
 
-@dataclass(frozen=True)
-class OrderLink:
+class OrderLink(_Frozen):
     """One explicit ordered pair of a rule's preference relation."""
 
-    left: PartialInstantiation
-    right: PartialInstantiation
-    kind: LinkKind
+    _fields = ("left", "right", "kind")
+
+    def __init__(self, left: PartialInstantiation, right: PartialInstantiation, kind: LinkKind):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class LPRule:
+class LPRule(_Frozen):
     """``condition : order`` — the order given in extension as links whose
     reflexive-transitive closure is the rule's preorder."""
 
-    condition: Formula
-    links: tuple[OrderLink, ...]
+    _fields = ("condition", "links")
+
+    def __init__(self, condition: Formula, links: tuple[OrderLink, ...]):
+        _set(self, "condition", condition)
+        _set(self, "links", links)
 
 
 Edge = tuple[PartialInstantiation | None, "LPNode"]
@@ -77,27 +84,32 @@ Edge = tuple[PartialInstantiation | None, "LPNode"]
 Offsets = dict[tuple[tuple[str, str], ...], int]
 
 
-@dataclass(frozen=True)
-class LPNode:
+class LPNode(_Frozen):
     """A node: its attribute label, preference table, and outgoing edges.
 
     Children come either as a single unlabelled edge (label None) or as one
     edge per instantiation of the node's label.
     """
 
-    label: tuple[str, ...]
-    rules: tuple[LPRule, ...]
-    children: tuple[Edge, ...] = ()
+    _fields = ("label", "rules", "children")
+
+    def __init__(
+        self, label: tuple[str, ...], rules: tuple[LPRule, ...], children: tuple[Edge, ...] = ()
+    ):
+        _set(self, "label", label)
+        _set(self, "rules", rules)
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class LPTree:
-    schema: AttributeSchema
-    root: LPNode
+class LPTree(_Frozen):
+    _fields = ("schema", "root")
+
+    def __init__(self, schema: AttributeSchema, root: LPNode):
+        _set(self, "schema", schema)
+        _set(self, "root", root)
 
 
-@dataclass(frozen=True)
-class PathContext:
+class PathContext(_Frozen):
     """Everything the tree queries and the builder need to know about a
     node's position.
 
@@ -106,10 +118,19 @@ class PathContext:
     fixed above and the rendered path are worked out only when read.
     """
 
-    ancestors: frozenset[str]
-    noninst: frozenset[str]  # attributes crossed on unlabelled edges
-    parent: PathContext | None
-    edge: PartialInstantiation | None
+    _fields = ("ancestors", "noninst", "parent", "edge")
+
+    def __init__(
+        self,
+        ancestors: frozenset[str],
+        noninst: frozenset[str],  # attributes crossed on unlabelled edges
+        parent: PathContext | None,
+        edge: PartialInstantiation | None,
+    ):
+        _set(self, "ancestors", ancestors)
+        _set(self, "noninst", noninst)
+        _set(self, "parent", parent)
+        _set(self, "edge", edge)
 
     @cached_property
     def assigned(self) -> PartialInstantiation:
@@ -207,7 +228,11 @@ def _closed_nodes(
 
 
 def validate(tree: LPTree) -> list[str]:
-    """Structural check; returns human-readable violations (empty when valid)."""
+    """Structural check; returns human-readable violations (empty when valid).
+
+    Raises :class:`OracleTooLargeError` when a node's rule conditions read
+    more than ``DEFAULT_ORACLE_CAP`` contexts, too many to check that exactly
+    one rule matches each."""
     schema = tree.schema
     violations: list[str] = []
     labels: dict[tuple[str, ...], tuple[str | None, Offsets, set[int]]] = {}
@@ -321,7 +346,14 @@ def _validate_links(schema, k, rule, ctx, valid, known, violations) -> bool:
 def _validate_rule_multiplicity(schema, node, ctx, violations):
     conditions = [rule.condition for rule in node.rules]
     names = schema.ordered(itertools.chain.from_iterable(c.variables() for c in conditions))
-    for combo in itertools.product(*map(schema.domain, names)):
+    domains = [schema.domain(a) for a in names]
+    contexts = math.prod(map(len, domains))
+    if contexts > DEFAULT_ORACLE_CAP:
+        raise OracleTooLargeError(
+            f"{ctx.trail}: the rule conditions read {contexts} contexts, more than "
+            f"the {DEFAULT_ORACLE_CAP} that the one-rule-per-context check enumerates"
+        )
+    for combo in itertools.product(*domains):
         values = dict(zip(names, combo))
         matches = sum(1 for c in conditions if c.evaluate(values))
         if matches != 1:

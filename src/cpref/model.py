@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -23,33 +22,80 @@ class ValidationError(ValueError):
     """A domain object violates one of its structural invariants."""
 
 
+_set = object.__setattr__  # how ``__init__`` sets a field past the guard
+
+
+class _Frozen:
+    """Base of cpref's value classes.  Each subclass names its fields in
+    ``_fields`` and sets them once, in ``__init__``; after that, assigning
+    or deleting any attribute raises ``AttributeError``.  Two values are
+    equal when they are of one class and their fields are equal in order,
+    and a value hashes as the tuple of its fields.
+
+    The classes that the parser and the builder compare and hash most
+    override ``_values`` with the tuple written out, which is several times
+    faster than this loop."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        """The fields, in ``_fields`` order."""
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Schema and instantiations
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(_Frozen):
     """A named attribute with a finite, ordered domain of at least two values."""
 
-    name: str
-    values: tuple[str, ...]
+    _fields = ("name", "values")
+
+    def __init__(self, name: str, values: tuple[str, ...]):
+        _set(self, "name", name)
+        _set(self, "values", values)
+
+    def _values(self) -> tuple:
+        return (self.name, self.values)
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
+class AttributeSchema(_Frozen):
     """An ordered collection of attributes; the combinatorial domain they span."""
 
-    attributes: tuple[Attribute, ...]
+    _fields = ("attributes",)
 
-    def __post_init__(self):
-        names = [a.name for a in self.attributes]
+    def __init__(self, attributes: tuple[Attribute, ...]):
+        names = [a.name for a in attributes]
         if len(set(names)) != len(names):
             raise ValidationError("attribute names must be pairwise distinct")
-        for a in self.attributes:
+        for a in attributes:
             if len(a.values) < 2:
                 raise ValidationError(f"attribute {a.name!r} needs at least two values")
             if len(set(a.values)) != len(a.values):
                 raise ValidationError(f"attribute {a.name!r} has duplicate values")
+        _set(self, "attributes", attributes)
+
+    def _values(self) -> tuple:
+        return (self.attributes,)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, Iterable[str]]]) -> AttributeSchema:
@@ -160,16 +206,18 @@ class AttributeSchema:
         return PartialInstantiation(self, tuple(bindings))
 
 
-@dataclass(frozen=True, eq=False)
-class PartialInstantiation:
+class PartialInstantiation(_Frozen):
     """An assignment of one value to each attribute of some subset of the schema.
 
     ``bindings`` is kept sorted by schema attribute position; construct through
     :meth:`AttributeSchema.instantiation` unless that is already guaranteed.
     """
 
-    schema: AttributeSchema
-    bindings: tuple[tuple[str, str], ...]
+    _fields = ("schema", "bindings")
+
+    def __init__(self, schema: AttributeSchema, bindings: tuple[tuple[str, str], ...]):
+        _set(self, "schema", schema)
+        _set(self, "bindings", bindings)
 
     def __eq__(self, other):
         if not isinstance(other, PartialInstantiation):
@@ -230,7 +278,7 @@ class PartialInstantiation:
 # Propositional formulas over the schema's atoms
 
 
-class Formula:
+class Formula(_Frozen):
     """Propositional formula whose atoms assert one value for one attribute."""
 
     def variables(self) -> frozenset[str]:
@@ -283,9 +331,14 @@ def _literal_table(f: Formula) -> tuple[tuple[str, object, frozenset[str]], ...]
     )
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    _fields = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
+
+    def _values(self) -> tuple:
+        return (self.value,)
 
     def variables(self):
         return frozenset()
@@ -298,10 +351,15 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    attribute: str
-    value: str
+    _fields = ("attribute", "value")
+
+    def __init__(self, attribute: str, value: str):
+        _set(self, "attribute", attribute)
+        _set(self, "value", value)
+
+    def _values(self) -> tuple:
+        return (self.attribute, self.value)
 
     def variables(self):
         return frozenset((self.attribute,))
@@ -310,9 +368,14 @@ class Atom(Formula):
         return inst[self.attribute] == self.value
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    _fields = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
+
+    def _values(self) -> tuple:
+        return (self.operand,)
 
     def variables(self):
         return self.operand.variables()
@@ -321,34 +384,35 @@ class Not(Formula):
         return not self.operand.evaluate(inst)
 
 
-@dataclass(frozen=True)
 class _Binary(Formula):
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def _values(self) -> tuple:
+        return (self.left, self.right)
 
     def variables(self):
         return self.left.variables() | self.right.variables()
 
 
-@dataclass(frozen=True)
 class And(_Binary):
     def evaluate(self, inst):
         return self.left.evaluate(inst) and self.right.evaluate(inst)
 
 
-@dataclass(frozen=True)
 class Or(_Binary):
     def evaluate(self, inst):
         return self.left.evaluate(inst) or self.right.evaluate(inst)
 
 
-@dataclass(frozen=True)
 class Implies(_Binary):
     def evaluate(self, inst):
         return (not self.left.evaluate(inst)) or self.right.evaluate(inst)
 
 
-@dataclass(frozen=True)
 class Iff(_Binary):
     def evaluate(self, inst):
         return self.left.evaluate(inst) == self.right.evaluate(inst)
@@ -446,8 +510,7 @@ def _consistent(f: Formula, values: Mapping[str, str], schema: AttributeSchema) 
 # Conditional preference statements and theories
 
 
-@dataclass(frozen=True)
-class CPStatement:
+class CPStatement(_Frozen):
     """``condition | free : better >= worse``.
 
     When the condition holds, alternatives carrying ``better`` on the swapped
@@ -455,12 +518,19 @@ class CPStatement:
     free attributes, everything else being equal.
     """
 
-    condition: Formula
-    free: frozenset[str]
-    better: PartialInstantiation
-    worse: PartialInstantiation
+    _fields = ("condition", "free", "better", "worse")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        condition: Formula,
+        free: frozenset[str],
+        better: PartialInstantiation,
+        worse: PartialInstantiation,
+    ):
+        _set(self, "condition", condition)
+        _set(self, "free", free)
+        _set(self, "better", better)
+        _set(self, "worse", worse)
         schema = self.better.schema
         if self.worse.schema != schema:
             raise ValidationError("swap sides built over different schemas")
@@ -477,6 +547,9 @@ class CPStatement:
         u = self.condition.variables()
         if (u & self.free) or (u & w) or (self.free & w):
             raise ValidationError("condition, free and swapped attributes must be disjoint")
+
+    def _values(self) -> tuple:
+        return (self.condition, self.free, self.better, self.worse)
 
     @classmethod
     def make(
@@ -502,14 +575,14 @@ class CPStatement:
         better: PartialInstantiation,
         worse: PartialInstantiation,
     ) -> CPStatement:
-        """A statement from parts known to meet the checks of
-        ``__post_init__``, such as parts read off a validated tree; the
-        checks are not run again."""
+        """A statement from parts known to meet the checks of ``__init__``,
+        such as parts read off a validated tree; the checks are not run
+        again."""
         statement = object.__new__(cls)
-        object.__setattr__(statement, "condition", condition)
-        object.__setattr__(statement, "free", free)
-        object.__setattr__(statement, "better", better)
-        object.__setattr__(statement, "worse", worse)
+        _set(statement, "condition", condition)
+        _set(statement, "free", free)
+        _set(statement, "better", better)
+        _set(statement, "worse", worse)
         return statement
 
     @property
@@ -528,19 +601,17 @@ class CPStatement:
         return formula_size(self.condition) + len(self.free) + 2 * len(self.swapped)
 
 
-@dataclass(frozen=True)
-class CPTheory:
+class CPTheory(_Frozen):
     """A finite set of statements over one shared schema."""
 
-    schema: AttributeSchema
-    statements: tuple[CPStatement, ...]
+    _fields = ("schema", "statements")
 
-    def __post_init__(self):
-        for s in self.statements:
-            if s.schema != self.schema:
+    def __init__(self, schema: AttributeSchema, statements: tuple[CPStatement, ...]):
+        for s in statements:
+            if s.schema != schema:
                 raise ValidationError("statement schema differs from theory schema")
-        deduped = tuple(dict.fromkeys(self.statements))
-        object.__setattr__(self, "statements", deduped)
+        _set(self, "schema", schema)
+        _set(self, "statements", tuple(dict.fromkeys(statements)))
 
     def __len__(self) -> int:
         return len(self.statements)
@@ -554,23 +625,30 @@ class CPTheory:
 # CP-nets
 
 
-@dataclass(frozen=True)
-class CPNetTable:
+class CPNetTable(_Frozen):
     """Preference table of one attribute: a value order per parent context."""
 
-    attribute: str
-    parents: tuple[str, ...]
-    rules: tuple[tuple[PartialInstantiation, tuple[str, ...]], ...]
+    _fields = ("attribute", "parents", "rules")
+
+    def __init__(
+        self,
+        attribute: str,
+        parents: tuple[str, ...],
+        rules: tuple[tuple[PartialInstantiation, tuple[str, ...]], ...],
+    ):
+        _set(self, "attribute", attribute)
+        _set(self, "parents", parents)
+        _set(self, "rules", rules)
 
 
-@dataclass(frozen=True)
-class CPNet:
+class CPNet(_Frozen):
     """A directed attribute graph plus one complete preference table per attribute."""
 
-    schema: AttributeSchema
-    tables: tuple[CPNetTable, ...]
+    _fields = ("schema", "tables")
 
-    def __post_init__(self):
+    def __init__(self, schema: AttributeSchema, tables: tuple[CPNetTable, ...]):
+        _set(self, "schema", schema)
+        _set(self, "tables", tables)
         covered = [t.attribute for t in self.tables]
         if sorted(covered) != sorted(self.schema.names):
             raise ValidationError("a CP-net needs exactly one table per attribute")
@@ -701,12 +779,14 @@ def _deterministic_toposort(n: int, edges: set[tuple[int, int]]) -> list[int] | 
 # Dependency graph and classification
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(_Frozen):
     """Attribute digraph: condition/swap attributes point at swapped/free ones."""
 
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     def is_acyclic(self) -> bool:
         """No cycle, and no self-loop."""
@@ -756,16 +836,26 @@ def dependency_graph(theory: CPTheory) -> DependencyGraph:
     return DependencyGraph(theory.schema.names, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(_Frozen):
     """Which sublanguages a theory falls in."""
 
-    max_swap_width: int
-    conjunctive: bool
-    free_empty: bool
-    acyclic: bool
-    polytree: bool
-    is_cpnet: bool
+    _fields = ("max_swap_width", "conjunctive", "free_empty", "acyclic", "polytree", "is_cpnet")
+
+    def __init__(
+        self,
+        max_swap_width: int,
+        conjunctive: bool,
+        free_empty: bool,
+        acyclic: bool,
+        polytree: bool,
+        is_cpnet: bool,
+    ):
+        _set(self, "max_swap_width", max_swap_width)
+        _set(self, "conjunctive", conjunctive)
+        _set(self, "free_empty", free_empty)
+        _set(self, "acyclic", acyclic)
+        _set(self, "polytree", polytree)
+        _set(self, "is_cpnet", is_cpnet)
 
 
 def _value_chain(pairs: list[tuple[str, str]], values: tuple[str, ...]) -> tuple[str, ...] | None:

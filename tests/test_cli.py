@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -915,6 +916,19 @@ def test_theory_cut_count_allocates_no_row_per_alternative(tmp_path):
         assert used - graph < 4096 * 512 // 2
 
 
+def test_cli_import_needs_no_dataclasses():
+    # the value classes are written out, so start-up neither imports
+    # dataclasses (and inspect behind it) nor generates their methods
+    probe = "import cpref.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    package = Path(__file__).resolve().parents[1] / "src" / "cpref"
+    assert not [p.name for p in package.glob("*.py") if "@dataclass" in p.read_text(encoding="utf-8")]
+
+
 def test_cli_import_loads_no_numerical_libraries(tmp_path):
     # With numpy blocked, the whole-relation queries and the preorder encoding
     # must still answer: cpref has no runtime dependency.
@@ -1000,6 +1014,32 @@ def test_compile_refuses_a_tree_deeper_than_the_recursion_limit(tmp_path):
     assert "exceeded the depth" in result.diagnostics
     assert "recursion limit" in result.diagnostics
     assert not out.exists()
+
+
+def _rules_over_path(n):
+    """A tree of n binary attributes on unlabelled edges, then a node with
+    two rules whose conditions read all n: one rule matches each context."""
+    names = [f"A{i}" for i in range(n)]
+    cond = " and ".join(f"{a}=a" for a in names)
+    text = "".join(f"attr {a}: a, b\n" for a in names) + "attr Z: z, nz\n"
+    text += "".join(f"node {{{a}}}\nrule true : {a}=a > {a}=b\nedge * {{\n" for a in names)
+    text += f"node {{Z}}\nrule {cond} : Z=z > Z=nz\nrule not ({cond}) : Z=nz > Z=z\n"
+    return text + "}\n" * n
+
+
+def test_rule_check_refuses_conditions_over_too_many_contexts(tmp_path):
+    # 2**30 contexts, past the oracle cap, are refused with exit 3 before any
+    # is enumerated (enumerating them takes about an hour); 2**16, at the
+    # cap, are checked and the tree is read
+    start = time.perf_counter()
+    result = run(["classify", _write(tmp_path, "wide-rules.lpt", _rules_over_path(30))])
+    assert time.perf_counter() - start < 1.0
+    assert result.status == 3 and result.report == ""
+    assert result.diagnostics == (
+        f"error: root{'/*' * 30}: the rule conditions read 1073741824 contexts, more "
+        f"than the 65536 that the one-rule-per-context check enumerates"
+    )
+    assert run(["classify", _write(tmp_path, "cap-rules.lpt", _rules_over_path(16))]).status == 0
 
 
 def test_top_rejects_a_negative_size(tmp_path, ex2_file):

@@ -6,16 +6,29 @@ from hypothesis import given, strategies as st
 from cpref import (
     And,
     Atom,
+    Attribute,
     AttributeSchema,
+    CandidateLabel,
+    Const,
     CPNet,
     CPNetTable,
     CPStatement,
     CPTheory,
+    DependencyGraph,
     ExplicitPreorder,
     FALSE,
+    Iff,
+    Implies,
+    LanguageProfile,
+    LinkKind,
+    LPNode,
+    LPRule,
+    LPTree,
     Not,
     Or,
+    OrderLink,
     PartialInstantiation,
+    PathContext,
     TRUE,
     ValidationError,
     classify,
@@ -27,7 +40,8 @@ from cpref import (
     preorder_to_cp,
     serialize_theory,
 )
-from cpref.model import _cpnet_tables
+from cpref.cli import CommandResult
+from cpref.model import _Binary, _cpnet_tables
 from helpers import (
     cpnet_edges,
     preorder_from_pairs,
@@ -417,3 +431,94 @@ def test_preorder_roundtrip_random():
             continue
         r = random_preorder(rng, schema)
         assert closure_oracle(preorder_to_cp(r)) == r
+
+
+def _value_cases():
+    """(class, a maker of fresh instances with equal fields, the field
+    names in order) for each of cpref's value classes."""
+    schema = lambda: AttributeSchema.of([("A", ("a", "na")), ("B", ("b", "nb"))])  # noqa: E731
+    one = lambda: AttributeSchema.of([("A", ("a", "na"))])  # noqa: E731
+    a = lambda: schema().instantiation({"A": "a"})  # noqa: E731
+    na = lambda: schema().instantiation({"A": "na"})  # noqa: E731
+    atom = lambda: Atom("B", "b")  # noqa: E731
+    statement = lambda: CPStatement(atom(), frozenset(), a(), na())  # noqa: E731
+    table = lambda: CPNetTable("A", (), ((one().empty_instantiation(), ("a", "na")),))  # noqa: E731
+    link = lambda: OrderLink(a(), na(), LinkKind.STRICT)  # noqa: E731
+    rule = lambda: LPRule(TRUE, (link(),))  # noqa: E731
+    node = lambda: LPNode(("A",), (rule(),), ((a(), LPNode(("B",), ())),))  # noqa: E731
+    binary = ("left", "right")
+    return [
+        (Attribute, lambda: Attribute("A", ("a", "na")), ("name", "values")),
+        (AttributeSchema, schema, ("attributes",)),
+        (PartialInstantiation, a, ("schema", "bindings")),
+        (Const, lambda: Const(True), ("value",)),
+        (Atom, atom, ("attribute", "value")),
+        (Not, lambda: Not(atom()), ("operand",)),
+        *[
+            (cls, lambda cls=cls: cls(atom(), Not(atom())), binary)
+            for cls in (_Binary, And, Or, Implies, Iff)
+        ],
+        (CPStatement, statement, ("condition", "free", "better", "worse")),
+        (CPTheory, lambda: CPTheory(schema(), (statement(),)), ("schema", "statements")),
+        (CPNetTable, table, ("attribute", "parents", "rules")),
+        (CPNet, lambda: CPNet(one(), (table(),)), ("schema", "tables")),
+        (
+            DependencyGraph,
+            lambda: DependencyGraph(("A", "B"), frozenset({("A", "B")})),
+            ("vertices", "edges"),
+        ),
+        (
+            LanguageProfile,
+            lambda: LanguageProfile(1, True, True, True, False, True),
+            ("max_swap_width", "conjunctive", "free_empty", "acyclic", "polytree", "is_cpnet"),
+        ),
+        (OrderLink, link, ("left", "right", "kind")),
+        (LPRule, rule, ("condition", "links")),
+        (LPNode, node, ("label", "rules", "children")),
+        (LPTree, lambda: LPTree(schema(), node()), ("schema", "root")),
+        (
+            PathContext,
+            lambda: PathContext.root(schema()).child(("A",), a()),
+            ("ancestors", "noninst", "parent", "edge"),
+        ),
+        (CandidateLabel, lambda: CandidateLabel(("A",), (a(), na())), ("attrs", "order")),
+        (
+            CommandResult,
+            lambda: CommandResult(1, "no", "note"),
+            ("status", "report", "diagnostics"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, make, fields", _value_cases(), ids=lambda v: getattr(v, "__name__", "")
+)
+def test_value_classes_compare_by_fields_and_stay_frozen(cls, make, fields):
+    x, y = make(), make()
+    assert type(x) is cls and x is not y
+    assert x == y and not x != y and hash(x) == hash(y)
+    values = tuple(getattr(x, n) for n in fields)
+    if cls is not PartialInstantiation:  # hashed on its bindings alone
+        assert hash(x) == hash(values)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, n) for n in fields) == values
+
+
+def test_formulas_of_different_connectives_are_unequal():
+    operands = (Atom("A", "a"), Atom("B", "b"))
+    formulas = [cls(*operands) for cls in (And, Or, Implies, Iff)]
+    for f in formulas:
+        assert [g == f for g in formulas].count(True) == 1
+    assert And(*operands) != Or(*operands)
+    assert Atom("A", "a") != Const(True) and Not(TRUE) != FALSE
+
+
+def test_value_class_defaults():
+    node = LPNode(("A",), ())
+    assert node.children == () and node == LPNode(("A",), (), ())
+    assert CommandResult(0) == CommandResult(0, "", "")
+    assert (CommandResult(0).report, CommandResult(0).diagnostics) == ("", "")

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import lexcompat, lptree, queries, textio
+from . import lexcompat, queries, textio
 from .model import ValidationError, _Frozen, _set
 from .semantics import BUDGET_EXHAUSTED, DEFAULT_ORACLE_CAP, OptimumKind, OracleTooLargeError
 
@@ -60,11 +60,7 @@ def _load_document(path: str):
     """A (.cpt) theory or (.lpt) tree, decided by file extension."""
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".lpt"):
-        tree = textio.parse_lptree(text)
-        violations = lptree.validate(tree)
-        if violations:
-            raise ValidationError("invalid tree:\n" + "\n".join(violations))
-        return tree
+        return textio.parse_lptree(text)
     return textio.parse_theory(text)
 
 

@@ -52,6 +52,15 @@ class IncompleteTreeError(ValueError):
     """An operation whose contract needs a complete tree got a partial one."""
 
 
+class InvalidTreeError(ValidationError):
+    """A parsed ``tree`` breaks structural rules; ``violations`` lists them as :func:`validate`."""
+
+    def __init__(self, tree: LPTree, violations: list[str]):
+        super().__init__("invalid tree:\n" + "\n".join(violations))
+        self.tree = tree
+        self.violations = violations
+
+
 class LinkKind(enum.Enum):
     STRICT = ">"
     EQUIV = "~"
@@ -233,30 +242,10 @@ def validate(tree: LPTree) -> list[str]:
     Raises :class:`OracleTooLargeError` when a node's rule conditions read
     more than ``DEFAULT_ORACLE_CAP`` contexts, too many to check that exactly
     one rule matches each."""
-    schema = tree.schema
     violations: list[str] = []
     labels: dict[tuple[str, ...], tuple[str | None, Offsets, set[int]]] = {}
-
     for node, ctx in iter_nodes(tree):
-        label = node.label
-        facts = labels.get(label)
-        if facts is None:
-            facts = labels[label] = _label_facts(schema, label)
-        problem, valid, known = facts
-        if problem is not None:
-            violations.append(f"{ctx.trail}: {problem}")
-            continue
-        repeated = ctx.ancestors.intersection(label)
-        if repeated:
-            violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
-        _validate_children(schema, node, ctx, valid, known, violations)
-        rules = node.rules
-        if len(rules) == 1 and rules[0].condition == TRUE:
-            # a lone unconditional rule matches every context exactly once
-            _validate_links(schema, 0, rules[0], ctx, valid, known, violations)
-        elif _validate_rules(schema, node, ctx, valid, known, violations):
-            _validate_rule_multiplicity(schema, node, ctx, violations)
-
+        _check_node(tree.schema, labels, node, ctx, violations)
     return violations
 
 
@@ -286,65 +275,63 @@ def _instantiates(schema, valid, known, inst: PartialInstantiation) -> bool:
     return False
 
 
-def _validate_children(schema, node, ctx, valid, known, violations):
-    if not node.children:
+def _check_node(schema, labels, node: LPNode, ctx: PathContext, violations: list[str]) -> None:
+    """Append to ``violations`` what breaks the structure at ``node``, whose
+    path is ``ctx``: the check :func:`validate` and the tree parser make of
+    every node.  ``labels`` caches :func:`_label_facts` per label of a tree."""
+    label = node.label
+    facts = labels.get(label)
+    if facts is None:
+        facts = labels[label] = _label_facts(schema, label)
+    problem, valid, known = facts
+    if problem is not None:
+        violations.append(f"{ctx.trail}: {problem}")
         return
-    labels = [e for e, _ in node.children]
-    if len(labels) == 1 and labels[0] is None:
-        return
-    if any(e is None for e in labels):
-        violations.append(f"{ctx.trail}: unlabelled edge mixed with labelled edges")
-        return
-    if (
-        len(labels) != len(valid)
-        or len({e.bindings for e in labels}) != len(labels)
-        or not all(_instantiates(schema, valid, known, e) for e in labels)
+    repeated = ctx.ancestors.intersection(label)
+    if repeated:
+        violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
+    edges = [e for e, _ in node.children]
+    if None in edges:
+        if len(edges) > 1:
+            violations.append(f"{ctx.trail}: unlabelled edge mixed with labelled edges")
+    elif edges and (
+        len(edges) != len(valid)
+        or len({e.bindings for e in edges}) != len(edges)
+        or not all(_instantiates(schema, valid, known, e) for e in edges)
     ):
-        violations.append(
-            f"{ctx.trail}: edges must carry each label instantiation exactly once"
-        )
-
-
-def _validate_rules(schema, node, ctx, valid, known, violations) -> bool:
+        violations.append(f"{ctx.trail}: edges must carry each label instantiation exactly once")
+    rules = node.rules
     ok = True
-    for k, rule in enumerate(node.rules):
-        try:
-            validate_formula(rule.condition, schema)
-        except ValidationError as exc:
-            violations.append(f"{ctx.trail}: rule {k} condition: {exc}")
-            ok = False
-            continue
-        stray = rule.condition.variables() - ctx.noninst
-        if stray:
-            violations.append(
-                f"{ctx.trail}: rule {k} conditions on attributes outside the "
-                f"unlabelled-edge ancestors: {sorted(stray)}"
-            )
-            ok = False
-        ok = _validate_links(schema, k, rule, ctx, valid, known, violations) and ok
-    return ok
-
-
-def _validate_links(schema, k, rule, ctx, valid, known, violations) -> bool:
-    """Check that every link of rule ``k`` orders instantiations of the
-    node's label."""
-    ok = True
-    for link in rule.links:
-        if id(link.left) in known and id(link.right) in known:
-            continue
-        for endpoint in (link.left, link.right):
-            if not _instantiates(schema, valid, known, endpoint):
+    for k, rule in enumerate(rules):
+        if rule.condition is not TRUE:  # true is valid and reads nothing
+            try:
+                validate_formula(rule.condition, schema)
+            except ValidationError as exc:
+                violations.append(f"{ctx.trail}: rule {k} condition: {exc}")
+                ok = False
+                continue
+            stray = rule.condition.variables() - ctx.noninst
+            if stray:
                 violations.append(
-                    f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
-                    f"instantiation of the node label"
+                    f"{ctx.trail}: rule {k} conditions on attributes outside the "
+                    f"unlabelled-edge ancestors: {sorted(stray)}"
                 )
                 ok = False
-                break
-    return ok
-
-
-def _validate_rule_multiplicity(schema, node, ctx, violations):
-    conditions = [rule.condition for rule in node.rules]
+        for link in rule.links:
+            if id(link.left) in known and id(link.right) in known:
+                continue
+            for endpoint in (link.left, link.right):
+                if not _instantiates(schema, valid, known, endpoint):
+                    violations.append(
+                        f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
+                        f"instantiation of the node label"
+                    )
+                    ok = False
+                    break
+    # a lone unconditional rule matches every context exactly once
+    if not ok or (len(rules) == 1 and rules[0].condition == TRUE):
+        return
+    conditions = [rule.condition for rule in rules]
     names = schema.ordered(itertools.chain.from_iterable(c.variables() for c in conditions))
     domains = [schema.domain(a) for a in names]
     contexts = math.prod(map(len, domains))

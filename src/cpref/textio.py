@@ -48,7 +48,8 @@ from .model import (
     TRUE,
     ValidationError,
 )
-from .lptree import Edge, LinkKind, LPNode, LPRule, LPTree, OrderLink
+from .lptree import Edge, InvalidTreeError, LinkKind, LPNode, LPRule, LPTree, OrderLink
+from .lptree import PathContext, _check_node
 from .semantics import ExplicitPreorder
 
 RESERVED = {"attr", "stmt", "node", "rule", "edge", "true", "false", "not", "and", "or"}
@@ -104,6 +105,7 @@ class _Parser:
         self.runs = runs
         self.token_re = _TOKEN_RE if runs else _ATOM_TOKEN_RE
         self.points: dict[str | tuple[str, ...], PartialInstantiation] = {}
+        self.nodes: list[tuple[LPNode, PathContext] | None] = []
         if schema is not None:
             self.use(schema)
 
@@ -313,13 +315,16 @@ class _Parser:
                 self.fail(str(exc), head)
         return out
 
-    def node(self) -> LPNode:
+    def node(self, ctx: PathContext) -> LPNode:
+        """A node block at path ``ctx``, listed in ``nodes`` ahead of its children."""
         if self.toks[self.i] != "node":
             self.fail(f"expected 'node', found {self.found()}")
         self.i += 1
         self.expect("{", "'{'")
-        label = self.attributes()
+        label = tuple(self.attributes())
         self.expect("}", "'}'")
+        slot = len(self.nodes)
+        self.nodes.append(None)
         rules = []
         while self.toks[self.i] == "rule":
             rules.append(self.rule())
@@ -332,9 +337,11 @@ class _Parser:
             else:
                 edge_label = self.point()
             self.expect("{", "'{'")
-            edges.append((edge_label, self.node()))
+            edges.append((edge_label, self.node(ctx.child(label, edge_label))))
             self.expect("}", "'}'")
-        return LPNode(tuple(label), tuple(rules), tuple(edges))
+        node = LPNode(label, tuple(rules), tuple(edges))
+        self.nodes[slot] = node, ctx
+        return node
 
     def rule(self) -> LPRule:
         self.i += 1  # the 'rule' keyword
@@ -406,8 +413,10 @@ def _parse_theory(text: str, runs: bool) -> CPTheory:
 
 
 def parse_lptree(text: str) -> LPTree:
-    """Parse a tree document; structural constraints beyond the grammar are
-    left to lptree.validate."""
+    """Parse a tree document; raises ParseError with line/column on failure.
+    Once all of it parses, every node gets lptree.validate's check, in
+    pre-order: it raises InvalidTreeError with the violations, or
+    OracleTooLargeError for a node whose rules read too many contexts."""
     return _parsed(functools.partial(_parse_lptree, text))
 
 
@@ -418,9 +427,15 @@ def _parse_lptree(text: str, runs: bool) -> LPTree:
     while parser.toks[parser.i] == "attr":
         parser.attr_decl(declared)
     parser.use(AttributeSchema.of(declared.items()))
-    root = parser.node()
+    tree = LPTree(parser.schema, parser.node(PathContext.root(parser.schema)))
     parser.expect_end()
-    return LPTree(parser.schema, root)
+    violations: list[str] = []
+    labels: dict = {}
+    for node, ctx in parser.nodes:
+        _check_node(parser.schema, labels, node, ctx, violations)
+    if violations:
+        raise InvalidTreeError(tree, violations)
+    return tree
 
 
 # ---------------------------------------------------------------------------

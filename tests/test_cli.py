@@ -1042,6 +1042,29 @@ def test_rule_check_refuses_conditions_over_too_many_contexts(tmp_path):
     assert run(["classify", _write(tmp_path, "cap-rules.lpt", _rules_over_path(16))]).status == 0
 
 
+def test_tree_is_checked_only_once_it_parses_and_in_pre_order(tmp_path):
+    # a node past the cap, then a syntax error: the parse error is reported
+    text = _rules_over_path(17) + "oops\n"
+    result = run(["classify", _write(tmp_path, "late-error.lpt", text)])
+    assert result.status == 2 and result.report == ""
+    line = text.count("\n")
+    assert result.diagnostics == f"error: line {line}, column 1: unexpected 'oops'"
+    # a node past the cap whose child is past it too: the node is named
+    cond = " and ".join(f"A{i}=a" for i in range(17)) + " and Z=z"
+    child = (
+        f"edge * {{\nnode {{Y}}\nrule {cond} : Y=y > Y=ny\n"
+        f"rule not ({cond}) : Y=ny > Y=y\n}}\n"
+    )
+    text = _rules_over_path(17).replace("attr Z: z, nz\n", "attr Z: z, nz\nattr Y: y, ny\n")
+    text = text.replace("Z=nz > Z=z\n", "Z=nz > Z=z\n" + child)
+    result = run(["classify", _write(tmp_path, "nested-wide.lpt", text)])
+    assert result.status == 3 and result.report == ""
+    assert result.diagnostics == (
+        f"error: root{'/*' * 17}: the rule conditions read 131072 contexts, more "
+        f"than the 65536 that the one-rule-per-context check enumerates"
+    )
+
+
 def test_top_rejects_a_negative_size(tmp_path, ex2_file):
     sets = _write(tmp_path, "set.txt", "W=nw,C=c2,P=p\nW=w,C=c3,P=np\n")
     tree_sets = _write(tmp_path, "tree-set.txt", "A=a,B=b\nA=na,B=nb\n")

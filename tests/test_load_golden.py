@@ -28,13 +28,13 @@ from cpref import (
     ParseError,
     TRUE,
     Atom,
+    InvalidTreeError,
     LinkKind,
     parse_alternative,
     parse_lptree,
     parse_theory,
     serialize_lptree,
     serialize_theory,
-    validate,
 )
 from cpref.model import ValidationError
 from cpref.textio import format_instantiation, parse_alternatives
@@ -53,14 +53,15 @@ def _outcome(kind: str, schema_text: str, text: str):
         if kind == "theory":
             return {"ok": serialize_theory(parse_theory(text))}
         if kind == "tree":
-            tree = parse_lptree(text)
-            return {"ok": serialize_lptree(tree), "violations": validate(tree)}
+            return {"ok": serialize_lptree(parse_lptree(text)), "violations": []}
         schema = parse_theory(schema_text).schema
         if kind == "alternative":
             return {"ok": format_instantiation(parse_alternative(schema, text))}
         return {"ok": [format_instantiation(o) for o in parse_alternatives(schema, text)]}
     except ParseError as exc:
         return {"error": [exc.message, exc.line, exc.column]}
+    except InvalidTreeError as exc:
+        return {"ok": serialize_lptree(exc.tree), "violations": exc.violations}
     except ValidationError as exc:
         return {"invalid": str(exc)}
 

@@ -326,11 +326,10 @@ def test_equiv_of_complete_trees_matches_the_oracle_without_the_universe(monkeyp
     assert [queries.equivalent(b, a) for a, b in pairs] == expected
 
 
-# The names of these modules that the command line may read: tree
-# validation on load, the 3-SAT encoder, the error classes it maps to exit
-# codes, the limit defaults, and the values that name an answer.
+# The names of these modules that the command line may read: the 3-SAT
+# encoder, the error classes it maps to exit codes, the limit defaults, and
+# the values that name an answer.  The tree parser checks a tree's structure.
 _CLI_MAY_READ = {
-    "validate",
     "gen_3sat_reduction",
     "NodeBudgetError",
     "NotLexicoCompatibleError",

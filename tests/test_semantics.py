@@ -789,6 +789,18 @@ def test_only_the_whole_relation_queries_build_the_swap_graph():
     assert _references("_swap_graph") == sorted(("semantics", f) for f in allowed)
 
 
+def test_a_tree_load_walks_the_tree_once():
+    # the parser checks each node as validate does, over the nodes it built:
+    # the command line validates nothing itself, and no second copy of the
+    # per-node check comes back
+    assert not [r for r in _references("validate") if r[0] == "cli"]
+    assert _references("_check_node") == [
+        ("lptree", "validate"),
+        ("textio", "<import>"),
+        ("textio", "_parse_lptree"),
+    ]
+
+
 def test_only_the_whole_universe_routes_read_the_bit_moves():
     # a second lister of whole-universe swaps must not come back beside the
     # moves; equivalence checks a swap with the level step every search runs

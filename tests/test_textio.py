@@ -7,7 +7,12 @@ from cpref import (
     Atom,
     AttributeSchema,
     CPTheory,
+    InvalidTreeError,
+    LinkKind,
+    LPNode,
+    LPRule,
     LPTree,
+    OrderLink,
     ParseError,
     TRUE,
     classify,
@@ -26,6 +31,7 @@ from cpref import (
 from cpref.model import ValidationError
 from cpref.textio import format_instantiation
 from cpref.lexcompat import build_complete_lptree
+from cpref.lptree import iter_nodes
 from helpers import (
     EX2_DSL,
     ex2_theory,
@@ -160,8 +166,114 @@ def test_parse_unlabelled_edge_and_tilde():
 
 def test_parse_tree_reports_structural_violations_via_validate():
     doc = "attr A: a, na\nattr B: b, nb\nnode {A}\n  edge A=a {\n    node {B}\n  }\n"
-    tree = parse_lptree(doc)  # parses fine
-    assert validate(tree)  # missing edge and missing rules are violations
+    with pytest.raises(InvalidTreeError) as err:
+        parse_lptree(doc)  # the grammar holds; missing edge and rules do not
+    assert err.value.violations == validate(err.value.tree) != []
+
+
+def _rebuilt(node, target, new):
+    """The subtree at ``node`` with the node ``target`` replaced by ``new``."""
+    if node is target:
+        return new
+    children = tuple((edge, _rebuilt(child, target, new)) for edge, child in node.children)
+    return LPNode(node.label, node.rules, children)
+
+
+# Each structural rule that the tree check enforces, as the name of one way
+# of breaking it at a node.
+_BREAKS = (
+    "attribute repeated on the branch",
+    "attribute repeated in the label",
+    "missing edge",
+    "duplicate edge",
+    "unlabelled edge among labelled ones",
+    "link outside the label",
+    "condition outside the unlabelled-edge ancestors",
+    "no rule",
+    "two rules per context",
+)
+
+
+def _broken(name, rng, schema, node, ctx):
+    """``node``, whose path is ``ctx``, changed to break the rule ``name``
+    of :data:`_BREAKS`, or None when that cannot be done there."""
+    label, rules, children = node.label, node.rules, node.children
+    if not rules:
+        return None  # broken already
+    first = rules[0]
+    if name == "attribute repeated on the branch":
+        if not ctx.ancestors:
+            return None
+        label += (rng.choice(sorted(ctx.ancestors)),)
+    elif name == "attribute repeated in the label":
+        label += label[:1]
+    elif name in ("missing edge", "duplicate edge", "unlabelled edge among labelled ones"):
+        if len(children) < 2 or children[0][0] is None:
+            return None
+        if name == "missing edge":
+            children = children[:-1]
+        elif name == "duplicate edge":
+            children = children[:-1] + ((children[0][0], children[-1][1]),)
+        else:
+            children = ((None, children[0][1]),) + children[1:]
+    elif name == "link outside the label":
+        outside = [a for a in schema.names if a not in label]
+        if not outside:
+            return None
+        stray = schema.instantiation({outside[0]: schema.domain(outside[0])[0]})
+        link = OrderLink(stray, next(schema.instantiations(label)), LinkKind.STRICT)
+        rules = (LPRule(first.condition, first.links + (link,)),) + rules[1:]
+    elif name == "condition outside the unlabelled-edge ancestors":
+        a = label[0]
+        rules = (LPRule(Atom(a, schema.domain(a)[0]), first.links),) + rules[1:]
+    elif name == "no rule":
+        rules = ()
+    else:
+        rules += rules[:1]
+    return LPNode(label, rules, children)
+
+
+def test_parsed_tree_is_refused_iff_validate_finds_violations():
+    # the check the parser runs on what it builds is the check validate runs
+    # on a tree built in code: the same violations, in the same order
+    rng = random.Random(337)
+    trees = []
+    for complete in (False, True):
+        for _ in range(40):
+            trees.append(random_lptree(rng, random_schema(rng), k=2, complete=complete))
+    cases = [(tree, None) for tree in trees]
+    for name in _BREAKS:
+        for tree in trees[::4]:
+            # broken at the first and then the last node in pre-order where
+            # it can be, often a node and one of its descendants
+            broken = tree
+            for pick in (0, -1):
+                spots = [
+                    (node, new)
+                    for node, ctx in iter_nodes(broken)
+                    if (new := _broken(name, rng, tree.schema, node, ctx)) is not None
+                ]
+                if spots:
+                    node, new = spots[pick]
+                    broken = LPTree(tree.schema, _rebuilt(broken.root, node, new))
+            if broken is not tree:
+                cases.append((broken, name))
+    seen = set()
+    for tree, name in cases:
+        expected = validate(tree)
+        assert bool(expected) == (name is not None), name
+        text = serialize_lptree(tree)
+        try:
+            parsed = parse_lptree(text)
+        except InvalidTreeError as exc:
+            assert exc.violations == expected, name
+            assert str(exc) == "invalid tree:\n" + "\n".join(expected)
+            assert serialize_lptree(exc.tree) == text
+            seen.add(name)
+        else:
+            assert not expected, name
+            assert parsed == tree
+    assert seen == set(_BREAKS)
 
 
 def test_compiled_tree_round_trips():

@@ -56,9 +56,17 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _read(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_document(path: str):
     """A (.cpt) theory or (.lpt) tree, decided by file extension."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read(path)
     if path.endswith(".lpt"):
         return textio.parse_lptree(text)
     return textio.parse_theory(text)
@@ -105,7 +113,7 @@ def _cmd_equiv(args) -> CommandResult:
 
 def _cmd_top(args) -> CommandResult:
     doc = _load_document(args.file)
-    candidates = textio.parse_alternatives(doc.schema, Path(args.set).read_text(encoding="utf-8"))
+    candidates = textio.parse_alternatives(doc.schema, _read(args.set))
     sequence = queries.top(doc, candidates, args.p, args.cap, args.lex_k)
     return CommandResult(EXIT_OK, "\n".join(map(textio.format_instantiation, sequence)))
 
@@ -217,7 +225,7 @@ def _parse_dimacs(text: str) -> list[list[int]]:
 
 
 def _cmd_gen3sat(args) -> CommandResult:
-    text = Path(args.cnf).read_text(encoding="utf-8")
+    text = _read(args.cnf)
     _refuse_overwriting(args.cnf, args.out)
     clauses = _parse_dimacs(text)
     theory = lexcompat.gen_3sat_reduction(clauses)
@@ -380,9 +388,7 @@ def run(argv) -> CommandResult:
     ) as exc:
         return CommandResult(EXIT_INPUT, "", f"error: {exc}")
     except RecursionError:
-        return CommandResult(
-            EXIT_INPUT, "", "error: input nests too deeply (formula or tree blocks)"
-        )
+        return CommandResult(EXIT_INPUT, "", "error: input nests too deeply (formulas)")
 
 
 def main(argv=None) -> int:

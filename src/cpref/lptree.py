@@ -152,12 +152,14 @@ class PathContext(_Frozen):
 
     @cached_property
     def trail(self) -> str:
-        """The path from the root, as violation messages name it."""
-        if self.parent is None:
-            return "root"
-        if self.edge is None:
-            return self.parent.trail + "/*"
-        return self.parent.trail + "/" + ",".join(f"{n}={v}" for n, v in self.edge.bindings)
+        """The path from the root, as violation messages name it; built in a
+        loop up to the nearest context whose trail is known."""
+        steps, ctx = [], self
+        while ctx.parent is not None and "trail" not in ctx.__dict__:
+            edge = ctx.edge
+            steps.append("*" if edge is None else ",".join(f"{n}={v}" for n, v in edge.bindings))
+            ctx = ctx.parent
+        return "/".join([ctx.__dict__.get("trail", "root"), *reversed(steps)])
 
     @classmethod
     def root(cls, schema: AttributeSchema) -> PathContext:
@@ -242,10 +244,81 @@ def validate(tree: LPTree) -> list[str]:
     Raises :class:`OracleTooLargeError` when a node's rule conditions read
     more than ``DEFAULT_ORACLE_CAP`` contexts, too many to check that exactly
     one rule matches each."""
+    schema = tree.schema
     violations: list[str] = []
     labels: dict[tuple[str, ...], tuple[str | None, Offsets, set[int]]] = {}
     for node, ctx in iter_nodes(tree):
-        _check_node(tree.schema, labels, node, ctx, violations)
+        label = node.label
+        facts = labels.get(label)
+        if facts is None:
+            facts = labels[label] = _label_facts(schema, label)
+        problem, valid, known = facts
+        if problem is not None:
+            violations.append(f"{ctx.trail}: {problem}")
+            continue
+        repeated = ctx.ancestors.intersection(label)
+        if repeated:
+            violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
+        edges = [e for e, _ in node.children]
+        if None in edges:
+            if len(edges) > 1:
+                violations.append(f"{ctx.trail}: unlabelled edge mixed with labelled edges")
+        elif edges and (
+            len(edges) != len(valid)
+            or len({e.bindings for e in edges}) != len(edges)
+            or not all(_instantiates(schema, valid, known, e) for e in edges)
+        ):
+            violations.append(
+                f"{ctx.trail}: edges must carry each label instantiation exactly once"
+            )
+        rules = node.rules
+        ok = True
+        for k, rule in enumerate(rules):
+            if rule.condition is not TRUE:  # true is valid and reads nothing
+                try:
+                    validate_formula(rule.condition, schema)
+                except ValidationError as exc:
+                    violations.append(f"{ctx.trail}: rule {k} condition: {exc}")
+                    ok = False
+                    continue
+                stray = rule.condition.variables() - ctx.noninst
+                if stray:
+                    violations.append(
+                        f"{ctx.trail}: rule {k} conditions on attributes outside the "
+                        f"unlabelled-edge ancestors: {sorted(stray)}"
+                    )
+                    ok = False
+            for link in rule.links:
+                if id(link.left) in known and id(link.right) in known:
+                    continue
+                for endpoint in (link.left, link.right):
+                    if not _instantiates(schema, valid, known, endpoint):
+                        violations.append(
+                            f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
+                            f"instantiation of the node label"
+                        )
+                        ok = False
+                        break
+        # a lone unconditional rule matches every context exactly once
+        if not ok or (len(rules) == 1 and rules[0].condition == TRUE):
+            continue
+        conditions = [rule.condition for rule in rules]
+        names = schema.ordered(itertools.chain.from_iterable(c.variables() for c in conditions))
+        domains = [schema.domain(a) for a in names]
+        contexts = math.prod(map(len, domains))
+        if contexts > DEFAULT_ORACLE_CAP:
+            raise OracleTooLargeError(
+                f"{ctx.trail}: the rule conditions read {contexts} contexts, more than "
+                f"the {DEFAULT_ORACLE_CAP} that the one-rule-per-context check enumerates"
+            )
+        for combo in itertools.product(*domains):
+            values = dict(zip(names, combo))
+            matches = sum(1 for c in conditions if c.evaluate(values))
+            if matches != 1:
+                u = PartialInstantiation(schema, tuple(values.items()))
+                violations.append(
+                    f"{ctx.trail}: {matches} rules match context {u!r} (need exactly one)"
+                )
     return violations
 
 
@@ -273,81 +346,6 @@ def _instantiates(schema, valid, known, inst: PartialInstantiation) -> bool:
         known.add(id(inst))
         return True
     return False
-
-
-def _check_node(schema, labels, node: LPNode, ctx: PathContext, violations: list[str]) -> None:
-    """Append to ``violations`` what breaks the structure at ``node``, whose
-    path is ``ctx``: the check :func:`validate` and the tree parser make of
-    every node.  ``labels`` caches :func:`_label_facts` per label of a tree."""
-    label = node.label
-    facts = labels.get(label)
-    if facts is None:
-        facts = labels[label] = _label_facts(schema, label)
-    problem, valid, known = facts
-    if problem is not None:
-        violations.append(f"{ctx.trail}: {problem}")
-        return
-    repeated = ctx.ancestors.intersection(label)
-    if repeated:
-        violations.append(f"{ctx.trail}: attribute repeated on branch: {sorted(repeated)}")
-    edges = [e for e, _ in node.children]
-    if None in edges:
-        if len(edges) > 1:
-            violations.append(f"{ctx.trail}: unlabelled edge mixed with labelled edges")
-    elif edges and (
-        len(edges) != len(valid)
-        or len({e.bindings for e in edges}) != len(edges)
-        or not all(_instantiates(schema, valid, known, e) for e in edges)
-    ):
-        violations.append(f"{ctx.trail}: edges must carry each label instantiation exactly once")
-    rules = node.rules
-    ok = True
-    for k, rule in enumerate(rules):
-        if rule.condition is not TRUE:  # true is valid and reads nothing
-            try:
-                validate_formula(rule.condition, schema)
-            except ValidationError as exc:
-                violations.append(f"{ctx.trail}: rule {k} condition: {exc}")
-                ok = False
-                continue
-            stray = rule.condition.variables() - ctx.noninst
-            if stray:
-                violations.append(
-                    f"{ctx.trail}: rule {k} conditions on attributes outside the "
-                    f"unlabelled-edge ancestors: {sorted(stray)}"
-                )
-                ok = False
-        for link in rule.links:
-            if id(link.left) in known and id(link.right) in known:
-                continue
-            for endpoint in (link.left, link.right):
-                if not _instantiates(schema, valid, known, endpoint):
-                    violations.append(
-                        f"{ctx.trail}: rule {k} orders {endpoint!r}, which is not an "
-                        f"instantiation of the node label"
-                    )
-                    ok = False
-                    break
-    # a lone unconditional rule matches every context exactly once
-    if not ok or (len(rules) == 1 and rules[0].condition == TRUE):
-        return
-    conditions = [rule.condition for rule in rules]
-    names = schema.ordered(itertools.chain.from_iterable(c.variables() for c in conditions))
-    domains = [schema.domain(a) for a in names]
-    contexts = math.prod(map(len, domains))
-    if contexts > DEFAULT_ORACLE_CAP:
-        raise OracleTooLargeError(
-            f"{ctx.trail}: the rule conditions read {contexts} contexts, more than "
-            f"the {DEFAULT_ORACLE_CAP} that the one-rule-per-context check enumerates"
-        )
-    for combo in itertools.product(*domains):
-        values = dict(zip(names, combo))
-        matches = sum(1 for c in conditions if c.evaluate(values))
-        if matches != 1:
-            u = PartialInstantiation(schema, tuple(values.items()))
-            violations.append(
-                f"{ctx.trail}: {matches} rules match context {u!r} (need exactly one)"
-            )
 
 
 # ---------------------------------------------------------------------------

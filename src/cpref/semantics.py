@@ -45,10 +45,12 @@ from .model import (
     Or,
     PartialInstantiation,
     ValidationError,
+    _Frozen,
     _bits,
     _completed_components,
     _cpnet_tables,
     _find,
+    _set,
     dependency_graph,
     eval_formula,
 )
@@ -157,7 +159,7 @@ def _dominators(rows: Sequence[int], i: int, strict: bool = False) -> Iterator[i
 # Explicit preorders
 
 
-class ExplicitPreorder:
+class ExplicitPreorder(_Frozen):
     """A relation over the full alternative space, held as one bitset per row.
 
     The universe is always the canonical enumeration of the schema's
@@ -165,9 +167,11 @@ class ExplicitPreorder:
     bit ``j`` of ``rows[i]`` means ``universe[i] >= universe[j]``.
     """
 
+    _fields = ("schema", "rows")
+
     def __init__(self, schema: AttributeSchema, rows: Iterable[int]):
-        self.schema = schema
-        self.rows = tuple(rows)
+        _set(self, "schema", schema)
+        _set(self, "rows", tuple(rows))
         if len(self.rows) != schema.universe_size():
             raise ValidationError("a relation needs one row per alternative")
 
@@ -211,14 +215,6 @@ class ExplicitPreorder:
         if other.schema != self.schema:
             raise ValidationError("relations compare only over the same schema")
         return all(theirs | ours == ours for ours, theirs in zip(self.rows, other.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, ExplicitPreorder):
-            return NotImplemented
-        return self.schema == other.schema and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.schema, self.rows))
 
 
 def _alternative_index(schema: AttributeSchema, alt: PartialInstantiation) -> int:

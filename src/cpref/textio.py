@@ -48,8 +48,7 @@ from .model import (
     TRUE,
     ValidationError,
 )
-from .lptree import Edge, InvalidTreeError, LinkKind, LPNode, LPRule, LPTree, OrderLink
-from .lptree import PathContext, _check_node
+from .lptree import InvalidTreeError, LinkKind, LPNode, LPRule, LPTree, OrderLink, validate
 from .semantics import ExplicitPreorder
 
 RESERVED = {"attr", "stmt", "node", "rule", "edge", "true", "false", "not", "and", "or"}
@@ -89,7 +88,8 @@ class _Rescan(Exception):
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text at a time.
+    """Recursive descent over one text's tokens at a time; node blocks, which
+    nest to any depth, are read with an explicit stack.
 
     A token is the string it matched; a name starts with a letter or ``_``.
     With ``runs`` a space-free point run is one token, and any failure
@@ -105,7 +105,6 @@ class _Parser:
         self.runs = runs
         self.token_re = _TOKEN_RE if runs else _ATOM_TOKEN_RE
         self.points: dict[str | tuple[str, ...], PartialInstantiation] = {}
-        self.nodes: list[tuple[LPNode, PathContext] | None] = []
         if schema is not None:
             self.use(schema)
 
@@ -315,33 +314,33 @@ class _Parser:
                 self.fail(str(exc), head)
         return out
 
-    def node(self, ctx: PathContext) -> LPNode:
-        """A node block at path ``ctx``, listed in ``nodes`` ahead of its children."""
-        if self.toks[self.i] != "node":
-            self.fail(f"expected 'node', found {self.found()}")
-        self.i += 1
-        self.expect("{", "'{'")
-        label = tuple(self.attributes())
-        self.expect("}", "'}'")
-        slot = len(self.nodes)
-        self.nodes.append(None)
-        rules = []
-        while self.toks[self.i] == "rule":
-            rules.append(self.rule())
-        edges: list[Edge] = []
-        while self.toks[self.i] == "edge":
+    def node(self) -> LPNode:
+        """A node block and the blocks in it, to any depth: ``stack`` holds
+        each enclosing block's label, rules, edges so far and open edge."""
+        toks, stack = self.toks, []
+        while True:
+            self.expect("node", "'node'")
+            self.expect("{", "'{'")
+            label = tuple(self.attributes())
+            self.expect("}", "'}'")
+            rules, edges = [], []
+            while toks[self.i] == "rule":
+                rules.append(self.rule())
+            while toks[self.i] != "edge":
+                node = LPNode(label, tuple(rules), tuple(edges))
+                if not stack:
+                    return node
+                label, rules, edges, edge_label = stack.pop()
+                self.expect("}", "'}'")
+                edges.append((edge_label, node))
             self.i += 1
-            if self.toks[self.i] == "*":
+            if toks[self.i] == "*":
                 self.i += 1
                 edge_label = None
             else:
                 edge_label = self.point()
             self.expect("{", "'{'")
-            edges.append((edge_label, self.node(ctx.child(label, edge_label))))
-            self.expect("}", "'}'")
-        node = LPNode(label, tuple(rules), tuple(edges))
-        self.nodes[slot] = node, ctx
-        return node
+            stack.append((label, rules, edges, edge_label))
 
     def rule(self) -> LPRule:
         self.i += 1  # the 'rule' keyword
@@ -413,10 +412,10 @@ def _parse_theory(text: str, runs: bool) -> CPTheory:
 
 
 def parse_lptree(text: str) -> LPTree:
-    """Parse a tree document; raises ParseError with line/column on failure.
-    Once all of it parses, every node gets lptree.validate's check, in
-    pre-order: it raises InvalidTreeError with the violations, or
-    OracleTooLargeError for a node whose rules read too many contexts."""
+    """Parse a tree document, its node blocks nested to any depth; raises
+    ParseError with line/column on failure.  Once all of it parses, the tree
+    gets lptree.validate's check: it raises InvalidTreeError with the
+    violations, or OracleTooLargeError for the first node that reads too many."""
     return _parsed(functools.partial(_parse_lptree, text))
 
 
@@ -427,12 +426,9 @@ def _parse_lptree(text: str, runs: bool) -> LPTree:
     while parser.toks[parser.i] == "attr":
         parser.attr_decl(declared)
     parser.use(AttributeSchema.of(declared.items()))
-    tree = LPTree(parser.schema, parser.node(PathContext.root(parser.schema)))
+    tree = LPTree(parser.schema, parser.node())
     parser.expect_end()
-    violations: list[str] = []
-    labels: dict = {}
-    for node, ctx in parser.nodes:
-        _check_node(parser.schema, labels, node, ctx, violations)
+    violations = validate(tree)
     if violations:
         raise InvalidTreeError(tree, violations)
     return tree
@@ -536,24 +532,27 @@ def _rule_line(rule: LPRule) -> str:
     return f"rule {format_formula(rule.condition)} : {''.join(pieces)}".rstrip()
 
 
-def _node_lines(node: LPNode, indent: int) -> list[str]:
-    pad = "  " * indent
-    lines = [f"{pad}node {{{', '.join(node.label)}}}"]
-    for rule in node.rules:
-        lines.append(f"{pad}  {_rule_line(rule)}")
-    for edge_label, child in node.children:
-        rendered = "*" if edge_label is None else format_instantiation(edge_label)
-        lines.append(f"{pad}  edge {rendered} {{")
-        lines.extend(_node_lines(child, indent + 2))
-        lines.append(f"{pad}  }}")
-    return lines
-
-
 def serialize_lptree(tree: LPTree) -> str:
+    """Node blocks nest to any depth: ``stack`` holds each enclosing block's
+    indent and an iterator over its edges not yet written."""
     lines = _attr_lines(tree.schema)
     lines.append("")
-    lines.extend(_node_lines(tree.root, 0))
-    return "\n".join(lines) + "\n"
+    node, pad, stack = tree.root, "", []
+    while True:
+        lines.append(f"{pad}node {{{', '.join(node.label)}}}")
+        for rule in node.rules:
+            lines.append(f"{pad}  {_rule_line(rule)}")
+        edges = iter(node.children)
+        while (edge := next(edges, None)) is None:
+            if not stack:
+                return "\n".join(lines) + "\n"
+            pad, edges = stack.pop()
+            lines.append(f"{pad}  }}")
+        stack.append((pad, edges))
+        edge_label, node = edge
+        rendered = "*" if edge_label is None else format_instantiation(edge_label)
+        lines.append(f"{pad}  edge {rendered} {{")
+        pad += "    "
 
 
 def serialize_preorder(relation: ExplicitPreorder, strict_only: bool = False) -> str:

@@ -987,10 +987,6 @@ DEEP_INPUTS = {
     "not.cpt": _HEADER + "stmt " + "not " * 3000 + "A=a : B=b >= B=nb\n",
     "and.cpt": _HEADER + "stmt " + " and ".join(["A=a"] * 3000) + " : B=b >= B=nb\n",
     "parens.cpt": _HEADER + "stmt " + "(" * 2000 + "A=a" + ")" * 2000 + " : B=b >= B=nb\n",
-    "edges.lpt": _HEADER
-    + "node {A}\n  rule true : A=a > A=na\n"
-    + "edge * {\nnode {B}\n  rule true : B=b > B=nb\n" * 1500
-    + "}\n" * 1500,
 }
 
 
@@ -999,6 +995,123 @@ def test_deeply_nested_input_is_an_input_error(tmp_path, name):
     result = run(["classify", _write(tmp_path, name, DEEP_INPUTS[name])])
     assert result.status == 2
     assert "nests too deeply" in result.diagnostics
+
+
+def test_deep_tree_that_repeats_an_attribute_is_an_invalid_tree(tmp_path):
+    # tree blocks nest to any depth: 1500 levels are read, then refused for
+    # the rule they break
+    text = (
+        _HEADER
+        + "node {A}\n  rule true : A=a > A=na\n"
+        + "edge * {\nnode {B}\n  rule true : B=b > B=nb\n" * 1500
+        + "}\n" * 1500
+    )
+    result = run(["classify", _write(tmp_path, "edges.lpt", text)])
+    assert result.status == 2 and result.report == ""
+    lines = result.diagnostics.splitlines()
+    assert lines[:2] == ["error: invalid tree:", "root/*/*: attribute repeated on branch: ['B']"]
+    assert lines[-1] == f"root{'/*' * 1500}: attribute repeated on branch: ['B']"
+    assert len(lines) == 1500
+
+
+_DEPTH = 1500  # past the interpreter's default recursion limit of 1000
+
+
+def _chain(labels):
+    """A canonical tree over binary attributes A0.. (one per label), one
+    node per label on unlabelled edges, each node ordering a above b."""
+    names = sorted(set(labels), key=lambda a: int(a[1:]))
+    lines = [f"attr {a}: a, b" for a in names] + [""]
+    for depth, a in enumerate(labels):
+        pad = "    " * depth
+        lines += [f"{pad}node {{{a}}}", f"{pad}  rule true : {a}=a > {a}=b"]
+        if depth < len(labels) - 1:
+            lines.append(f"{pad}  edge * {{")
+    lines += ["    " * depth + "  }" for depth in reversed(range(len(labels) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_tree_of_any_depth_is_read_answered_and_written_back(tmp_path):
+    text = _chain([f"A{i}" for i in range(_DEPTH)])
+    assert serialize_lptree(parse_lptree(text)) == text
+    path = _write(tmp_path, "chain.lpt", text)
+    best = ",".join(f"A{i}=a" for i in range(_DEPTH))
+    last_worse = best[: -len("a")] + "b"
+    for argv, report in (
+        (["compare", path, "-o", best, "-p", last_worse], "strictly-better"),
+        (["linearisable", path], "linearisable: yes"),
+        (["cut", path, "--alt", best, "--strict", "--count"], "0"),
+    ):
+        assert run(argv) == CommandResult(0, report), argv
+
+
+def test_a_violation_deep_in_a_tree_names_its_whole_path(tmp_path):
+    labels = [f"A{i}" for i in range(_DEPTH - 1)] + ["A0"]
+    result = run(["classify", _write(tmp_path, "chain.lpt", _chain(labels))])
+    path = "root" + "/*" * (_DEPTH - 1)
+    assert result == CommandResult(
+        2, "", f"error: invalid tree:\n{path}: attribute repeated on branch: ['A0']"
+    )
+
+
+def _file_routes(tmp_path, theory, tree, alternatives, cnf):
+    """One invocation per way a command reads a file: a theory, a tree, a
+    ``--set`` file and a CNF, each written from the bytes given."""
+    names = ("t.cpt", "t.lpt", "set.txt", "f.cnf")
+    for name, data in zip(names, (theory, tree, alternatives, cnf)):
+        (tmp_path / name).write_bytes(data)
+    theory, tree, alternatives, cnf = (str(tmp_path / name) for name in names)
+    good = _write(tmp_path, "good.cpt", EX2_DSL)
+    return [
+        ["classify", theory],
+        ["classify", tree],
+        ["top", good, "--set", alternatives, "-p", "1"],
+        ["gen3sat", cnf, "-o", str(tmp_path / "out.cpt")],
+    ]
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_it(tmp_path):
+    bad = b"attr A: a, \xff\n"
+    for argv in _file_routes(tmp_path, bad, bad, b"W=w,C=c1,P=p\xe9\n", b"p cnf 1 1\n\x80 0\n"):
+        result = run(argv)
+        name = argv[3] if argv[0] == "top" else argv[1]
+        assert result.status == 2 and result.report == "", argv
+        assert result.diagnostics.startswith(f"error: {name} is not UTF-8 text: "), argv
+    assert not (tmp_path / "out.cpt").exists()
+
+
+def test_mutated_input_files_never_make_run_raise(tmp_path):
+    # seeded byte-level mutations of one document per route: each ends in an
+    # answer or an input error, never an exception out of run
+    rng = random.Random(20211)
+    documents = [
+        EX2_DSL.encode(),
+        LEX_TREE.encode(),
+        b"W=w,C=c1,P=p\nW=nw,C=c3,P=np\n",
+        b"c example\np cnf 3 2\n1 -2 3 0\n-1 2 0\n",
+    ]
+    statuses = Counter()
+    for case in range(50):
+        mutated = []
+        for data in documents:
+            data = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(data))
+                byte = rng.choice((rng.randrange(256), rng.randrange(0x80, 0x100)))
+                edit = rng.randrange(3)
+                if edit == 0:
+                    data[at] = byte
+                elif edit == 1:
+                    data.insert(at, byte)
+                else:
+                    del data[at]
+            mutated.append(bytes(data))
+        directory = tmp_path / str(case)
+        directory.mkdir()
+        for argv in _file_routes(directory, *mutated):
+            statuses[run(argv).status] += 1
+    assert sum(statuses.values()) == 200 and set(statuses) <= {0, 1, 2, 3}
+    assert statuses[2] and statuses[0]
 
 
 def test_compile_refuses_a_tree_deeper_than_the_recursion_limit(tmp_path):

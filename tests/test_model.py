@@ -476,6 +476,7 @@ def _value_cases():
         (LPRule, rule, ("condition", "links")),
         (LPNode, node, ("label", "rules", "children")),
         (LPTree, lambda: LPTree(schema(), node()), ("schema", "root")),
+        (ExplicitPreorder, lambda: ExplicitPreorder(one(), (0b11, 0b10)), ("schema", "rows")),
         (
             PathContext,
             lambda: PathContext.root(schema()).child(("A",), a()),

@@ -790,15 +790,24 @@ def test_only_the_whole_relation_queries_build_the_swap_graph():
 
 
 def test_a_tree_load_walks_the_tree_once():
-    # the parser checks each node as validate does, over the nodes it built:
-    # the command line validates nothing itself, and no second copy of the
-    # per-node check comes back
+    # the parser only parses and then runs validate, the one tree check: the
+    # command line validates nothing itself, no second copy of the per-node
+    # check comes back, and textio reaches into no private name of lptree
     assert not [r for r in _references("validate") if r[0] == "cli"]
-    assert _references("_check_node") == [
-        ("lptree", "validate"),
+    assert [r for r in _references("validate") if r[0] == "textio"] == [
         ("textio", "<import>"),
         ("textio", "_parse_lptree"),
     ]
+    per_node = _references("_label_facts") + _references("_instantiates")
+    assert set(per_node) == {("lptree", "validate")}
+    source = Path(semantics.__file__).with_name("textio.py").read_text(encoding="utf-8")
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "lptree"
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 def test_only_the_whole_universe_routes_read_the_bit_moves():

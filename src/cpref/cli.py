@@ -32,13 +32,18 @@ class CommandResult(_Frozen):
         _set(self, "diagnostics", diagnostics)
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """Ends parsing with the :class:`CommandResult` it carries."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{message}\n{self.format_usage()}".rstrip())
+        raise _Exit(CommandResult(EXIT_INPUT, "", f"{message}\n{self.format_usage()}".rstrip()))
+
+    def print_help(self, file=None):
+        # argparse's -h action calls this and then exits the process: the
+        # help is run's report instead, which main prints as it was
+        raise _Exit(CommandResult(EXIT_OK, self.format_help().removesuffix("\n")))
 
 
 def _positive_int(text: str) -> int:
@@ -121,7 +126,7 @@ def _cmd_top(args) -> CommandResult:
 def _cmd_optimal(args) -> CommandResult:
     doc = _load_document(args.file)
     kind = OptimumKind(args.kind)
-    check = textio.parse_alternative(doc.schema, args.check) if args.check else None
+    check = textio.parse_alternative(doc.schema, args.check) if args.check is not None else None
     answer = queries.optimal(doc, kind, check, args.cap)
     if check is not None:
         return CommandResult(EXIT_OK if answer else EXIT_NO, f"{kind.value}: {_yes_no(answer)}")
@@ -374,8 +379,8 @@ def run(argv) -> CommandResult:
         if extra:
             # reported by the subcommand, so the usage shown is the one it takes
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    except _UsageError as exc:
-        return CommandResult(EXIT_INPUT, "", str(exc))
+    except _Exit as exc:
+        return exc.args[0]
     try:
         return _share_report(args.func(args))
     except (OracleTooLargeError, lexcompat.NodeBudgetError) as exc:

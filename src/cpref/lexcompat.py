@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 import itertools
 import math
-import sys
 
 from .model import (
     And,
@@ -62,8 +61,7 @@ MAX_REDUCTION_ATTRIBUTES = 1 << 14
 
 
 class NodeBudgetError(RuntimeError):
-    """Tree construction exceeded the configured node budget, or the tree
-    grew too deep for the interpreter's recursion limit."""
+    """Tree construction exceeded the configured node budget."""
 
 
 class NotLexicoCompatibleError(RuntimeError):
@@ -214,9 +212,7 @@ def build_complete_lptree(
     the reduced-BDD redundant-test rule); every other edge is labelled, one
     per label value.  ``node_budget`` bounds the nodes of the tree as it is
     written, a shared subtree counted at each place it is written, so it
-    bounds the work as well.  A tree too deep for the interpreter's
-    recursion limit raises :class:`NodeBudgetError` as well.  Nothing is
-    kept between calls.
+    bounds the work as well, at any depth.  Nothing is kept between calls.
     """
     schema = theory.schema
     if not schema.attributes:
@@ -232,9 +228,10 @@ def build_complete_lptree(
         if written > node_budget:
             raise NodeBudgetError(f"tree construction exceeded {node_budget} nodes")
 
-    def grow(ctx: PathContext, above: tuple[CPStatement, ...] | None) -> tuple[LPNode, int] | None:
-        """The subtree at ``ctx`` and its written size.  A subtree grown
-        here counts its own nodes; one found under its key counts none."""
+    def grow(ctx: PathContext, above: tuple[CPStatement, ...] | None):
+        """Yields each child's context and active statements, is sent each
+        child's subtree and written size (None: no tree), and returns its own.
+        A subtree grown here counts its own nodes; one found under its key counts none."""
         active = phi_at_node(theory, ctx, above)
         ids = tuple(map(id, active))
         read = set()
@@ -256,7 +253,7 @@ def build_complete_lptree(
         total = 0  # the children's written sizes, summed
         start = written
         for value in schema.instantiations(cand.attrs):
-            got = grow(ctx.child(cand.attrs, value), active)
+            got = yield ctx.child(cand.attrs, value), active
             if got is None:
                 return None
             child, size = got
@@ -271,13 +268,16 @@ def build_complete_lptree(
         grown[key] = LPNode(cand.attrs, (rule,), tuple(edges)), 1 + written - start
         return grown[key]
 
-    try:
-        got = grow(PathContext.root(schema), None)
-    except RecursionError:
-        raise NodeBudgetError(
-            f"tree construction exceeded the depth that the interpreter's "
-            f"recursion limit ({sys.getrecursionlimit()} levels) allows"
-        ) from None
+    stack, got = [grow(PathContext.root(schema), None)], None
+    while stack:
+        try:
+            child = stack[-1].send(got)
+        except StopIteration as done:
+            stack.pop()
+            got = done.value
+        else:
+            stack.append(grow(*child))
+            got = None
     return None if got is None else LPTree(schema, got[0])
 
 
@@ -395,11 +395,11 @@ def gen_3sat_reduction(
     Clauses are sequences of nonzero literals (DIMACS style) over variables
     1..n.  Clause k contributes, per literal l, the statement
     ``l | {Yk} : Y(k-1)=t >= Y(k-1)=f``; a closing statement
-    ``true | {Y0} : Ym=t >= Ym=f`` ties the chain shut.  With no clauses the
-    free part would collide with the swap, so the closing statement is emitted
-    with an empty free part.  The schema has ``num_vars + len(clauses) + 1``
-    attributes, and one beyond :data:`MAX_REDUCTION_ATTRIBUTES` is refused
-    before any is built.
+    ``true | {Y0} : Ym=t >= Ym=f`` ties the chain shut.  The empty CNF is
+    satisfiable, so its theory is the two-cycle ``Y0=t >= Y0=f`` and
+    ``Y0=f >= Y0=t``, which no tree orders.  The schema has
+    ``num_vars + len(clauses) + 1`` attributes, and one beyond
+    :data:`MAX_REDUCTION_ATTRIBUTES` is refused before any is built.
     """
     seen = {abs(l) for clause in clauses for l in clause}
     if num_vars is None:
@@ -430,12 +430,8 @@ def gen_3sat_reduction(
                     free=(f"Y{k}",),
                 )
             )
-    statements.append(
-        CPStatement.make(
-            schema,
-            {f"Y{m}": "t"},
-            {f"Y{m}": "f"},
-            free=(f"Y{0}",) if m > 0 else (),
-        )
-    )
+    if m:
+        statements.append(CPStatement.make(schema, {f"Y{m}": "t"}, {f"Y{m}": "f"}, free=("Y0",)))
+    else:
+        statements += [CPStatement.make(schema, {"Y0": a}, {"Y0": b}) for a, b in ("tf", "ft")]
     return CPTheory(schema, tuple(statements))

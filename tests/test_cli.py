@@ -26,6 +26,7 @@ from cpref import (
     serialize_theory,
     validate,
 )
+from cpref import cli
 from cpref.cli import CommandResult, run
 from cpref.textio import format_instantiation
 from helpers import (
@@ -446,12 +447,13 @@ def test_compile_success_and_failure(tmp_path, ex2_file):
     tree = parse_lptree(Path(out).read_text(encoding="utf-8"))
     assert validate(tree) == [] and is_complete(tree)
 
-    sat = _write(tmp_path, "sat.cnf", "p cnf 1 1\n1 0\n")
-    reduction = str(tmp_path / "sat.cpt")
-    assert run(["gen3sat", sat, "-o", reduction]).status == 0
-    failure = run(["compile", reduction, "-k", "1", "-o", str(tmp_path / "no.lpt")])
-    assert failure.status == 1
-    assert failure.report == "FAILURE: not 1-lexico-compatible"
+    # satisfiable CNFs, the empty one too, reduce to incompatible theories
+    for name, text in (("sat", "p cnf 1 1\n1 0\n"), ("empty", "p cnf 3 0\n")):
+        reduction = str(tmp_path / f"{name}.cpt")
+        assert run(["gen3sat", _write(tmp_path, f"{name}.cnf", text), "-o", reduction]).status == 0
+        failure = run(["compile", reduction, "-k", "1", "-o", str(tmp_path / "no.lpt")])
+        assert failure.status == 1
+        assert failure.report == "FAILURE: not 1-lexico-compatible"
 
 
 def test_compile_node_budget(ex2_file, tmp_path):
@@ -964,8 +966,6 @@ print(len(preorder_to_cp(ExplicitPreorder(schema, rows))))
 
 
 def test_repeated_large_report_shares_one_string(tmp_path, monkeypatch):
-    from cpref import cli
-
     monkeypatch.setattr(cli, "_SHARED_REPORT_MIN", 20)
     monkeypatch.setattr(cli, "_shared_report", "")
     single = _write(tmp_path, "single.cpt", SINGLE)
@@ -1114,18 +1114,24 @@ def test_mutated_input_files_never_make_run_raise(tmp_path):
     assert statuses[2] and statuses[0]
 
 
-def test_compile_refuses_a_tree_deeper_than_the_recursion_limit(tmp_path):
-    # 1000 independent binary attributes compile, at -k 1, to a chain of
-    # 1000 levels: a limit on the tree built (exit 3), not an input error
-    names = [f"A{i}" for i in range(1000)]
-    text = "".join(f"attr {a}: a, b\n" for a in names) + "".join(
-        f"stmt true : {a}=a >= {a}=b\n" for a in names
-    )
-    out = tmp_path / "wide.lpt"
-    result = run(["compile", _write(tmp_path, "wide.cpt", text), "-k", "1", "-o", str(out)])
-    assert result.status == 3 and result.report == ""
-    assert "exceeded the depth" in result.diagnostics
-    assert "recursion limit" in result.diagnostics
+def test_compile_builds_a_tree_deeper_than_the_recursion_limit(tmp_path):
+    # 1200 binary attributes and two statements: the root splits on A0 into
+    # two chains of 1199 levels, 2399 nodes written, deeper than the
+    # interpreter's recursion limit; the file reads back
+    names = [f"A{i}" for i in range(1200)]
+    text = "".join(f"attr {a}: a, b\n" for a in names)
+    text += "stmt true : A0=a >= A0=b\nstmt A0=a : A1=a >= A1=b\n"
+    theory = _write(tmp_path, "deep.cpt", text)
+    out = tmp_path / "deep.lpt"
+    result = run(["compile", theory, "-k", "1", "-o", str(out)])
+    assert result == CommandResult(0, f"compiled: {out}", "")
+    written = out.read_text(encoding="utf-8")
+    assert written.count("node {") == 2399 and written.count("edge * {") == 2 * 1198
+    assert run(["linearisable", str(out)]) == CommandResult(0, "linearisable: yes", "")
+    # the node budget still bounds the written size, at any depth
+    out.unlink()
+    result = run(["compile", theory, "-k", "1", "-o", str(out), "--node-budget", "500"])
+    assert result == CommandResult(3, "", "error: tree construction exceeded 500 nodes")
     assert not out.exists()
 
 
@@ -1240,6 +1246,30 @@ def test_top_checks_the_size_before_building_the_relation(tmp_path):
             assert result.status == 2 and result.report == ""
             assert ("negative" if p == "-1" else "smaller") in result.diagnostics
             assert peak < 2**20  # refused before any per-alternative array
+
+
+def test_help_is_the_report_of_an_answered_run(capsys):
+    # argparse would print the help and exit the process; run returns it, and
+    # main prints exactly what argparse printed
+    parser = cli._build_parser()
+    compare = parser.parse_args(["compare", "f", "-o", "x", "-p", "y"]).parser
+    texts = {"--help": parser.format_help(), "-h": parser.format_help()}
+    texts["compare --help"] = compare.format_help()
+    for argv, text in texts.items():
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert run(argv.split()) == CommandResult(0, text[:-1], "")
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().out == text
+
+
+def test_an_empty_check_is_an_input_error(ex2_file):
+    # an empty --check is an alternative that fails to parse, not the
+    # existence query
+    for check in ("", " "):
+        result = run(["optimal", ex2_file, "--kind", "dominating", "--check", check])
+        assert result.status == 2 and result.report == ""
+        assert "expected attribute name" in result.diagnostics
 
 
 def test_consecutive_runs_share_no_parsed_state(tmp_path, ex2_file):

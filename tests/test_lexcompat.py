@@ -1,5 +1,7 @@
+import ast
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from cpref import (
     gen_3sat_reduction,
     is_complete,
     is_k_lexico_compatible,
+    lexcompat,
     lptree_to_statements,
     phi_at_node,
     strict_chain_rule,
@@ -159,6 +162,28 @@ def test_build_node_budget():
     t = ex2_theory()
     with pytest.raises(NodeBudgetError):
         build_complete_lptree(t, 2, node_budget=2)
+
+
+def test_the_builder_grows_on_an_explicit_stack():
+    # no depth limit hides in the builder: it neither recurses nor turns the
+    # interpreter's recursion limit into an answer
+    tree = ast.parse(Path(lexcompat.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert "RecursionError" not in names and "sys" not in imported
+    (build,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "build_complete_lptree"
+    ]
+    for func in ast.walk(build):
+        if isinstance(func, ast.FunctionDef):
+            called = {
+                node.func.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            assert func.name not in called and build.name not in called, func.name
 
 
 def test_is_k_lexico_compatible():
@@ -471,12 +496,14 @@ def test_reduction_single_positive_clause():
     assert closing.better == t.schema.instantiation({"Y1": "t"})
 
 
-def test_reduction_empty_cnf_degenerates():
+def test_reduction_of_the_empty_cnf_is_not_compatible():
+    # the empty CNF is satisfiable: its theory is a two-cycle on Y0
     t = gen_3sat_reduction([])
-    assert len(t) == 1
-    (closing,) = t.statements
-    assert closing.free == frozenset()
-    assert is_k_lexico_compatible(t, 1)
+    assert t.schema.names == ("X1", "Y0")
+    y = [t.schema.instantiation({"Y0": v}) for v in "tf"]
+    assert [(s.better, s.worse) for s in t.statements] == [(y[0], y[1]), (y[1], y[0])]
+    assert all(s.condition == TRUE and not s.free for s in t.statements)
+    assert not is_k_lexico_compatible(t, 1) and not is_k_lexico_compatible(t, 2)
 
 
 def test_reduction_statement_count():
